@@ -68,6 +68,9 @@ class BitVec {
 
   /// Direct access to the packed words (for hashing / equality).
   const std::vector<u64>& words() const { return words_; }
+  /// Mutable packed words for word-level producers (the SIMD input
+  /// encoder). Bits at or past size() must stay zero.
+  u64* word_data() { return words_.data(); }
 
   friend bool operator==(const BitVec& a, const BitVec& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;

@@ -1,5 +1,7 @@
 #include "common/simd.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cctype>
@@ -39,6 +41,27 @@ namespace {
 
 void accumulate_i16_scalar(i32* acc, const i16* row, int n) {
   for (int i = 0; i < n; ++i) acc[i] += row[i];
+}
+
+void gather_rows_i8_scalar(i32* acc, const i8* w, const u16* rows, int n) {
+  // i16 lanes with wrapping adds (done in u16 so overflow is defined), the
+  // arithmetic every vector backend performs.
+  std::array<u16, 256> sum{};
+  for (int i = 0; i < n; ++i) {
+    const i8* row = w + static_cast<usize>(rows[i]) * 256;
+    for (int j = 0; j < 256; ++j) sum[j] = static_cast<u16>(sum[j] + static_cast<u16>(row[j]));
+  }
+  for (int j = 0; j < 256; ++j) acc[j] = static_cast<i16>(sum[j]);
+}
+
+void encode_step_scalar(i32* acc, const i32* q, int n, i32 Q, u64* out_words) {
+  std::fill_n(out_words, (n + 63) / 64, u64{0});
+  for (int i = 0; i < n; ++i) {
+    const i32 a = acc[i] + q[i];
+    const bool f = a >= Q;
+    acc[i] = f ? a - Q : a;
+    out_words[i >> 6] |= static_cast<u64>(f) << (i & 63);
+  }
 }
 
 i64 clamp_store_i16_scalar(const i32* src, i16* dst, int n, i32 lo, i32 hi) {
@@ -137,6 +160,79 @@ SJ_TARGET_AVX2 void accumulate_i16_avx2(i32* acc, const i16* row, int n) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), a0);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i + 8), a1);
   }
+}
+
+// One 16-lane slice of an i8 row, sign-extended to i16 and added.
+SJ_TARGET_AVX2 inline __m256i add_i8x16(__m256i sum, const i8* p) {
+  return _mm256_add_epi16(
+      sum, _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))));
+}
+
+// Widens 16 i16 lanes to i32 and stores them.
+SJ_TARGET_AVX2 inline void store_i16x16(i32* dst, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+                      _mm256_cvtepi16_epi32(_mm256_castsi256_si128(v)));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 8),
+                      _mm256_cvtepi16_epi32(_mm256_extracti128_si256(v, 1)));
+}
+
+// 128 i16 lanes held in eight named registers (an indexed array would live
+// on the stack), summed over the whole row list before a single widening
+// store. The gather runs as two such halves: eight accumulators plus the
+// load temporaries fit the sixteen ymm registers, so nothing spills inside
+// the row loop.
+SJ_TARGET_AVX2 inline void gather_half_i8_avx2(i32* acc, const i8* w, const u16* rows,
+                                               int n) {
+  __m256i s0 = _mm256_setzero_si256(), s1 = s0, s2 = s0, s3 = s0;
+  __m256i s4 = s0, s5 = s0, s6 = s0, s7 = s0;
+  for (int i = 0; i < n; ++i) {
+    const i8* row = w + static_cast<usize>(rows[i]) * 256;
+    s0 = add_i8x16(s0, row);
+    s1 = add_i8x16(s1, row + 16);
+    s2 = add_i8x16(s2, row + 32);
+    s3 = add_i8x16(s3, row + 48);
+    s4 = add_i8x16(s4, row + 64);
+    s5 = add_i8x16(s5, row + 80);
+    s6 = add_i8x16(s6, row + 96);
+    s7 = add_i8x16(s7, row + 112);
+  }
+  store_i16x16(acc, s0);
+  store_i16x16(acc + 16, s1);
+  store_i16x16(acc + 32, s2);
+  store_i16x16(acc + 48, s3);
+  store_i16x16(acc + 64, s4);
+  store_i16x16(acc + 80, s5);
+  store_i16x16(acc + 96, s6);
+  store_i16x16(acc + 112, s7);
+}
+
+SJ_TARGET_AVX2 void gather_rows_i8_avx2(i32* acc, const i8* w, const u16* rows, int n) {
+  gather_half_i8_avx2(acc, w, rows, n);
+  gather_half_i8_avx2(acc + 128, w + 128, rows, n);
+}
+
+SJ_TARGET_AVX2 void encode_step_avx2(i32* acc, const i32* q, int n, i32 Q, u64* out_words) {
+  const __m256i vq = _mm256_set1_epi32(Q);
+  const __m256i vq1 = _mm256_set1_epi32(Q - 1);  // a >= Q  <=>  a > Q - 1
+  const int full = n / 64;
+  for (int wi = 0; wi < full; ++wi) {
+    u64 word = 0;
+    for (int g = 0; g < 8; ++g) {
+      const int i = wi * 64 + g * 8;
+      __m256i a = _mm256_add_epi32(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i)),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i)));
+      const __m256i fire = _mm256_cmpgt_epi32(a, vq1);
+      a = _mm256_sub_epi32(a, _mm256_and_si256(fire, vq));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), a);
+      word |= static_cast<u64>(static_cast<u32>(
+                  _mm256_movemask_ps(_mm256_castsi256_ps(fire))))
+              << (g * 8);
+    }
+    out_words[wi] = word;
+  }
+  const int done = full * 64;
+  if (done < n) encode_step_scalar(acc + done, q + done, n - done, Q, out_words + full);
 }
 
 // Packs two clamped 8 x i32 vectors into one 16 x i16 vector. packs_epi32
@@ -438,6 +534,26 @@ u64 integrate_fire_strip(i32* pot, const i16* add, i32 lo, i32 hi, i32 threshold
 #endif
     default:
       return integrate_fire_strip_scalar(pot, add, lo, hi, threshold, saturations);
+  }
+}
+
+void gather_rows_i8(i32* acc, const i8* w, const u16* rows, int n) {
+  switch (active_backend()) {
+#if SJ_SIMD_HAVE_AVX2
+    case Backend::AVX2: gather_rows_i8_avx2(acc, w, rows, n); return;
+#endif
+    // NEON has no body of its own yet (none can be compile-checked on the
+    // x86 CI hosts), so it runs the scalar reference.
+    default: gather_rows_i8_scalar(acc, w, rows, n); return;
+  }
+}
+
+void encode_step(i32* acc, const i32* q, int n, i32 Q, u64* out_words) {
+  switch (active_backend()) {
+#if SJ_SIMD_HAVE_AVX2
+    case Backend::AVX2: encode_step_avx2(acc, q, n, Q, out_words); return;
+#endif
+    default: encode_step_scalar(acc, q, n, Q, out_words); return;  // NEON too
   }
 }
 

@@ -73,6 +73,16 @@ bool parse_backend(const char* text, Backend* out);
 /// i32 (|row| <= 2^15, and the engine's accumulators stay far from i32).
 void accumulate_i16(i32* acc, const i16* row, int n);
 
+/// The narrow dense-FC gather: for every lane j in [0, 256),
+///   acc[j] = sum over i < n of w[rows[i] * 256 + j]
+/// summed in i16 lanes (wrapping) and widened to i32 once, at the end.
+/// Overwrites acc; n = 0 stores zeros. Equals the exact sum whenever it fits
+/// i16 — guaranteed for any row subset when the sum over rows of
+/// max_lane |w| is <= 32767, the condition under which the engine stores a
+/// dense core's rows as i8. AVX2 keeps the lanes register-resident across
+/// the whole row list.
+void gather_rows_i8(i32* acc, const i8* w, const u16* rows, int n);
+
 /// dst[i] = clamp(src[i], lo, hi) narrowed to i16; returns the number of
 /// clamped lanes. [lo, hi] must lie within i16 (the engine's local-PS and
 /// NoC widths are <= 16 bits). The ACC write-back kernel.
@@ -109,5 +119,12 @@ constexpr bool integrate_fire_exact(i32 potential_bits, i64 threshold) {
 /// sum over i of popcount((last[i] ^ vals[i]) & wire_mask) and updates
 /// last[i] = vals[i]. The per-link toggle kernel of noc::NocState::stage_ps.
 i64 toggle_update_i16(i16* last, const i16* vals, int n, u16 wire_mask);
+
+/// One timestep of the input rate encoder over n pixels (any n >= 0):
+///   acc[i] += q[i]; if acc[i] >= Q: acc[i] -= Q and bit i fires.
+/// Writes all ceil(n / 64) words of out_words, bits >= n zero. Requires
+/// 0 <= q[i] <= Q and 0 <= acc[i] < Q (snn::InputEncoder's invariant), so
+/// acc[i] + q[i] < 2Q never overflows i32 for Q < 2^30.
+void encode_step(i32* acc, const i32* q, int n, i32 Q, u64* out_words);
 
 }  // namespace sj::simd

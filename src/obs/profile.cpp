@@ -8,6 +8,7 @@ void PhaseProfile::merge(const PhaseProfile& o) {
   frames += o.frames;
   sharded_frames += o.sharded_frames;
   reset_ns += o.reset_ns;
+  encode_ns += o.encode_ns;
   exec_ns += o.exec_ns;
   frame_ns += o.frame_ns;
   phase_wall_ns += o.phase_wall_ns;
@@ -24,6 +25,7 @@ void PhaseProfile::clear() {
   frames = 0;
   sharded_frames = 0;
   reset_ns = 0;
+  encode_ns = 0;
   exec_ns = 0;
   frame_ns = 0;
   phase_wall_ns = 0;
@@ -37,6 +39,7 @@ json::Value PhaseProfile::to_json() const {
   v.set("frames", frames);
   v.set("sharded_frames", sharded_frames);
   v.set("reset_ns", static_cast<i64>(reset_ns));
+  v.set("encode_ns", static_cast<i64>(encode_ns));
   v.set("exec_ns", static_cast<i64>(exec_ns));
   v.set("frame_ns", static_cast<i64>(frame_ns));
   v.set("phase_wall_ns", static_cast<i64>(phase_wall_ns));

@@ -32,7 +32,8 @@ struct PhaseProfile {
   i64 frames = 0;          // run_frame frames profiled
   i64 sharded_frames = 0;  // run_frame_sharded frames profiled
   u64 reset_ns = 0;        // per-frame context reset
-  u64 exec_ns = 0;         // unsharded iteration execution
+  u64 encode_ns = 0;       // input rate encoder (set-up and every step)
+  u64 exec_ns = 0;         // unsharded iteration execution, encoder excluded
   u64 frame_ns = 0;        // whole frames, end to end
   // Sharded path, accrued per phase across all iterations:
   u64 phase_wall_ns = 0;      // wall time of the parallel section

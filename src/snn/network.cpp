@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/simd.h"
+
 namespace sj::snn {
 
 const char* op_kind_name(OpKind k) {
@@ -146,7 +148,8 @@ i64 SnnNetwork::total_weights() const {
 }
 
 InputEncoder::InputEncoder(const Tensor& image, i32 q) : q_(q) {
-  SJ_REQUIRE(q >= 1, "InputEncoder: scale must be >= 1");
+  // The upper bound keeps acc + q (< 2Q) inside i32 (simd::encode_step).
+  SJ_REQUIRE(q >= 1 && q <= (i32{1} << 30), "InputEncoder: scale must be in [1, 2^30]");
   quantized_.reserve(image.numel());
   for (usize i = 0; i < image.numel(); ++i) {
     float p = image[i];
@@ -157,15 +160,15 @@ InputEncoder::InputEncoder(const Tensor& image, i32 q) : q_(q) {
 }
 
 BitVec InputEncoder::step() {
-  BitVec spikes(quantized_.size());
-  for (usize i = 0; i < quantized_.size(); ++i) {
-    acc_[i] += quantized_[i];
-    if (acc_[i] >= q_) {
-      acc_[i] -= q_;
-      spikes.set(i, true);
-    }
-  }
+  BitVec spikes;
+  step(spikes);
   return spikes;
+}
+
+void InputEncoder::step(BitVec& out) {
+  if (out.size() != quantized_.size()) out = BitVec(quantized_.size());
+  simd::encode_step(acc_.data(), quantized_.data(), static_cast<int>(quantized_.size()), q_,
+                    out.word_data());
 }
 
 std::vector<BitVec> encode_input(const Tensor& image, i32 q, i32 timesteps) {

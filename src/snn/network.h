@@ -113,6 +113,9 @@ class InputEncoder {
 
   /// Spikes for the next timestep.
   BitVec step();
+  /// Same, written into `out` (resized to size() bits) so a frame loop can
+  /// reuse one buffer instead of allocating per timestep.
+  void step(BitVec& out);
 
   i64 size() const { return static_cast<i64>(quantized_.size()); }
   const std::vector<i32>& quantized() const { return quantized_; }

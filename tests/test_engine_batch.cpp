@@ -210,13 +210,18 @@ TEST(EngineBatch, ThrowingFrameRestoresPriorTalliesAndDiscardsPartials) {
   engine.run_frame(engine.context(0), b.data.images[0]);
   const i64 prior_iterations = engine.context(0).stats().iterations;
 
-  std::vector<Tensor> bad = b.data.images;
-  bad.push_back(Tensor({4}));  // too few pixels: input injection throws
-  EXPECT_THROW(
-      engine.run_batch(std::span<const Tensor>(bad.data(), bad.size()), nullptr, &pool),
-      Error);
-  EXPECT_EQ(engine.context(0).stats().frames, 1);
-  EXPECT_EQ(engine.context(0).stats().iterations, prior_iterations);
+  // Wrong-size frames — too few pixels, or too many — are rejected at frame
+  // entry, so neither can leave partial batch counts behind.
+  for (const usize pixels : {usize{4}, usize{301}}) {
+    SCOPED_TRACE("pixels " + std::to_string(pixels));
+    std::vector<Tensor> bad = b.data.images;
+    bad.push_back(Tensor({pixels}));
+    EXPECT_THROW(
+        engine.run_batch(std::span<const Tensor>(bad.data(), bad.size()), nullptr, &pool),
+        Error);
+    EXPECT_EQ(engine.context(0).stats().frames, 1);
+    EXPECT_EQ(engine.context(0).stats().iterations, prior_iterations);
+  }
 
   // The engine stays usable: a clean batch afterwards is still bit-exact.
   SimStats st;
@@ -234,6 +239,7 @@ TEST(EngineBatch, SimulatorShimDiscardsPartialStatsOfThrowingFrame) {
   const Built b = build_fc(61, 5, 2);
   Simulator sim(b.mapped, b.net);
   EXPECT_THROW(sim.run_frame(Tensor({4})), Error);
+  EXPECT_THROW(sim.run_frame(Tensor({301})), Error);  // trailing pixels are not ignored
   SimStats st;
   sim.run_frame(b.data.images[0], &st);
 
@@ -242,6 +248,20 @@ TEST(EngineBatch, SimulatorShimDiscardsPartialStatsOfThrowingFrame) {
   fresh.run_frame(b.data.images[0], &fresh_st);
   expect_stats_eq(st, fresh_st);
   EXPECT_EQ(st.frames, 1);
+}
+
+TEST(EngineBatch, WrongSizeFrameIsRejectedBeforeTouchingTheContext) {
+  const Built b = build_fc(67, 5, 1);
+  Engine engine(b.mapped, b.net);
+  SimContext ctx = engine.make_context();
+  engine.run_frame(ctx, b.data.images[0]);
+  const SimStats before = ctx.stats();
+  for (const usize pixels : {usize{0}, usize{299}, usize{301}, usize{600}}) {
+    EXPECT_THROW(engine.run_frame(ctx, Tensor({pixels})), Error) << pixels;
+  }
+  expect_stats_eq(ctx.stats(), before);
+  // Same pixel count in another shape is still the model's input.
+  EXPECT_NO_THROW(engine.run_frame(ctx, b.data.images[0].reshaped({10, 30})));
 }
 
 TEST(EngineBatch, NestedBatchShardsAcrossContexts) {

@@ -223,6 +223,7 @@ TEST(PhaseProfile, MergeGrowsShardVectorsAndJsonShape) {
   a.exec_ns = 100;
   PhaseProfile b;
   b.sharded_frames = 1;
+  b.encode_ns = 12;
   b.phase_wall_ns = 70;
   b.shard_exec_ns = {30, 40};
   b.shard_wait_ns = {40, 30};
@@ -236,8 +237,10 @@ TEST(PhaseProfile, MergeGrowsShardVectorsAndJsonShape) {
   const json::Value j = a.to_json();
   EXPECT_EQ(j.at("frames").as_int(), 2);
   EXPECT_EQ(j.at("shard_exec_ns").as_array().size(), 2u);
+  EXPECT_EQ(j.at("encode_ns").as_int(), 12);
   a.clear();
   EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.encode_ns, 0u);
   EXPECT_EQ(a.shard_exec_ns.size(), 2u);  // allocation kept, values zeroed
   EXPECT_EQ(a.shard_exec_ns[0], 0u);
 }

@@ -517,9 +517,12 @@ TEST(Serve, BadFramePropagatesThroughTheFutureAndLeavesServerUsable) {
   const Built b = build_fc(163, 5, 2);
   Server server({.workers = 2});
   const ModelKey key = server.load_model(b.mapped, b.net);
-  auto bad = server.submit(key, Tensor({4}));  // too few pixels: injection throws
-  EXPECT_THROW(bad.get(), Error);
-  EXPECT_EQ(server.stats(key).frames, 0);  // nothing partial leaked
+  // Too few pixels and too many: both are rejected at frame entry.
+  for (const usize pixels : {usize{4}, usize{301}}) {
+    auto bad = server.submit(key, Tensor({pixels}));
+    EXPECT_THROW(bad.get(), Error) << pixels;
+    EXPECT_EQ(server.stats(key).frames, 0) << pixels;  // nothing partial leaked
+  }
   const auto [want, want_stats] = serial_reference(b);
   auto futs = server.submit_batch(key, batch_of(b));
   std::vector<FrameResult> got;
@@ -654,6 +657,7 @@ TEST(ServeTelemetry, EngineProfileCoversPlainAndShardedPaths) {
   i64 exec_total = 0;
   for (const json::Value& ns : shard_exec) exec_total += ns.as_int();
   EXPECT_GT(exec_total, 0);
+  EXPECT_GT(prof.at("encode_ns").as_int(), 0);  // the encoder is its own layer
   server.shutdown();
 
   // Plain (unsharded) path: frames counted, no shard arrays.
@@ -666,6 +670,11 @@ TEST(ServeTelemetry, EngineProfileCoversPlainAndShardedPaths) {
   const json::Value& pprof = pdoc.at("models").as_array()[0].at("engine_profile");
   EXPECT_EQ(pprof.at("frames").as_int(), static_cast<i64>(p.data.size()));
   EXPECT_GT(pprof.at("exec_ns").as_int(), 0);
+  EXPECT_GT(pprof.at("encode_ns").as_int(), 0);
+  // Encoder time is split out of exec, so the layers fit inside the frame.
+  EXPECT_LE(pprof.at("reset_ns").as_int() + pprof.at("encode_ns").as_int() +
+                pprof.at("exec_ns").as_int(),
+            pprof.at("frame_ns").as_int());
   plain.shutdown();
 }
 

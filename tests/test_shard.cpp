@@ -250,6 +250,30 @@ TEST(ShardedFrame, RunsInsideBatchWorkersWithoutDeadlock) {
   }
 }
 
+TEST(ShardedFrame, WrongSizeFrameThrowsWithoutPartialStats) {
+  // Rejected at frame entry: no shard tally, staged write or frame count
+  // survives, and the context still runs clean frames bit-exactly.
+  const Built b = build_fc(31, 5, 2, 2, 700, 280);
+  ASSERT_GT(b.mapped.chips_used, 1);
+  ThreadPool pool(3);
+  Engine engine(b.mapped, b.net);
+  SimContext ctx = engine.make_context();
+  SimContext ref = engine.make_context();
+  for (const usize pixels : {usize{4}, usize{701}}) {
+    EXPECT_THROW(engine.run_frame_sharded(ctx, Tensor({pixels}), nullptr, &pool), Error)
+        << pixels;
+    EXPECT_EQ(ctx.stats().frames, 0);
+    EXPECT_EQ(ctx.stats().iterations, 0);
+    EXPECT_EQ(ctx.stats().noc.interchip_ps_bits, 0);
+  }
+  for (const Tensor& img : b.data.images) {
+    const FrameResult got = engine.run_frame_sharded(ctx, img, nullptr, &pool);
+    const FrameResult want = engine.run_frame(ref, img);
+    expect_frames_eq(got, want, "after rejected frames");
+  }
+  expect_stats_eq(ctx.take_stats(), ref.take_stats());
+}
+
 /// Randomized equivalence over architectures and chip geometries: every
 /// seed draws an FC stack (dimensions wide enough to straddle chips) and a
 /// chip edge in [3, 8], then requires the sharded path to be bit-identical

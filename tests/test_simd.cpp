@@ -258,5 +258,94 @@ TEST(SimdKernelTest, ToggleUpdateMatchesScalar) {
   }
 }
 
+/// The exact i32 sum the i8 gather must reproduce whenever it fits i16.
+std::vector<i32> gather_reference(const std::vector<i8>& w, const std::vector<u16>& rows) {
+  std::vector<i32> sum(256, 0);
+  for (const u16 r : rows) {
+    for (int j = 0; j < 256; ++j) sum[j] += w[static_cast<usize>(r) * 256 + j];
+  }
+  return sum;
+}
+
+TEST(SimdKernelTest, GatherRowsI8MatchesScalarAndExactSum) {
+  const BackendGuard guard;
+  Rng rng(106);
+  // Weight tables: small random weights, and the i16 extremes — every row
+  // -128 (256 rows sum to exactly -32768), every row +127, and a per-lane
+  // -128/+127 mix, whose subset sums all stay within i16.
+  std::vector<std::vector<i8>> tables(4, std::vector<i8>(256 * 256));
+  for (i8& x : tables[0]) x = static_cast<i8>(rng.uniform_int(-15, 15));
+  for (i8& x : tables[1]) x = -128;
+  for (i8& x : tables[2]) x = 127;
+  for (i8& x : tables[3]) x = rng.bernoulli(0.5) ? i8{-128} : i8{127};
+
+  std::vector<u16> all(256);
+  for (int r = 0; r < 256; ++r) all[static_cast<usize>(r)] = static_cast<u16>(r);
+  std::vector<u16> some;  // a sparse, unsorted subset
+  for (int r = 255; r >= 0; r -= 7) some.push_back(static_cast<u16>(r));
+  const std::vector<std::vector<u16>> row_lists{{}, {0}, {255}, some, all};
+
+  for (usize t = 0; t < tables.size(); ++t) {
+    for (const auto& rows : row_lists) {
+      const int n = static_cast<int>(rows.size());
+      const std::vector<i32> exact = gather_reference(tables[t], rows);
+      set_backend(Backend::Scalar);
+      std::vector<i32> want(256, 12345);  // stale values must be overwritten
+      gather_rows_i8(want.data(), tables[t].data(), rows.data(), n);
+      EXPECT_EQ(want, exact) << "table " << t << " rows=" << n;
+      for (const Backend b : usable_backends()) {
+        set_backend(b);
+        std::vector<i32> got(256, -777);
+        gather_rows_i8(got.data(), tables[t].data(), rows.data(), n);
+        EXPECT_EQ(got, want) << backend_name(b) << " table " << t << " rows=" << n;
+      }
+    }
+  }
+  EXPECT_EQ(gather_reference(tables[1], all)[0], -32768);  // the bound is reached
+}
+
+TEST(SimdKernelTest, EncodeStepMatchesScalarAndTheRateRule) {
+  const BackendGuard guard;
+  Rng rng(107);
+  for (const i32 Q : {1, 255}) {
+    for (const int n : {1, 63, 64, 65, 784}) {
+      std::vector<i32> q(static_cast<usize>(n)), acc0(static_cast<usize>(n));
+      for (int i = 0; i < n; ++i) {
+        q[static_cast<usize>(i)] = static_cast<i32>(rng.uniform_int(0, Q));
+        acc0[static_cast<usize>(i)] = static_cast<i32>(rng.uniform_int(0, Q - 1));
+      }
+      const usize words = static_cast<usize>((n + 63) / 64);
+      // The rule itself, independent of any backend.
+      std::vector<i32> acc_ref = acc0;
+      std::vector<u64> bits_ref(words, 0);
+      for (int i = 0; i < n; ++i) {
+        i32& a = acc_ref[static_cast<usize>(i)];
+        a += q[static_cast<usize>(i)];
+        if (a >= Q) {
+          a -= Q;
+          bits_ref[static_cast<usize>(i) >> 6] |= u64{1} << (i & 63);
+        }
+      }
+      for (const Backend b : usable_backends()) {
+        set_backend(b);
+        std::vector<i32> acc = acc0;
+        std::vector<u64> bits(words, ~u64{0});  // bits >= n must come back zero
+        encode_step(acc.data(), q.data(), n, Q, bits.data());
+        EXPECT_EQ(acc, acc_ref) << backend_name(b) << " Q=" << Q << " n=" << n;
+        EXPECT_EQ(bits, bits_ref) << backend_name(b) << " Q=" << Q << " n=" << n;
+        // A second step from the updated state stays in lockstep with scalar.
+        std::vector<i32> acc_s = acc;
+        std::vector<u64> bits_s(words);
+        set_backend(Backend::Scalar);
+        encode_step(acc_s.data(), q.data(), n, Q, bits_s.data());
+        set_backend(b);
+        encode_step(acc.data(), q.data(), n, Q, bits.data());
+        EXPECT_EQ(acc, acc_s) << backend_name(b) << " Q=" << Q << " n=" << n;
+        EXPECT_EQ(bits, bits_s) << backend_name(b) << " Q=" << Q << " n=" << n;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sj::simd
