@@ -45,7 +45,7 @@ struct ExecOp {
   u8 energy_op = 0;            // core::EnergyOp row the op charges
   // Set only on the per-shard op copies inside a ShardPlan (shard_plan.h):
   // the op's pre-resolved link ends on a different chip shard, so its staged
-  // write is deferred to the next phase barrier instead of the local cycle
+  // write is deferred to the next shard barrier instead of the local cycle
   // commit. Always false in the program lower_program returns.
   bool cross_shard = false;
   u32 core = 0;                // tile index (router + core state)
@@ -65,13 +65,11 @@ struct ExecProgram {
   std::vector<ExecOp> ops;        // cycle-major, schedule order preserved
   std::vector<ExecCycle> cycles;  // non-empty cycles only, ascending
 
-  // Cross-timestep pipeline analysis (mapper/pipeline.h), stamped by
-  // CompiledModel when the mapping was compiled with pipelining on and a
-  // feasible initiation interval exists. pipeline_slack[i] is op i's slack
-  // against the serial timestep boundary (depth - delay; negative = the op
-  // is delayed past its serial slot); pipeline_depth is the number of
-  // cycles of timestep t+1 overlapped with timestep t. Empty/0 when the
-  // engine runs the serial loop.
+  // The engine's modulo schedule (mapper/pipeline.h), stamped by
+  // CompiledModel. pipeline_slack[i] is op i's slack against the serial
+  // timestep boundary (depth - delay; negative = the op is delayed past its
+  // serial slot); pipeline_depth is the number of cycles of timestep t+1
+  // overlapped with timestep t. All zero on the serial II = C schedule.
   std::vector<i32> pipeline_slack;
   i32 pipeline_depth = 0;
 };

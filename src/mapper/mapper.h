@@ -45,9 +45,9 @@ struct MapperConfig {
   /// Evaluation budget for the level-2 placement search; 0 = automatic
   /// (scales down with schedule size, and with SHENJING_FAST).
   i32 placement_evals = 0;
-  /// Cross-timestep engine pipelining (mapper/pipeline.h): 0 serial frame
-  /// loop, 1 overlap adjacent timesteps. -1 = read the SHENJING_PIPELINE
-  /// environment variable (default 1).
+  /// Cross-timestep engine pipelining (mapper/pipeline.h): 0 the serial
+  /// II = C schedule, 1 overlap adjacent timesteps where feasible. -1 = read
+  /// the SHENJING_PIPELINE environment variable (default 1).
   i32 pipeline = -1;
 };
 

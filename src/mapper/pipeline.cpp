@@ -177,6 +177,25 @@ bool feasible(const Analysis& an, const MappedNetwork& m, i32 ii, std::vector<i3
   return true;
 }
 
+// The serial schedule as the degenerate modulo schedule: II = span = C, one
+// live iteration, every op at its schedule cycle with zero slack, rotations
+// of the `active` cores at 0, the readout at the timestep's last cycle and
+// ACC committed in place (acc_latency 0).
+PipelineSchedule serial_schedule(const MappedNetwork& m, const std::vector<bool>& active) {
+  PipelineSchedule s;
+  const i32 C = static_cast<i32>(m.cycles_per_timestep);
+  s.ii = s.span = C;
+  s.op_cycle.reserve(m.schedule.size());
+  for (const TimedOp& t : m.schedule) s.op_cycle.push_back(static_cast<i32>(t.cycle));
+  s.slack.assign(m.schedule.size(), 0);
+  s.rotate_cycle.assign(m.cores.size(), -1);
+  for (u32 c = 0; c < m.cores.size(); ++c) {
+    if (active[c]) s.rotate_cycle[c] = 0;
+  }
+  s.readout_cycle = C - 1;
+  return s;
+}
+
 }  // namespace
 
 i32 resolve_pipeline(i32 configured) {
@@ -193,25 +212,26 @@ i32 resolve_pipeline(i32 configured) {
 }
 
 PipelineSchedule build_pipeline(const MappedNetwork& m) {
-  PipelineSchedule out;
-  out.rotate_cycle.assign(m.cores.size(), -1);
   const i32 C = static_cast<i32>(m.cycles_per_timestep);
   const usize n = m.schedule.size();
-  if (C < 2 || n == 0 || m.timesteps + m.output_depth < 2) return out;
-
-  const opt::GridIndex grid(m);
-  Analysis an;
-  an.n = n;
-
-  // Node table: ops first, then one rotation node per active core (the same
-  // predicate as the engine's active set: op cores plus input-tap cores),
-  // then the readout node that samples SpikeOut at iteration end.
-  std::vector<u32> rot_node(m.cores.size(), 0);
+  // Active cores: the same predicate as the engine's active set (op cores
+  // plus input-tap cores) — the cores whose axons rotate every iteration.
   std::vector<bool> active(m.cores.size(), false);
   for (const TimedOp& t : m.schedule) active[t.core] = true;
   for (const auto& taps : m.input_taps) {
     for (const Slot& s : taps) active[s.core] = true;
   }
+  if (m.pipeline == 0 || C < 2 || n == 0 || m.timesteps + m.output_depth < 2) {
+    return serial_schedule(m, active);
+  }
+
+  const opt::GridIndex grid(m);
+  Analysis an;
+  an.n = n;
+
+  // Node table: ops first, then one rotation node per active core, then the
+  // readout node that samples SpikeOut at iteration end.
+  std::vector<u32> rot_node(m.cores.size(), 0);
   for (u32 c = 0; c < m.cores.size(); ++c) {
     if (!active[c]) continue;
     rot_node[c] = static_cast<u32>(n + an.rot_cores.size());
@@ -304,8 +324,7 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
       lo = mid + 1;
     }
   }
-  if (best < 0) return out;
-  if (!feasible(an, m, best, d)) return out;
+  if (best < 0 || !feasible(an, m, best, d)) return serial_schedule(m, active);
 
   i32 span = 0;
   for (usize i = 0; i < nodes; ++i) span = std::max(span, an.b[i] + d[i] + an.cd[i] + 1);
@@ -313,12 +332,16 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
   // A feasible II is only worth taking when the overlapped frame beats the
   // serial one. A near-serial II whose delays stretch the span well past C
   // can make (total-1)*II + span exceed total*C — the pipelined frame would
-  // finish *later* than the serial loop. Keep the serial loop then.
+  // finish *later* than the serial schedule. Keep the serial schedule then.
   const i64 total = static_cast<i64>(m.timesteps) + m.output_depth;
-  if ((total - 1) * best + span >= total * static_cast<i64>(C)) return out;
+  if ((total - 1) * best + span >= total * static_cast<i64>(C)) {
+    return serial_schedule(m, active);
+  }
 
+  PipelineSchedule out;
   out.ii = best;
   out.depth = C - best;
+  out.acc_latency = m.arch.acc_cycles;
   out.op_cycle.resize(n);
   out.slack.resize(n);
   out.span = span;
@@ -326,6 +349,7 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
     out.op_cycle[i] = an.b[i] + d[i];
     out.slack[i] = out.depth - d[i];
   }
+  out.rotate_cycle.assign(m.cores.size(), -1);
   for (const u32 c : an.rot_cores) out.rotate_cycle[c] = d[rot_node[c]];
   out.readout_cycle = an.b[an.readout_node] + d[an.readout_node];
   return out;

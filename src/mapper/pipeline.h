@@ -24,9 +24,11 @@
 //   * per-(core, block) issue slots stay conflict-free both within an
 //     iteration and across the II offset.
 //
-// The result feeds the engine's pipelined frame loop (sim/engine.cpp) and is
-// surfaced as ExecProgram::pipeline_slack / pipeline_depth. ii == 0 means
-// pipelining is disabled or infeasible and the engine keeps the serial loop.
+// The result is the schedule the engine's one frame loop (sim/engine.cpp)
+// runs, surfaced as ExecProgram::pipeline_slack / pipeline_depth. When
+// pipelining is off, infeasible or not worth it, build_pipeline() returns the
+// serial schedule as the degenerate modulo schedule: II = span = C, one live
+// iteration, every op in its schedule cycle and ACC committed in place.
 #pragma once
 
 #include <vector>
@@ -36,9 +38,13 @@
 namespace sj::map {
 
 struct PipelineSchedule {
-  i32 ii = 0;     // initiation interval; 0 = serial (disabled or infeasible)
+  i32 ii = 0;     // initiation interval; cycles_per_timestep when serial
   i32 span = 0;   // one iteration's local window [0, span); span <= 2*ii
   i32 depth = 0;  // cycles_per_timestep - ii: cycles of t+1 overlapped with t
+  // Cycles from an ACC's gather to its local-PS commit: arch.acc_cycles on
+  // an overlapped schedule; 0 on the serial one, where the commit lands
+  // right after the gather as the blocking datapath's would.
+  i32 acc_latency = 0;
 
   // Per schedule op (index-aligned with MappedNetwork::schedule and, by the
   // 1:1 lowering, with ExecProgram::ops): the pipelined local issue cycle
@@ -52,8 +58,6 @@ struct PipelineSchedule {
   // end-of-iteration readout/trace sample cycle.
   std::vector<i32> rotate_cycle;
   i32 readout_cycle = 0;
-
-  bool enabled() const { return ii > 0; }
 };
 
 /// Resolves a configured pipeline flag: negative means "read the
@@ -61,10 +65,11 @@ struct PipelineSchedule {
 /// clamped to {0, 1}. Mirrors opt::resolve_opt_level.
 i32 resolve_pipeline(i32 configured);
 
-/// Runs the inter-timestep dependence analysis on `m.schedule` and searches
-/// the smallest feasible II in [ceil((C+1)/2), C-1]. Returns a disabled
-/// schedule (ii == 0) when the program is empty, the frame has fewer than
-/// two iterations, or no II in range is feasible.
+/// The schedule the engine runs for `m`. With `m.pipeline` on, runs the
+/// inter-timestep dependence analysis on `m.schedule` and searches the
+/// smallest feasible II in [ceil((C+1)/2), C-1]. Returns the serial II = C
+/// schedule when `m.pipeline` is 0, the program is empty, the frame has
+/// fewer than two iterations, or no II in range is feasible or worth taking.
 PipelineSchedule build_pipeline(const MappedNetwork& m);
 
 }  // namespace sj::map

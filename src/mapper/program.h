@@ -112,7 +112,7 @@ struct MappedNetwork {
 
   // Cross-timestep pipelining flag (mapper/pipeline.h): 1 lets the engine
   // overlap adjacent timesteps' accumulate windows, 0 keeps the serial
-  // frame loop. Part of the served-model identity like opt_level. Raw
+  // II = C schedule. Part of the served-model identity like opt_level. Raw
   // (hand-built) networks default to 0; map_network stamps
   // resolve_pipeline(cfg.pipeline).
   i32 pipeline = 0;

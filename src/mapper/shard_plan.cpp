@@ -4,25 +4,21 @@
 
 namespace sj::map {
 
-namespace {
-
-/// True for ops whose $SRC operand reads an input-port register. These are
-/// the only cross-tile reads in the ISA, so they are the only points where
-/// deferring a cross-shard commit to a later barrier could be observed.
-bool reads_port(core::OpCode code) {
-  switch (code) {
+noc::LinkId port_feed(const noc::NocTopology& topo, const ExecOp& op) {
+  switch (op.code) {
     case core::OpCode::PsSum:
     case core::OpCode::PsBypass:
     case core::OpCode::SpkBypass:
     case core::OpCode::SpkRecv:
     case core::OpCode::SpkRecvForward:
-      return true;
+      break;
     default:
-      return false;
+      return noc::kInvalidLink;
   }
+  const u32 nb = topo.neighbor(op.core, op.src);
+  if (nb == noc::kInvalidCore) return noc::kInvalidLink;
+  return topo.link_id(nb, opposite(op.src));
 }
-
-}  // namespace
 
 ShardPlan build_shard_plan(const MappedNetwork& m, const noc::NocTopology& topo,
                            const ExecProgram& prog) {
@@ -82,42 +78,23 @@ ShardPlan build_shard_plan(const MappedNetwork& m, const noc::NocTopology& topo,
     }
   }
 
-  // One ordered walk of the schedule does the rest: place a phase barrier
+  // One ordered walk of the schedule does the rest: count a phase barrier
   // immediately before any cycle that reads an input-port register fed by a
-  // cross-shard link with an uncommitted ("dirty") send, then deal the
+  // cross-shard link with an uncommitted ("dirty") send, and deal the
   // cycle's ops to their chip shards with ExecOp::cross_shard resolved.
-  const usize S = plan.shards.size();
   std::vector<bool> link_dirty(topo.num_links(), false);
   std::vector<noc::LinkId> dirtied;
-  // Index into shards[s].cycles where the running phase began.
-  std::vector<u32> phase_begin(S, 0);
-  // Last source-cycle index for which shard s opened a Cycle entry.
-  std::vector<usize> cycle_mark(S, ~usize{0});
-
-  const auto close_phase = [&] {
-    for (usize s = 0; s < S; ++s) {
-      ShardPlan::Shard& sh = plan.shards[s];
-      sh.phases.push_back({phase_begin[s], static_cast<u32>(sh.cycles.size())});
-      phase_begin[s] = static_cast<u32>(sh.cycles.size());
-    }
-  };
-
-  for (usize ci = 0; ci < prog.cycles.size(); ++ci) {
-    const ExecCycle& cyc = prog.cycles[ci];
+  for (const ExecCycle& cyc : prog.cycles) {
     // Two-phase semantics: reads in this cycle see values staged in earlier
     // cycles, so the barrier check runs before this cycle's sends dirty
     // anything.
     bool barrier = false;
     for (u32 oi = cyc.begin; oi < cyc.end && !barrier; ++oi) {
-      const ExecOp& op = prog.ops[oi];
-      if (!reads_port(op.code)) continue;
-      const u32 nb = topo.neighbor(op.core, op.src);
-      if (nb == noc::kInvalidCore) continue;  // grid-edge port: never written
-      const noc::LinkId feed = topo.link_id(nb, opposite(op.src));
-      if (feed != noc::kInvalidLink && link_dirty[feed]) barrier = true;
+      const noc::LinkId feed = port_feed(topo, prog.ops[oi]);
+      barrier = feed != noc::kInvalidLink && link_dirty[feed];
     }
     if (barrier) {
-      close_phase();
+      ++plan.num_phases;
       for (const noc::LinkId l : dirtied) link_dirty[l] = false;
       dirtied.clear();
     }
@@ -135,18 +112,9 @@ ShardPlan build_shard_plan(const MappedNetwork& m, const noc::NocTopology& topo,
           }
         }
       }
-      ShardPlan::Shard& sh = plan.shards[s];
-      if (cycle_mark[s] != ci) {
-        cycle_mark[s] = ci;
-        sh.cycles.push_back(
-            {static_cast<u32>(sh.ops.size()), static_cast<u32>(sh.ops.size())});
-      }
-      sh.ops.push_back(op);
-      sh.cycles.back().end = static_cast<u32>(sh.ops.size());
+      plan.shards[s].ops.push_back(op);
     }
   }
-  close_phase();  // the final phase always exists, even for an empty program
-  plan.num_phases = S == 0 ? 1 : static_cast<u32>(plan.shards.front().phases.size());
   return plan;
 }
 
@@ -156,8 +124,8 @@ std::vector<u32> ShardPlan::assign_workers(usize workers) const {
   if (S == 0) return owner;
   workers = std::min(std::max<usize>(workers, 1), S);
   // LPT greedy: heaviest shard first onto the least-loaded worker. Weight =
-  // op count + cross_sends — the per-phase exec cost plus the shard's share
-  // of the barrier exchange, both schedule-static. Asymmetric chips (one
+  // op count + cross_sends — the shard's exec cost plus its share of the
+  // barrier exchange, both schedule-static. Asymmetric chips (one
   // dense chip, several light ones) land balanced instead of chip-ordered.
   std::vector<u32> order(S);
   for (usize s = 0; s < S; ++s) order[s] = static_cast<u32>(s);

@@ -20,18 +20,16 @@
 // each shard stages them into a private outbox and they are committed, in
 // fixed shard order, at a *phase barrier*.
 //
-// Phases are computed so the deferral is invisible: walking the schedule in
-// cycle order, a barrier is placed immediately before the first cycle that
-// READS an input-port register fed by a cross-shard link with an uncommitted
-// send ("dirty" link). Between barriers, shards only consume their own data,
-// so each shard can replay its cycles back to back with local commits; at a
-// barrier every outbox lands, reproducing the unsharded register timeline at
-// every point where any op can observe it. Executed this way the sharded run
-// is bit-identical to the unsharded one — results, stats, per-link traffic.
-//
-// Per-shard cycle/phase streams share the source program's cycle indexing:
-// phase p of every shard covers the same source-cycle range, so barrier p is
-// one rendezvous across all shards.
+// The deferral stays invisible if every outbox lands before any op can read
+// what it carries. Walking the schedule in cycle order, the fewest barriers
+// that guarantee this sit immediately before each cycle that READS an
+// input-port register fed by a cross-shard link with an uncommitted send
+// ("dirty" link); num_phases counts them (+1). It is the schedule-level
+// measure of exchange pressure that placement search minimizes. The engine's
+// sharded frame loop uses the static form of the same rule: its ranges
+// (sim::PipeRange) split before every cycle that reads a port any
+// cross-shard send can feed, which costs at most one more barrier per
+// iteration, and reproduce the unsharded register timeline bit for bit.
 #pragma once
 
 #include <vector>
@@ -46,28 +44,12 @@ inline constexpr u32 kNoShard = ~u32{0};
 /// The per-chip-shard decomposition of one lowered program. Immutable after
 /// build, shared read-only by every execution context (like ExecProgram).
 struct ShardPlan {
-  /// Ops issued in one of a shard's schedule cycles: [begin, end) into
-  /// Shard::ops. Only cycles where the shard issues at least one op appear.
-  struct Cycle {
-    u32 begin = 0;
-    u32 end = 0;
-  };
-  /// One inter-barrier span: [cycle_begin, cycle_end) into Shard::cycles.
-  /// Every shard has the same number of phases; phase p of all shards covers
-  /// the same source-cycle range.
-  struct Phase {
-    u32 cycle_begin = 0;
-    u32 cycle_end = 0;
-  };
-
   struct Shard {
     /// Linear chip cell (chip_row * chips_across + chip_col) this shard owns.
     u32 chip = 0;
     /// This shard's ops, cycle-major in source schedule order, with
     /// ExecOp::cross_shard set on ops whose link leaves the shard.
     std::vector<ExecOp> ops;
-    std::vector<Cycle> cycles;
-    std::vector<Phase> phases;
     /// Cores whose CoreState this shard mutates (its slice of the model's
     /// active set): op cores + input-tap cores on this chip. Sorted, unique.
     std::vector<u32> active_cores;
@@ -82,7 +64,7 @@ struct ShardPlan {
   std::vector<Shard> shards;
   /// core -> shard index owning its chip (kNoShard on untouched chips).
   std::vector<u32> shard_of_core;
-  /// Barrier count per schedule replay == phases per shard (>= 1).
+  /// Phases per schedule replay (barriers + 1, >= 1).
   u32 num_phases = 1;
 
   usize num_shards() const { return shards.size(); }
@@ -96,6 +78,12 @@ struct ShardPlan {
   /// the rest, so the assignment is a locality hint, not a schedule.
   std::vector<u32> assign_workers(usize workers) const;
 };
+
+/// The link feeding the input-port register `op` reads as its $SRC operand,
+/// or kInvalidLink when the op reads no port (or a grid-edge port nothing
+/// writes). Port reads are the only cross-tile reads in the ISA, so they are
+/// the only points where deferring a cross-shard commit could be observed.
+noc::LinkId port_feed(const noc::NocTopology& topo, const ExecOp& op);
 
 /// Partitions `prog` (lowered from `m` against `topo`, see lower_program)
 /// along chip boundaries. Deterministic: shards are ordered by linear chip

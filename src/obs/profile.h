@@ -2,11 +2,11 @@
 //
 // The sharded execution path (PR 5) made intra-frame parallelism real, and
 // with it a new failure mode: shard imbalance, where one chip's op stream
-// dominates a phase and every other shard waits at the barrier. PhaseProfile
+// dominates a range and every other shard waits at the barrier. PhaseProfile
 // is the accrual target for the engine's opt-in timers — per-shard exec time
-// and barrier wait per phase — so imbalance is measured, not inferred from
+// and barrier wait per range — so imbalance is measured, not inferred from
 // throughput deltas. Off by default: the engine pays one predictable branch
-// per frame/phase and zero clock reads.
+// per frame/range and zero clock reads.
 #pragma once
 
 #include <chrono>
@@ -33,13 +33,13 @@ struct PhaseProfile {
   i64 sharded_frames = 0;  // run_frame_sharded frames profiled
   u64 reset_ns = 0;        // per-frame context reset
   u64 encode_ns = 0;       // input rate encoder (set-up and every step)
-  u64 exec_ns = 0;         // unsharded iteration execution, encoder excluded
+  u64 exec_ns = 0;         // the frame's range loop, encoder excluded
   u64 frame_ns = 0;        // whole frames, end to end
-  // Sharded path, accrued per phase across all iterations:
+  // Sharded path, accrued per range (sim::PipeRange) across the frame:
   u64 phase_wall_ns = 0;      // wall time of the parallel section
   u64 barrier_commit_ns = 0;  // cross-shard commit (drain) at each barrier
-  std::vector<u64> shard_exec_ns;  // [shard] time inside run_shard_phase
-  std::vector<u64> shard_wait_ns;  // [shard] phase wall minus own exec
+  std::vector<u64> shard_exec_ns;  // [shard] time executing its range slices
+  std::vector<u64> shard_wait_ns;  // [shard] range wall minus own exec
 
   bool empty() const { return frames == 0 && sharded_frames == 0; }
   void merge(const PhaseProfile& o);

@@ -79,16 +79,13 @@ PowerReport estimate_census(const map::MappedNetwork& m, double target_fps,
   r.cycles_per_frame = static_cast<u64>(m.timesteps) * m.cycles_per_timestep;
   r.freq_hz = target_fps * static_cast<double>(r.cycles_per_frame);
   r.freq_feasible = r.freq_hz <= m.arch.max_freq_hz;
-  // Latency under the pipelined frame loop: energy is census-driven and
-  // unchanged, only the wall clock shrinks when timesteps overlap.
-  r.effective_cycles_per_frame = r.cycles_per_frame;
-  if (m.pipeline > 0 && m.timesteps > 0) {
+  // Latency under the engine's modulo schedule: energy is census-driven and
+  // unchanged, only the wall clock shrinks when timesteps overlap (on the
+  // serial II = C schedule it equals cycles_per_frame).
+  if (m.timesteps > 0) {
     const map::PipelineSchedule ps = map::build_pipeline(m);
-    if (ps.enabled()) {
-      r.effective_cycles_per_frame =
-          static_cast<u64>(m.timesteps - 1) * static_cast<u64>(ps.ii) +
-          static_cast<u64>(ps.span);
-    }
+    r.effective_cycles_per_frame =
+        static_cast<u64>(m.timesteps - 1) * static_cast<u64>(ps.ii) + static_cast<u64>(ps.span);
   }
   r.effective_freq_hz = target_fps * static_cast<double>(r.effective_cycles_per_frame);
 

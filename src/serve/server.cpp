@@ -136,8 +136,7 @@ Server::Server(ServerOptions options)
     : max_pending_(options.max_pending),
       shard_below_depth_(options.shard_below_depth),
       profile_engine_(options.profile_engine),
-      opt_level_(options.opt_level),
-      pipeline_(options.pipeline) {
+      opt_level_(options.opt_level) {
   submitted_ = &registry_.counter("serve.submitted");
   completed_ = &registry_.counter("serve.completed");
   errors_ = &registry_.counter("serve.errors");
@@ -167,9 +166,6 @@ ModelKey Server::load_model(const map::MappedNetwork& mapped, const snn::SnnNetw
              "serve: load_model at mapper opt level " +
                  std::to_string(mapped.opt_level) + " but the server admits only level " +
                  std::to_string(opt_level_));
-  SJ_REQUIRE(pipeline_ < 0 || mapped.pipeline == pipeline_,
-             "serve: load_model with pipeline=" + std::to_string(mapped.pipeline) +
-                 " but the server admits only pipeline=" + std::to_string(pipeline_));
   const ModelKey key = model_key(mapped, net);
   std::shared_ptr<const Generation> donor;
   {
@@ -227,9 +223,6 @@ void Server::swap_weights(ModelKey key, const map::MappedNetwork& mapped,
              "serve: swap_weights at mapper opt level " +
                  std::to_string(mapped.opt_level) + " but the server admits only level " +
                  std::to_string(opt_level_));
-  SJ_REQUIRE(pipeline_ < 0 || mapped.pipeline == pipeline_,
-             "serve: swap_weights with pipeline=" + std::to_string(mapped.pipeline) +
-                 " but the server admits only pipeline=" + std::to_string(pipeline_));
   std::shared_ptr<const Generation> donor;
   {
     const std::lock_guard<std::mutex> lock(mu_);

@@ -118,7 +118,7 @@ struct ServerOptions {
   /// Enables engine phase profiling on every worker context
   /// (sim::SimContext::set_profiling): per-model obs::PhaseProfile tallies
   /// surface in metrics_json() under "engine_profile". Off by default —
-  /// profiled frames pay clock reads around every shard phase.
+  /// profiled frames pay clock reads around every shard range.
   bool profile_engine = false;
   /// Admission policy for the mapper optimization level: when >= 0,
   /// load_model() and swap_weights() reject MappedNetworks whose
@@ -127,12 +127,6 @@ struct ServerOptions {
   /// hosting mixed programs. -1 (default) admits any level; cache entries
   /// still never alias across levels (model_key hashes the level).
   i32 opt_level = -1;
-  /// Admission policy for the cross-timestep pipelined engine, same shape
-  /// as `opt_level`: when >= 0, load_model() and swap_weights() reject
-  /// MappedNetworks whose `pipeline` flag differs, pinning the fleet to one
-  /// frame-loop variant. -1 (default) admits both; model_key hashes the
-  /// flag, so pipelined and serial compilations never alias regardless.
-  i32 pipeline = -1;
 };
 
 /// How shutdown() treats requests still sitting in the queue.
@@ -305,7 +299,6 @@ class Server {
   const usize shard_below_depth_;
   const bool profile_engine_;
   const i32 opt_level_;  // admission policy; -1 admits any level
-  const i32 pipeline_;   // admission policy; -1 admits both frame loops
   // The metric store and the hot-path handles into it. Declared before
   // workers_ so it outlives the worker threads on destruction. Lock order:
   // the registry's own mutex is taken either alone (snapshots, record paths

@@ -430,22 +430,36 @@ std::vector<simd::Backend> usable_simd_backends() {
   return bs;
 }
 
+/// `m` as compiled with MapperConfig::pipeline 0 (the serial II = C
+/// schedule) and 1 (overlapped where feasible). The flag only stamps
+/// MappedNetwork::pipeline, so re-stamping a copy is the same compile; the
+/// golden tests hold both schedules to the reference.
+std::vector<map::MappedNetwork> both_schedules(const map::MappedNetwork& m) {
+  std::vector<map::MappedNetwork> out(2, m);
+  out[0].pipeline = 0;
+  out[1].pipeline = 1;
+  return out;
+}
+
 void expect_engine_matches_reference(const Built& b, usize frames) {
   const simd::Backend saved = simd::active_backend();
-  for (const simd::Backend backend : usable_simd_backends()) {
-    simd::set_backend(backend);
-    SCOPED_TRACE(std::string("simd backend ") + simd::backend_name(backend));
-    sim::Simulator engine(b.mapped, b.net);
-    ScalarReferenceSimulator ref(b.mapped, b.net);
-    sim::SimStats st_engine, st_ref;
-    for (usize f = 0; f < frames; ++f) {
-      const sim::FrameResult re = engine.run_frame(b.data.images[f], &st_engine);
-      const sim::FrameResult rr = ref.run_frame(b.data.images[f], &st_ref);
-      ASSERT_EQ(re.spike_counts, rr.spike_counts) << "frame " << f;
-      ASSERT_EQ(re.final_potentials, rr.final_potentials) << "frame " << f;
-      ASSERT_EQ(re.predicted, rr.predicted) << "frame " << f;
+  for (const map::MappedNetwork& mapped : both_schedules(b.mapped)) {
+    SCOPED_TRACE("pipeline " + std::to_string(mapped.pipeline));
+    for (const simd::Backend backend : usable_simd_backends()) {
+      simd::set_backend(backend);
+      SCOPED_TRACE(std::string("simd backend ") + simd::backend_name(backend));
+      sim::Simulator engine(mapped, b.net);
+      ScalarReferenceSimulator ref(mapped, b.net);
+      sim::SimStats st_engine, st_ref;
+      for (usize f = 0; f < frames; ++f) {
+        const sim::FrameResult re = engine.run_frame(b.data.images[f], &st_engine);
+        const sim::FrameResult rr = ref.run_frame(b.data.images[f], &st_ref);
+        ASSERT_EQ(re.spike_counts, rr.spike_counts) << "frame " << f;
+        ASSERT_EQ(re.final_potentials, rr.final_potentials) << "frame " << f;
+        ASSERT_EQ(re.predicted, rr.predicted) << "frame " << f;
+      }
+      expect_stats_eq(st_engine, st_ref);
     }
-    expect_stats_eq(st_engine, st_ref);
   }
   simd::set_backend(saved);
 }
@@ -522,21 +536,22 @@ TEST(EngineGolden, SaturatingConfigMatchesScalarReference) {
   map::MapperConfig cfg;
   cfg.arch.local_ps_bits = 8;
   cfg.arch.noc_bits = 9;
-  const map::MappedNetwork mapped = map::map_network(net, cfg);
-
   const simd::Backend saved = simd::active_backend();
-  for (const simd::Backend backend : usable_simd_backends()) {
-    simd::set_backend(backend);
-    SCOPED_TRACE(std::string("simd backend ") + simd::backend_name(backend));
-    sim::Simulator engine(mapped, net);
-    ScalarReferenceSimulator ref(mapped, net);
-    sim::SimStats st_engine, st_ref;
-    const sim::FrameResult re = engine.run_frame(d.images[0], &st_engine);
-    const sim::FrameResult rr = ref.run_frame(d.images[0], &st_ref);
-    EXPECT_EQ(re.spike_counts, rr.spike_counts);
-    EXPECT_EQ(re.final_potentials, rr.final_potentials);
-    EXPECT_GT(st_ref.saturations, 0);
-    expect_stats_eq(st_engine, st_ref);
+  for (const map::MappedNetwork& mapped : both_schedules(map::map_network(net, cfg))) {
+    SCOPED_TRACE("pipeline " + std::to_string(mapped.pipeline));
+    for (const simd::Backend backend : usable_simd_backends()) {
+      simd::set_backend(backend);
+      SCOPED_TRACE(std::string("simd backend ") + simd::backend_name(backend));
+      sim::Simulator engine(mapped, net);
+      ScalarReferenceSimulator ref(mapped, net);
+      sim::SimStats st_engine, st_ref;
+      const sim::FrameResult re = engine.run_frame(d.images[0], &st_engine);
+      const sim::FrameResult rr = ref.run_frame(d.images[0], &st_ref);
+      EXPECT_EQ(re.spike_counts, rr.spike_counts);
+      EXPECT_EQ(re.final_potentials, rr.final_potentials);
+      EXPECT_GT(st_ref.saturations, 0);
+      expect_stats_eq(st_engine, st_ref);
+    }
   }
   simd::set_backend(saved);
 }

@@ -3,8 +3,8 @@
 // The hand-built cases pin build_pipeline()'s arithmetic — II floor, depth,
 // span, per-op slack — on programs small enough to verify on paper; the
 // mapped case checks the analysis flows through lowering onto
-// ExecProgram::pipeline_slack / pipeline_depth exactly when the mapping was
-// compiled with pipelining on.
+// ExecProgram::pipeline_slack / pipeline_depth, and that a mapping compiled
+// with pipelining off gets the serial II = C schedule.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -23,8 +23,9 @@ using core::AtomicOp;
 using core::PlaneMask;
 
 /// One core on a 1x1 grid with a hand-written schedule: the smallest
-/// MappedNetwork build_pipeline() accepts. acc_cycles stays the paper's 131
-/// so the ACC-window arithmetic below matches the real floor.
+/// MappedNetwork build_pipeline() accepts, with pipelining on. acc_cycles
+/// stays the paper's 131 so the ACC-window arithmetic below matches the real
+/// floor.
 map::MappedNetwork tiny(u32 cycles_per_timestep, i32 timesteps) {
   map::MappedNetwork m;
   m.name = "hand-built";
@@ -32,6 +33,7 @@ map::MappedNetwork tiny(u32 cycles_per_timestep, i32 timesteps) {
   m.cycles_per_timestep = cycles_per_timestep;
   m.grid_rows = 1;
   m.grid_cols = 1;
+  m.pipeline = 1;
   map::MappedCore c;
   c.pos = {0, 0};
   m.cores.push_back(c);
@@ -40,6 +42,24 @@ map::MappedNetwork tiny(u32 cycles_per_timestep, i32 timesteps) {
 
 void push(map::MappedNetwork& m, u32 cycle, AtomicOp op) {
   m.schedule.push_back({cycle, 0, PlaneMask::all(), op});
+}
+
+/// The serial schedule as the degenerate modulo schedule: II = span = C, no
+/// overlap, every op at its schedule cycle with zero slack, rotation at 0 on
+/// the (one, active) core, readout at C-1 and ACC committed in place.
+void expect_serial_schedule(const map::PipelineSchedule& ps, const map::MappedNetwork& m) {
+  const i32 C = static_cast<i32>(m.cycles_per_timestep);
+  EXPECT_EQ(ps.ii, C);
+  EXPECT_EQ(ps.span, C);
+  EXPECT_EQ(ps.depth, 0);
+  EXPECT_EQ(ps.acc_latency, 0);
+  ASSERT_EQ(ps.op_cycle.size(), m.schedule.size());
+  for (usize i = 0; i < m.schedule.size(); ++i) {
+    EXPECT_EQ(ps.op_cycle[i], static_cast<i32>(m.schedule[i].cycle)) << "op " << i;
+  }
+  EXPECT_EQ(ps.slack, std::vector<i32>(m.schedule.size(), 0));
+  EXPECT_EQ(ps.rotate_cycle, std::vector<i32>(m.cores.size(), 0));
+  EXPECT_EQ(ps.readout_cycle, C - 1);
 }
 
 TEST(PipelineAnalysisTest, SingleAccHandComputed) {
@@ -52,7 +72,7 @@ TEST(PipelineAnalysisTest, SingleAccHandComputed) {
   map::MappedNetwork m = tiny(140, 2);
   push(m, 0, AtomicOp::acc());
   const map::PipelineSchedule ps = map::build_pipeline(m);
-  ASSERT_TRUE(ps.enabled());
+  ASSERT_LT(ps.ii, 140);  // overlapped, not the serial II = C schedule
   EXPECT_EQ(ps.ii, 71);
   EXPECT_EQ(ps.depth, 69);
   EXPECT_EQ(ps.span, 140);
@@ -60,6 +80,7 @@ TEST(PipelineAnalysisTest, SingleAccHandComputed) {
   EXPECT_EQ(ps.op_cycle[0], 0);
   ASSERT_EQ(ps.slack.size(), 1u);
   EXPECT_EQ(ps.slack[0], ps.depth);
+  EXPECT_EQ(ps.acc_latency, 131);
   ASSERT_EQ(ps.rotate_cycle.size(), 1u);
   EXPECT_EQ(ps.rotate_cycle[0], 0);
   EXPECT_EQ(ps.readout_cycle, 139);
@@ -77,7 +98,7 @@ TEST(PipelineAnalysisTest, AccConsumerDelayedPastSerialSlot) {
   push(m, 0, AtomicOp::acc());
   push(m, 1, AtomicOp::ps_eject(/*fromSumBuf=*/false));
   const map::PipelineSchedule ps = map::build_pipeline(m);
-  ASSERT_TRUE(ps.enabled());
+  ASSERT_LT(ps.ii, 140);  // overlapped, not the serial II = C schedule
   EXPECT_EQ(ps.ii, 71);
   EXPECT_EQ(ps.depth, 69);
   EXPECT_EQ(ps.span, 140);
@@ -90,12 +111,27 @@ TEST(PipelineAnalysisTest, AccConsumerDelayedPastSerialSlot) {
 
 TEST(PipelineAnalysisTest, SingleTimestepFrameStaysSerial) {
   // With one timestep and no layer-pipelining drain there is no adjacent
-  // iteration to overlap with; the analysis reports serial.
+  // iteration to overlap with; the analysis returns the serial schedule.
   map::MappedNetwork m = tiny(140, 1);
   push(m, 0, AtomicOp::acc());
-  const map::PipelineSchedule ps = map::build_pipeline(m);
-  EXPECT_FALSE(ps.enabled());
-  EXPECT_EQ(ps.ii, 0);
+  expect_serial_schedule(map::build_pipeline(m), m);
+}
+
+TEST(PipelineAnalysisTest, NoIIInRangeStaysSerial) {
+  // C = 2 leaves the search range [ceil((C+1)/2), C-1] = [2, 1] empty: no
+  // overlapped II is feasible, so the serial schedule comes back.
+  map::MappedNetwork m = tiny(2, 4);
+  push(m, 0, AtomicOp::ps_eject(/*fromSumBuf=*/false));
+  expect_serial_schedule(map::build_pipeline(m), m);
+}
+
+TEST(PipelineAnalysisTest, PipelineFlagOffStaysSerial) {
+  // The SingleAccHandComputed program, which overlaps at II = 71 with
+  // pipelining on, gets the serial schedule when the mapping turns it off.
+  map::MappedNetwork m = tiny(140, 2);
+  m.pipeline = 0;
+  push(m, 0, AtomicOp::acc());
+  expect_serial_schedule(map::build_pipeline(m), m);
 }
 
 TEST(PipelineResolveTest, ClampsAndReadsEnv) {
@@ -115,8 +151,9 @@ TEST(PipelineResolveTest, ClampsAndReadsEnv) {
 
 TEST(PipelineProgramTest, SlackFlowsToExecProgram) {
   // End to end on a real mapping: the lowered ExecProgram carries the
-  // analysis (slack per op, overlap depth) iff the mapping was compiled
-  // with pipelining on.
+  // engine's schedule (slack per op, overlap depth) — overlapped when the
+  // mapping was compiled with pipelining on, the all-zero serial schedule
+  // when it was not.
   nn::Model model({64}, "pipe-prog");
   model.dense(64, 24);
   model.relu();
@@ -142,16 +179,17 @@ TEST(PipelineProgramTest, SlackFlowsToExecProgram) {
     ASSERT_EQ(mapped.pipeline, pipe);
     sim::Simulator sim(mapped, net);
     const map::ExecProgram& prog = sim.program();
-    if (pipe == 0) {
-      EXPECT_TRUE(prog.pipeline_slack.empty());
-      EXPECT_EQ(prog.pipeline_depth, 0);
-      continue;
-    }
     const map::PipelineSchedule ps = map::build_pipeline(mapped);
-    ASSERT_TRUE(ps.enabled());
     EXPECT_EQ(prog.pipeline_depth, ps.depth);
     ASSERT_EQ(prog.pipeline_slack.size(), mapped.schedule.size());
     EXPECT_EQ(prog.pipeline_slack, ps.slack);
+    if (pipe == 0) {
+      EXPECT_EQ(ps.ii, static_cast<i32>(mapped.cycles_per_timestep));
+      EXPECT_EQ(prog.pipeline_depth, 0);
+      EXPECT_EQ(prog.pipeline_slack, std::vector<i32>(mapped.schedule.size(), 0));
+      continue;
+    }
+    ASSERT_LT(ps.ii, static_cast<i32>(mapped.cycles_per_timestep));
     // Slack is bounded by the overlap depth, and by the window: an op never
     // issues at or past the end of the two-iteration window.
     for (usize i = 0; i < ps.slack.size(); ++i) {

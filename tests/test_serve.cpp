@@ -658,6 +658,12 @@ TEST(ServeTelemetry, EngineProfileCoversPlainAndShardedPaths) {
   for (const json::Value& ns : shard_exec) exec_total += ns.as_int();
   EXPECT_GT(exec_total, 0);
   EXPECT_GT(prof.at("encode_ns").as_int(), 0);  // the encoder is its own layer
+  // Sharded frames accrue exec the same way plain ones do: the range loop
+  // without the encoder, so the layers fit inside the frame.
+  EXPECT_GT(prof.at("exec_ns").as_int(), 0);
+  EXPECT_LE(prof.at("reset_ns").as_int() + prof.at("encode_ns").as_int() +
+                prof.at("exec_ns").as_int(),
+            prof.at("frame_ns").as_int());
   server.shutdown();
 
   // Plain (unsharded) path: frames counted, no shard arrays.
