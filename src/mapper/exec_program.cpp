@@ -31,22 +31,9 @@ ExecProgram lower_program(const MappedNetwork& m, const noc::NocTopology& topo) 
   ExecProgram p;
   p.ops.reserve(m.schedule.size());
 
-  u32 group_cycle = 0;
-  u32 group_begin = 0;
-  bool open = false;
   for (const TimedOp& top : m.schedule) {
-    SJ_REQUIRE(p.ops.empty() || top.cycle >= group_cycle,
+    SJ_REQUIRE(p.ops.empty() || top.cycle >= m.schedule[p.ops.size() - 1].cycle,
                "lower_program: schedule not sorted by cycle");
-    if (open && top.cycle != group_cycle) {
-      p.cycles.push_back({group_begin, static_cast<u32>(p.ops.size())});
-      open = false;
-    }
-    if (!open) {
-      group_cycle = top.cycle;
-      group_begin = static_cast<u32>(p.ops.size());
-      open = true;
-    }
-
     ExecOp e;
     e.code = top.op.code;
     e.src = top.op.src;
@@ -68,7 +55,6 @@ ExecProgram lower_program(const MappedNetwork& m, const noc::NocTopology& topo) 
     }
     p.ops.push_back(e);
   }
-  if (open) p.cycles.push_back({group_begin, static_cast<u32>(p.ops.size())});
   return p;
 }
 

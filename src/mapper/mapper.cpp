@@ -8,7 +8,6 @@
 
 #include "common/log.h"
 #include "mapper/opt/opt.h"
-#include "mapper/pipeline.h"
 #include "mapper/schedule.h"
 
 namespace sj::map {
@@ -672,6 +671,8 @@ MappedNetwork map_network(const SnnNetwork& net, const MapperConfig& cfg) {
   SJ_REQUIRE(!net.units.empty(), "map_network: empty network");
   SJ_REQUIRE(net.weight_bits <= cfg.arch.weight_bits,
              "map_network: network weights wider than hardware synapses");
+  SJ_REQUIRE(cfg.pipeline == 0 || cfg.pipeline == 1,
+             "map_network: pipeline must be 0 or 1, got " + std::to_string(cfg.pipeline));
 
   // Unit pipeline depths (Diag edges span two stages: source -> norm -> add).
   std::vector<i32> depth(net.units.size(), 0);
@@ -821,7 +822,7 @@ MappedNetwork map_network(const SnnNetwork& net, const MapperConfig& cfg) {
   // Cross-timestep engine pipelining: the flag is part of the compiled
   // artifact's identity (like opt_level); the analysis itself runs at engine
   // compile time (CompiledModel), keeping placement-search evals cheap.
-  out.pipeline = resolve_pipeline(cfg.pipeline);
+  out.pipeline = cfg.pipeline;
 
   // Chips touched by real cores.
   {

@@ -46,9 +46,9 @@ struct MapperConfig {
   /// (scales down with schedule size, and with SHENJING_FAST).
   i32 placement_evals = 0;
   /// Cross-timestep engine pipelining (mapper/pipeline.h): 0 the serial
-  /// II = C schedule, 1 overlap adjacent timesteps where feasible. -1 = read
-  /// the SHENJING_PIPELINE environment variable (default 1).
-  i32 pipeline = -1;
+  /// II = C schedule, 1 overlap adjacent timesteps where feasible. Other
+  /// values are rejected.
+  i32 pipeline = 1;
 };
 
 /// Maps a converted SNN onto Shenjing hardware. Throws MappingError when the

@@ -17,7 +17,7 @@ ProgramMetrics measure(const MappedNetwork& m) {
   pm.cycles_per_timestep = m.cycles_per_timestep;
   pm.ops = static_cast<i64>(m.schedule.size());
   const noc::NocTopology topo = make_topology(m);
-  const ExecProgram prog = lower_program(m, topo);
+  ExecProgram prog = lower_program(m, topo);
   for (const ExecOp& op : prog.ops) {
     if (op.link == noc::kInvalidLink) continue;
     ++pm.sends;

@@ -45,8 +45,9 @@ namespace sj::map::opt {
 
 /// Schedule-wide cost summary, the currency every pass reports in.
 /// `crossings` is mask-popcount-weighted traffic over inter-chip links
-/// (the TrafficReport/SerDes cost driver), `phases` the ShardPlan barrier
-/// count per schedule replay.
+/// (the TrafficReport/SerDes cost driver), `shard_phases` ShardPlan's
+/// num_phases: the ranges a sharded frame runs per iteration on the serial
+/// II = C schedule.
 struct ProgramMetrics {
   u32 cycles_per_timestep = 0;
   i64 ops = 0;
@@ -56,7 +57,8 @@ struct ProgramMetrics {
 };
 
 /// Measures `m` by lowering it (make_topology + lower_program +
-/// build_shard_plan). Deterministic; costs one pass over the schedule.
+/// build_shard_plan, the same plan the engine compiles). Deterministic;
+/// costs a few passes over the schedule.
 ProgramMetrics measure(const MappedNetwork& m);
 
 /// Resolves the effective opt level: `configured` >= 0 wins, otherwise the

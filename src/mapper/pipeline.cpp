@@ -1,7 +1,6 @@
 #include "mapper/pipeline.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "mapper/opt/dataflow.h"
@@ -197,19 +196,6 @@ PipelineSchedule serial_schedule(const MappedNetwork& m, const std::vector<bool>
 }
 
 }  // namespace
-
-i32 resolve_pipeline(i32 configured) {
-  i32 flag = configured;
-  if (flag < 0) {
-    flag = 1;
-    if (const char* env = std::getenv("SHENJING_PIPELINE"); env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0') flag = static_cast<i32>(v);
-    }
-  }
-  return std::clamp(flag, 0, 1);
-}
 
 PipelineSchedule build_pipeline(const MappedNetwork& m) {
   const i32 C = static_cast<i32>(m.cycles_per_timestep);

@@ -60,11 +60,6 @@ struct PipelineSchedule {
   i32 readout_cycle = 0;
 };
 
-/// Resolves a configured pipeline flag: negative means "read the
-/// SHENJING_PIPELINE environment variable" (default 1); the result is
-/// clamped to {0, 1}. Mirrors opt::resolve_opt_level.
-i32 resolve_pipeline(i32 configured);
-
 /// The schedule the engine runs for `m`. With `m.pipeline` on, runs the
 /// inter-timestep dependence analysis on `m.schedule` and searches the
 /// smallest feasible II in [ceil((C+1)/2), C-1]. Returns the serial II = C

@@ -114,7 +114,7 @@ struct MappedNetwork {
   // overlap adjacent timesteps' accumulate windows, 0 keeps the serial
   // II = C schedule. Part of the served-model identity like opt_level. Raw
   // (hand-built) networks default to 0; map_network stamps
-  // resolve_pipeline(cfg.pipeline).
+  // MapperConfig::pipeline.
   i32 pipeline = 0;
 
   usize num_cores() const { return cores.size(); }

@@ -4,6 +4,12 @@
 
 namespace sj::map {
 
+namespace {
+
+/// The link feeding the input-port register `op` reads as its $SRC operand,
+/// or kInvalidLink when the op reads no port (or a grid-edge port nothing
+/// writes). Port reads are the only cross-tile reads in the ISA, so they are
+/// the only points where deferring a cross-shard commit could be observed.
 noc::LinkId port_feed(const noc::NocTopology& topo, const ExecOp& op) {
   switch (op.code) {
     case core::OpCode::PsSum:
@@ -20,10 +26,14 @@ noc::LinkId port_feed(const noc::NocTopology& topo, const ExecOp& op) {
   return topo.link_id(nb, opposite(op.src));
 }
 
+}  // namespace
+
 ShardPlan build_shard_plan(const MappedNetwork& m, const noc::NocTopology& topo,
-                           const ExecProgram& prog) {
+                           ExecProgram& prog) {
   SJ_REQUIRE(m.cores.size() == topo.num_cores(),
              "build_shard_plan: topology does not match the mapping");
+  SJ_REQUIRE(m.schedule.size() == prog.ops.size(),
+             "build_shard_plan: program was not lowered from the mapping");
   const usize n = m.cores.size();
   const i32 chips_across = (m.grid_cols + m.arch.chip_cols - 1) / m.arch.chip_cols;
   const i32 chips_down = (m.grid_rows + m.arch.chip_rows - 1) / m.arch.chip_rows;
@@ -40,19 +50,14 @@ ShardPlan build_shard_plan(const MappedNetwork& m, const noc::NocTopology& topo,
   // cores. Untouched chips (all-filler) get no shard — there is nothing to
   // replay or reset on them.
   std::vector<bool> chip_touched(num_chips, false);
-  std::vector<bool> core_active(n, false);
   for (const ExecOp& op : prog.ops) {
     chip_touched[chip_cell(op.core)] = true;
-    core_active[op.core] = true;
     if (op.link != noc::kInvalidLink) {
       chip_touched[chip_cell(topo.link(op.link).dst)] = true;
     }
   }
   for (const auto& taps : m.input_taps) {
-    for (const Slot& s : taps) {
-      chip_touched[chip_cell(s.core)] = true;
-      core_active[s.core] = true;
-    }
+    for (const Slot& s : taps) chip_touched[chip_cell(s.core)] = true;
   }
 
   ShardPlan plan;
@@ -65,54 +70,31 @@ ShardPlan build_shard_plan(const MappedNetwork& m, const noc::NocTopology& topo,
   plan.shard_of_core.assign(n, kNoShard);
   for (u32 c = 0; c < n; ++c) plan.shard_of_core[c] = chip_shard[chip_cell(c)];
 
-  // Each shard's slice of the frame-boundary/iteration prologue state: the
-  // cores it rotates and resets, and the input taps it injects. Together the
-  // slices cover exactly the model's active set (same predicate as
-  // CompiledModel::build_touch_sets), each core in its chip's shard.
-  for (u32 c = 0; c < n; ++c) {
-    if (core_active[c]) plan.shards[plan.shard_of_core[c]].active_cores.push_back(c);
-  }
-  for (u32 g = 0; g < m.input_taps.size(); ++g) {
-    for (const Slot& s : m.input_taps[g]) {
-      plan.shards[plan.shard_of_core[s.core]].input_taps.emplace_back(g, s);
+  // Resolve cross_shard on the program's ops and count each shard's load.
+  std::vector<bool> cross_fed(topo.num_links(), false);
+  for (ExecOp& op : prog.ops) {
+    ShardPlan::Shard& sh = plan.shards[plan.shard_of_core[op.core]];
+    ++sh.num_ops;
+    op.cross_shard = op.link != noc::kInvalidLink &&
+                     plan.shard_of_core[topo.link(op.link).dst] != plan.shard_of_core[op.core];
+    if (op.cross_shard) {
+      ++sh.cross_sends;
+      cross_fed[op.link] = true;
     }
   }
 
-  // One ordered walk of the schedule does the rest: count a phase barrier
-  // immediately before any cycle that reads an input-port register fed by a
-  // cross-shard link with an uncommitted ("dirty") send, and deal the
-  // cycle's ops to their chip shards with ExecOp::cross_shard resolved.
-  std::vector<bool> link_dirty(topo.num_links(), false);
-  std::vector<noc::LinkId> dirtied;
-  for (const ExecCycle& cyc : prog.cycles) {
-    // Two-phase semantics: reads in this cycle see values staged in earlier
-    // cycles, so the barrier check runs before this cycle's sends dirty
-    // anything.
-    bool barrier = false;
-    for (u32 oi = cyc.begin; oi < cyc.end && !barrier; ++oi) {
-      const noc::LinkId feed = port_feed(topo, prog.ops[oi]);
-      barrier = feed != noc::kInvalidLink && link_dirty[feed];
-    }
-    if (barrier) {
+  // The barrier rule: a hazard reads a port some cross-shard send can feed.
+  // Cycle 0 needs no barrier of its own (the iteration boundary is one);
+  // lower_program keeps the ops cycle-sorted, so each cut counts once.
+  u32 last_cut = 0;
+  for (u32 i = 0; i < prog.ops.size(); ++i) {
+    const noc::LinkId feed = port_feed(topo, prog.ops[i]);
+    if (feed == noc::kInvalidLink || !cross_fed[feed]) continue;
+    plan.hazard_ops.push_back(i);
+    const u32 cycle = m.schedule[i].cycle;
+    if (cycle != last_cut) {
       ++plan.num_phases;
-      for (const noc::LinkId l : dirtied) link_dirty[l] = false;
-      dirtied.clear();
-    }
-
-    for (u32 oi = cyc.begin; oi < cyc.end; ++oi) {
-      ExecOp op = prog.ops[oi];
-      const u32 s = plan.shard_of_core[op.core];
-      if (op.link != noc::kInvalidLink) {
-        op.cross_shard = plan.shard_of_core[topo.link(op.link).dst] != s;
-        if (op.cross_shard) {
-          plan.shards[s].cross_sends += 1;
-          if (!link_dirty[op.link]) {
-            link_dirty[op.link] = true;
-            dirtied.push_back(op.link);
-          }
-        }
-      }
-      plan.shards[s].ops.push_back(op);
+      last_cut = cycle;
     }
   }
   return plan;
@@ -130,7 +112,7 @@ std::vector<u32> ShardPlan::assign_workers(usize workers) const {
   std::vector<u32> order(S);
   for (usize s = 0; s < S; ++s) order[s] = static_cast<u32>(s);
   const auto weight = [&](u32 s) {
-    return static_cast<i64>(shards[s].ops.size()) + shards[s].cross_sends;
+    return shards[s].num_ops + shards[s].cross_sends;
   };
   std::stable_sort(order.begin(), order.end(),
                    [&](u32 a, u32 b) { return weight(a) > weight(b); });

@@ -13,6 +13,7 @@ void PhaseProfile::merge(const PhaseProfile& o) {
   frame_ns += o.frame_ns;
   phase_wall_ns += o.phase_wall_ns;
   barrier_commit_ns += o.barrier_commit_ns;
+  shard_ranges += o.shard_ranges;
   if (shard_exec_ns.size() < o.shard_exec_ns.size()) {
     shard_exec_ns.resize(o.shard_exec_ns.size(), 0);
     shard_wait_ns.resize(o.shard_wait_ns.size(), 0);
@@ -30,6 +31,7 @@ void PhaseProfile::clear() {
   frame_ns = 0;
   phase_wall_ns = 0;
   barrier_commit_ns = 0;
+  shard_ranges = 0;
   std::fill(shard_exec_ns.begin(), shard_exec_ns.end(), 0);
   std::fill(shard_wait_ns.begin(), shard_wait_ns.end(), 0);
 }
@@ -44,6 +46,7 @@ json::Value PhaseProfile::to_json() const {
   v.set("frame_ns", static_cast<i64>(frame_ns));
   v.set("phase_wall_ns", static_cast<i64>(phase_wall_ns));
   v.set("barrier_commit_ns", static_cast<i64>(barrier_commit_ns));
+  v.set("shard_ranges", shard_ranges);
   if (!shard_exec_ns.empty()) {
     json::Array exec, wait;
     for (u64 n : shard_exec_ns) exec.emplace_back(static_cast<i64>(n));

@@ -38,6 +38,7 @@ struct PhaseProfile {
   // Sharded path, accrued per range (sim::PipeRange) across the frame:
   u64 phase_wall_ns = 0;      // wall time of the parallel section
   u64 barrier_commit_ns = 0;  // cross-shard commit (drain) at each barrier
+  i64 shard_ranges = 0;       // ranges run (one barrier each)
   std::vector<u64> shard_exec_ns;  // [shard] time executing its range slices
   std::vector<u64> shard_wait_ns;  // [shard] range wall minus own exec
 

@@ -309,39 +309,46 @@ void CompiledModel::build_pipeline_exec() {
   const i32 acc = pipe_.acc_latency;
   const u32 n_inputs = static_cast<u32>(m.input_taps.size());
 
-  // One PipeTables per execution domain from the domain's op list (schedule
-  // order) and per-op pipelined issue cycles. Within one cycle the engine
-  // runs [rotations, injections, ACC commits, ops in schedule order] — the
-  // exact order the analysis priced its w = 0 edges against. ACCs committed
-  // in place (acc == 0) get no commit entry.
-  const auto build_tables = [&](const std::vector<map::ExecOp>& ops,
-                                const std::vector<i32>& cyc, const std::vector<u32>& rot,
-                                const std::vector<std::pair<u32, map::Slot>>& taps) {
+  // One PipeTables per execution domain — the whole program (plain path) or
+  // one chip shard — from the ops, active cores and input taps whose core the
+  // domain keeps, filtered in schedule order. Ops are then stably sorted by
+  // pipelined issue cycle: within one cycle the engine runs [rotations,
+  // injections, ACC commits, ops in schedule order] — the exact order the
+  // analysis priced its w = 0 edges against. ACCs committed in place
+  // (acc == 0) get no commit entry.
+  const auto build_tables = [&](auto&& keep) {
     PipeTables pt;
     pt.rows.resize(static_cast<usize>(span));
-    std::vector<u32> perm(ops.size());
-    for (u32 i = 0; i < perm.size(); ++i) perm[i] = i;
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&](u32 a, u32 b) { return cyc[a] < cyc[b]; });
-    pt.ops.reserve(ops.size());
-    std::vector<i32> op_cyc;
-    op_cyc.reserve(ops.size());
+    std::vector<u32> perm;
+    for (u32 i = 0; i < prog_.ops.size(); ++i) {
+      if (keep(prog_.ops[i].core)) perm.push_back(i);
+    }
+    std::stable_sort(perm.begin(), perm.end(), [&](u32 a, u32 b) {
+      return pipe_.op_cycle[a] < pipe_.op_cycle[b];
+    });
+    pt.ops.reserve(perm.size());
     std::vector<std::pair<i32, u32>> commit_at;  // (commit cycle, pt.ops index)
     for (const u32 i : perm) {
-      if (ops[i].code == core::OpCode::Acc && acc > 0) {
-        commit_at.emplace_back(cyc[i] + acc, static_cast<u32>(pt.ops.size()));
+      if (prog_.ops[i].code == core::OpCode::Acc && acc > 0) {
+        commit_at.emplace_back(pipe_.op_cycle[i] + acc, static_cast<u32>(pt.ops.size()));
       }
-      op_cyc.push_back(cyc[i]);
-      pt.ops.push_back(ops[i]);
+      pt.ops.push_back(prog_.ops[i]);
     }
     std::stable_sort(commit_at.begin(), commit_at.end());
-    pt.rot_cores.assign(rot.begin(), rot.end());
+    for (const u32 c : active_cores_) {
+      if (keep(c)) pt.rot_cores.push_back(c);
+    }
     std::stable_sort(pt.rot_cores.begin(), pt.rot_cores.end(), [&](u32 a, u32 b) {
       return pipe_.rotate_cycle[a] < pipe_.rotate_cycle[b];
     });
     // Taps by (row, input bit); each row's injections become a CSR block
     // over the inputs below.
-    std::vector<std::pair<u32, map::Slot>> by_row(taps.begin(), taps.end());
+    std::vector<std::pair<u32, map::Slot>> by_row;
+    for (u32 g = 0; g < n_inputs; ++g) {
+      for (const map::Slot& s : m.input_taps[g]) {
+        if (keep(s.core)) by_row.emplace_back(g, s);
+      }
+    }
     std::stable_sort(by_row.begin(), by_row.end(), [&](const auto& a, const auto& b) {
       const i32 ra = pipe_.rotate_cycle[a.second.core];
       const i32 rb = pipe_.rotate_cycle[b.second.core];
@@ -377,41 +384,22 @@ void CompiledModel::build_pipeline_exec() {
     }
     slice(pt.commits.size(), [&](usize i) { return commit_at[i].first; },
           [](PipeTables::Row& row, u32 b, u32 e) { row.com_b = b; row.com_e = e; });
-    slice(pt.ops.size(), [&](usize i) { return op_cyc[i]; },
+    slice(perm.size(), [&](usize i) { return pipe_.op_cycle[perm[i]]; },
           [](PipeTables::Row& row, u32 b, u32 e) { row.op_b = b; row.op_e = e; });
     return pt;
   };
 
-  {
-    std::vector<std::pair<u32, map::Slot>> taps;
-    for (u32 g = 0; g < m.input_taps.size(); ++g) {
-      for (const map::Slot& s : m.input_taps[g]) taps.emplace_back(g, s);
-    }
-    pipe_plain_ = build_tables(prog_.ops, pipe_.op_cycle, active_cores_, taps);
-  }
-
-  // Per-shard tables: shard ops are an order-preserving deal of prog_.ops by
-  // chip (see build_shard_plan), so one walk recovers each shard op's global
-  // index and with it its pipelined cycle.
-  const usize S = plan_.num_shards();
-  std::vector<std::vector<i32>> shard_cyc(S);
-  for (usize s = 0; s < S; ++s) shard_cyc[s].reserve(plan_.shards[s].ops.size());
-  for (u32 i = 0; i < prog_.ops.size(); ++i) {
-    shard_cyc[plan_.shard_of_core[prog_.ops[i].core]].push_back(pipe_.op_cycle[i]);
-  }
+  pipe_plain_ = build_tables([](u32) { return true; });
   pipe_shards_.clear();
-  pipe_shards_.reserve(S);
-  for (usize s = 0; s < S; ++s) {
-    const map::ShardPlan::Shard& sh = plan_.shards[s];
-    SJ_ASSERT(shard_cyc[s].size() == sh.ops.size(), "pipeline: shard op deal mismatch");
-    pipe_shards_.push_back(build_tables(sh.ops, shard_cyc[s], sh.active_cores, sh.input_taps));
+  for (u32 s = 0; s < plan_.num_shards(); ++s) {
+    pipe_shards_.push_back(build_tables([&](u32 c) { return plan_.shard_of_core[c] == s; }));
   }
 
   // Frame ranges. Split points: every iteration boundary k*II (input
   // staging), after every readout cycle, and — on the sharded path only —
-  // before every cycle that reads a port a cross-shard send can ever feed,
-  // the static (dirty-tracking-free, hence conservative) analogue of the
-  // shard plan's barriers. Cross-shard outboxes drain at every boundary.
+  // before the pipelined cycle of every ShardPlan hazard op (one that reads
+  // a port a cross-shard send can feed). Cross-shard outboxes drain at
+  // every boundary.
   const i32 T = m.timesteps;
   const i32 total = T + m.output_depth;
   const u64 ii = static_cast<u64>(pipe_.ii);
@@ -454,18 +442,7 @@ void CompiledModel::build_pipeline_exec() {
   };
   std::vector<bool> hazard(static_cast<usize>(span), false);
   plain_ranges_ = make_ranges(hazard);
-  std::vector<bool> cross_written(topo_.num_links(), false);
-  for (const map::ShardPlan::Shard& sh : plan_.shards) {
-    for (const map::ExecOp& op : sh.ops) {
-      if (op.cross_shard) cross_written[op.link] = true;
-    }
-  }
-  for (u32 i = 0; i < prog_.ops.size(); ++i) {
-    const noc::LinkId feed = map::port_feed(topo_, prog_.ops[i]);
-    if (feed != noc::kInvalidLink && cross_written[feed]) {
-      hazard[static_cast<usize>(pipe_.op_cycle[i])] = true;
-    }
-  }
+  for (const u32 i : plan_.hazard_ops) hazard[static_cast<usize>(pipe_.op_cycle[i])] = true;
   shard_ranges_ = make_ranges(hazard);
 }
 
@@ -942,7 +919,10 @@ void Engine::run_shard_range(SimContext& ctx, Team* team, const PipeRange& rg) c
     team_drain_epoch(*team, e, 0);
     team->barrier.await_drains(e);
   }
-  if (prof) ctx.profile_.barrier_commit_ns += obs::now_ns() - b0;
+  if (prof) {
+    ctx.profile_.barrier_commit_ns += obs::now_ns() - b0;
+    ++ctx.profile_.shard_ranges;
+  }
   if (team != nullptr && team->failed.load(std::memory_order_acquire)) {
     const std::lock_guard<std::mutex> lock(team->err_mutex);
     std::rethrow_exception(team->first_error);

@@ -58,10 +58,10 @@ struct SimStats {
   u64 cycles = 0;          // schedule cycles: iterations * cycles_per_timestep
   // Wall-clock hardware cycles actually occupied: a frame takes
   // (total-1)*II + span cycles of the modulo schedule. When adjacent
-  // timesteps overlap (SHENJING_PIPELINE=1 and a feasible II) that is less
-  // than total*cycles_per_timestep; on the serial II = C schedule it equals
-  // `cycles`. Energy derives from the op census and is unaffected — this is
-  // the latency/throughput side of the split.
+  // timesteps overlap (MappedNetwork::pipeline = 1 and a feasible II) that
+  // is less than total*cycles_per_timestep; on the serial II = C schedule it
+  // equals `cycles`. Energy derives from the op census and is unaffected —
+  // this is the latency/throughput side of the split.
   u64 effective_cycles = 0;
   // Per-neuron atomic-op issue counts, indexed by core::EnergyOp.
   std::array<i64, 8> op_neurons{};
@@ -113,9 +113,9 @@ struct PipeTables {
 /// split at every iteration boundary k*II (input staging may overwrite a
 /// buffer a still-draining iteration no longer reads) and after every
 /// readout cycle (the coordinator samples outputs between ranges). The
-/// sharded path's ranges also split before any cycle whose ops read a router
-/// port that a cross-shard send can feed — the static analogue of
-/// ShardPlan's dynamic link-dirty barriers.
+/// sharded path's ranges also split before the pipelined cycle of every
+/// ShardPlan hazard op (map::ShardPlan::hazard_ops), where the cross-shard
+/// outboxes must have landed.
 struct PipeRange {
   u64 b = 0, e = 0;
   i32 stage_k = -1;    // stage encoder output for iteration k at range start

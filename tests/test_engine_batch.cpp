@@ -94,22 +94,30 @@ void expect_stats_eq(const SimStats& a, const SimStats& b) {
 
 TEST(EngineBatch, MatchesSerialSimulatorBitExactly) {
   const Built b = build_fc(17, 8, 6);
-
-  Simulator serial(b.mapped, b.net);
-  SimStats serial_stats;
-  std::vector<FrameResult> serial_results;
-  for (const Tensor& img : b.data.images) {
-    serial_results.push_back(serial.run_frame(img, &serial_stats));
-  }
-
   ThreadPool pool(3);
-  Engine engine(b.mapped, b.net);
-  SimStats batch_stats;
-  const std::vector<FrameResult> batch_results =
-      engine.run_batch(batch_of(b), &batch_stats, &pool);
+  // Both schedules: the mapping as compiled with MapperConfig::pipeline 0
+  // (serial II = C) and 1 (overlapped where feasible). The flag only stamps
+  // MappedNetwork::pipeline, so re-stamping a copy is the same compile.
+  for (const i32 pipe : {0, 1}) {
+    SCOPED_TRACE("pipeline " + std::to_string(pipe));
+    map::MappedNetwork mapped = b.mapped;
+    mapped.pipeline = pipe;
 
-  expect_frames_eq(batch_results, serial_results);
-  expect_stats_eq(batch_stats, serial_stats);
+    Simulator serial(mapped, b.net);
+    SimStats serial_stats;
+    std::vector<FrameResult> serial_results;
+    for (const Tensor& img : b.data.images) {
+      serial_results.push_back(serial.run_frame(img, &serial_stats));
+    }
+
+    Engine engine(mapped, b.net);
+    SimStats batch_stats;
+    const std::vector<FrameResult> batch_results =
+        engine.run_batch(batch_of(b), &batch_stats, &pool);
+
+    expect_frames_eq(batch_results, serial_results);
+    expect_stats_eq(batch_stats, serial_stats);
+  }
 }
 
 TEST(EngineBatch, ThreadCountDoesNotChangeResultsOrMergedStats) {

@@ -714,7 +714,7 @@ TEST(DenseRowFormat, WeightSwapFromNarrowToWideRowsMatchesFreshCompile) {
 // 4. ExecProgram lowering invariants.
 // ---------------------------------------------------------------------------
 
-TEST(ExecProgramTest, LoweringIsDenseResolvedAndCycleGrouped) {
+TEST(ExecProgramTest, LoweringIsDenseAndResolved) {
   nn::Model m({300}, "lower");
   m.dense(300, 80);
   m.relu();
@@ -724,14 +724,6 @@ TEST(ExecProgramTest, LoweringIsDenseResolvedAndCycleGrouped) {
   const map::ExecProgram& p = sim.program();
 
   ASSERT_EQ(p.ops.size(), b.mapped.schedule.size());
-  // Cycle groups partition the op array in order.
-  u32 expect_begin = 0;
-  for (const map::ExecCycle& c : p.cycles) {
-    EXPECT_EQ(c.begin, expect_begin);
-    EXPECT_LT(c.begin, c.end);
-    expect_begin = c.end;
-  }
-  EXPECT_EQ(expect_begin, static_cast<u32>(p.ops.size()));
 
   for (usize i = 0; i < p.ops.size(); ++i) {
     const map::ExecOp& e = p.ops[i];

@@ -225,6 +225,7 @@ TEST(PhaseProfile, MergeGrowsShardVectorsAndJsonShape) {
   b.sharded_frames = 1;
   b.encode_ns = 12;
   b.phase_wall_ns = 70;
+  b.shard_ranges = 9;
   b.shard_exec_ns = {30, 40};
   b.shard_wait_ns = {40, 30};
   EXPECT_TRUE(PhaseProfile{}.empty());
@@ -238,9 +239,11 @@ TEST(PhaseProfile, MergeGrowsShardVectorsAndJsonShape) {
   EXPECT_EQ(j.at("frames").as_int(), 2);
   EXPECT_EQ(j.at("shard_exec_ns").as_array().size(), 2u);
   EXPECT_EQ(j.at("encode_ns").as_int(), 12);
+  EXPECT_EQ(j.at("shard_ranges").as_int(), 9);
   a.clear();
   EXPECT_TRUE(a.empty());
   EXPECT_EQ(a.encode_ns, 0u);
+  EXPECT_EQ(a.shard_ranges, 0);
   EXPECT_EQ(a.shard_exec_ns.size(), 2u);  // allocation kept, values zeroed
   EXPECT_EQ(a.shard_exec_ns[0], 0u);
 }

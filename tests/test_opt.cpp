@@ -271,12 +271,22 @@ TEST(OptPlacement, ShardedMlpCrossesChipsStrictlyLess) {
 // Serving identity: opt level is part of the served artifact.
 // ---------------------------------------------------------------------------
 
+/// `m` with one compile-identity field relabeled and its program untouched:
+/// the opt level, then the pipeline flag.
+std::vector<map::MappedNetwork> relabelings(const map::MappedNetwork& m) {
+  std::vector<map::MappedNetwork> out(2, m);
+  out[0].opt_level = m.opt_level + 1;
+  out[1].pipeline = 1 - m.pipeline;
+  return out;
+}
+
 TEST(OptServe, ModelKeyMixesOptLevel) {
   const Built b = build_dense();
   const map::MappedNetwork o0 = map_at(b, 0);
-  map::MappedNetwork relabeled = o0;
-  relabeled.opt_level = 1;  // identical program, different pipeline identity
-  EXPECT_NE(serve::model_key(o0, b.net), serve::model_key(relabeled, b.net));
+  // Identical program, different compile identity.
+  for (const map::MappedNetwork& relabeled : relabelings(o0)) {
+    EXPECT_NE(serve::model_key(o0, b.net), serve::model_key(relabeled, b.net));
+  }
   const map::MappedNetwork o1 = map_at(b, 1);
   EXPECT_NE(serve::model_key(o0, b.net), serve::model_key(o1, b.net));
 }
@@ -285,11 +295,13 @@ TEST(OptServe, WeightSwapAcrossOptLevelsIsRejected) {
   const Built b = build_dense();
   const map::MappedNetwork o0 = map_at(b, 0);
   const sim::Engine donor(o0, b.net);
-  map::MappedNetwork relabeled = o0;
-  relabeled.opt_level = 2;
-  // Structurally identical program, but the opt level is identity: the
-  // donor-compile path must refuse rather than alias the two pipelines.
-  EXPECT_THROW(sim::Engine(relabeled, b.net, donor), InvalidArgument);
+  // Structurally identical program, but the opt level and the pipeline flag
+  // are identity: the donor-compile path must refuse rather than alias the
+  // two artifacts.
+  for (const map::MappedNetwork& relabeled : relabelings(o0)) {
+    EXPECT_THROW(sim::Engine(relabeled, b.net, donor), InvalidArgument)
+        << "opt " << relabeled.opt_level << " pipeline " << relabeled.pipeline;
+  }
 }
 
 TEST(OptServe, ServerAdmissionPinsOptLevel) {

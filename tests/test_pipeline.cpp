@@ -7,7 +7,6 @@
 // with pipelining off gets the serial II = C schedule.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "mapper/mapper.h"
@@ -134,21 +133,6 @@ TEST(PipelineAnalysisTest, PipelineFlagOffStaysSerial) {
   expect_serial_schedule(map::build_pipeline(m), m);
 }
 
-TEST(PipelineResolveTest, ClampsAndReadsEnv) {
-  EXPECT_EQ(map::resolve_pipeline(0), 0);
-  EXPECT_EQ(map::resolve_pipeline(1), 1);
-  EXPECT_EQ(map::resolve_pipeline(7), 1);  // clamped, not env-resolved
-  const char* prev = std::getenv("SHENJING_PIPELINE");
-  const std::string saved = prev != nullptr ? prev : "";
-  ::setenv("SHENJING_PIPELINE", "0", 1);
-  EXPECT_EQ(map::resolve_pipeline(-1), 0);
-  ::setenv("SHENJING_PIPELINE", "1", 1);
-  EXPECT_EQ(map::resolve_pipeline(-1), 1);
-  ::unsetenv("SHENJING_PIPELINE");
-  EXPECT_EQ(map::resolve_pipeline(-1), 1);  // default on
-  if (prev != nullptr) ::setenv("SHENJING_PIPELINE", saved.c_str(), 1);
-}
-
 TEST(PipelineProgramTest, SlackFlowsToExecProgram) {
   // End to end on a real mapping: the lowered ExecProgram carries the
   // engine's schedule (slack per op, overlap depth) — overlapped when the
@@ -196,6 +180,12 @@ TEST(PipelineProgramTest, SlackFlowsToExecProgram) {
       EXPECT_LE(ps.slack[i], ps.depth) << "op " << i;
       EXPECT_LT(ps.op_cycle[i], 2 * ps.ii) << "op " << i;
     }
+  }
+  // The flag is 0 or 1; nothing else (no "read the environment" value).
+  for (const i32 pipe : {-1, 2}) {
+    map::MapperConfig mc;
+    mc.pipeline = pipe;
+    EXPECT_THROW(map::map_network(net, mc), InvalidArgument) << pipe;
   }
 }
 

@@ -112,17 +112,25 @@ std::pair<std::vector<FrameResult>, SimStats> serial_reference(const Built& b) {
 }
 
 TEST(Serve, SingleClientMatchesSerialSimulatorBitExactly) {
-  const Built b = build_fc(101, 8, 6);
-  const auto [want, want_stats] = serial_reference(b);
+  // Both schedules: the mapping as compiled with MapperConfig::pipeline 0
+  // (serial II = C) and 1 (overlapped where feasible). The flag only stamps
+  // MappedNetwork::pipeline, so re-stamping a copy is the same compile.
+  const Built base = build_fc(101, 8, 6);
+  for (const i32 pipe : {0, 1}) {
+    SCOPED_TRACE("pipeline " + std::to_string(pipe));
+    Built b = base;
+    b.mapped.pipeline = pipe;
+    const auto [want, want_stats] = serial_reference(b);
 
-  Server server({.workers = 4});
-  const ModelKey key = server.load_model(b.mapped, b.net);
-  std::vector<std::future<FrameResult>> futs = server.submit_batch(key, batch_of(b));
-  std::vector<FrameResult> got;
-  for (auto& f : futs) got.push_back(f.get());
+    Server server({.workers = 4});
+    const ModelKey key = server.load_model(b.mapped, b.net);
+    std::vector<std::future<FrameResult>> futs = server.submit_batch(key, batch_of(b));
+    std::vector<FrameResult> got;
+    for (auto& f : futs) got.push_back(f.get());
 
-  expect_frames_eq(got, want);
-  expect_stats_eq(server.stats(key), want_stats);
+    expect_frames_eq(got, want);
+    expect_stats_eq(server.stats(key), want_stats);
+  }
 }
 
 TEST(Serve, WorkerCountDoesNotChangeResultsOrStats) {
