@@ -8,7 +8,7 @@
 // the paper's widths and quantifying the cliff below them.
 #include "bench_util.h"
 #include "harness/pipeline.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "snn/evaluate.h"
 
 using namespace sj;
@@ -47,13 +47,14 @@ int main() {
     mc.arch.local_ps_bits = w.local_ps;
     mc.arch.noc_bits = w.noc;
     const map::MappedNetwork mapped = map::map_network(net, mc);
-    sim::Simulator sim(mapped, net);
-    sim::SimStats st;
+    const sim::Engine engine(mapped, net);
+    sim::SimContext ctx = engine.make_context();
     int changed = 0;
     for (usize i = 0; i < frames; ++i) {
-      const sim::FrameResult r = sim.run_frame(test.images[i], &st);
+      const sim::FrameResult r = engine.run_frame(ctx, test.images[i]);
       if (r.predicted != ref_pred[i]) ++changed;
     }
+    const sim::SimStats st = ctx.take_stats();
     t.push_back({std::to_string(w.local_ps), std::to_string(w.noc),
                  bench::num(static_cast<double>(st.saturations) /
                                 static_cast<double>(frames), 1),

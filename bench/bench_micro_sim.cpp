@@ -25,7 +25,7 @@
 #include "harness/zoo.h"
 #include "mapper/mapper.h"
 #include "nn/dataset.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 
 using namespace sj;
@@ -59,13 +59,14 @@ const Fixture& mlp_fixture() {
 void BM_SimulateFrame(benchmark::State& state) {
   static const Fixture cnn = make_fixture(true);
   const Fixture& f = state.range(0) == 0 ? mlp_fixture() : cnn;
-  sim::Simulator sim(f.mapped, f.net);
-  sim::SimStats st;
+  const sim::Engine engine(f.mapped, f.net);
+  sim::SimContext ctx = engine.make_context();
   usize i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run_frame(f.data.images[i % f.data.size()], &st));
+    benchmark::DoNotOptimize(engine.run_frame(ctx, f.data.images[i % f.data.size()]));
     ++i;
   }
+  const sim::SimStats& st = ctx.stats();
   state.counters["sim_cycles/s"] = benchmark::Counter(
       static_cast<double>(st.cycles), benchmark::Counter::kIsRate);
   state.counters["frames/s"] = benchmark::Counter(
@@ -73,7 +74,7 @@ void BM_SimulateFrame(benchmark::State& state) {
 }
 
 /// Timed throughput runs on the Table-IV MLP, recorded to BENCH_sim.json:
-/// single-context frames/s (one Simulator, frames in sequence) and batched
+/// single-context frames/s (one Engine context, frames in sequence) and batched
 /// frames/s (sim::Engine::run_batch fanning contexts over the global
 /// ThreadPool), each at least `min_frames` frames and ~0.5 s of wall time
 /// (FAST mode settles for less).
@@ -86,16 +87,17 @@ void record_throughput() {
   const double min_seconds = harness::fast_mode() ? 0.25 : 0.5;
 
   // Single context: the pre-batch baseline.
-  sim::Simulator sim(f.mapped, f.net);
-  sim::SimStats st;
+  const sim::Engine single(f.mapped, f.net);
+  sim::SimContext ctx = single.make_context();
   const auto t0 = std::chrono::steady_clock::now();
   double seconds = 0.0;
   usize i = 0;
   do {
-    sim.run_frame(f.data.images[i % f.data.size()], &st);
+    single.run_frame(ctx, f.data.images[i % f.data.size()]);
     ++i;
     seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   } while (static_cast<int>(i) < min_frames || seconds < min_seconds);
+  const sim::SimStats st = ctx.take_stats();
 
   const double fps = static_cast<double>(st.frames) / seconds;
   const double cps = static_cast<double>(st.cycles) / seconds;

@@ -9,7 +9,7 @@
 #include "mapper/mapper.h"
 #include "nn/dataset.h"
 #include "power/power.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 
 using namespace sj;
@@ -75,9 +75,10 @@ int main() {
   cc.timesteps = 16;
   const snn::SnnNetwork net = snn::convert(m, rd, cc);
   const map::MappedNetwork mapped = map::map_network(net);
-  sim::Simulator sim(mapped, net);
-  sim::SimStats st;
-  sim.run_frame(rd.images[0], &st);
+  const sim::Engine engine(mapped, net);
+  sim::SimContext ctx = engine.make_context();
+  engine.run_frame(ctx, rd.images[0]);
+  const sim::SimStats st = ctx.take_stats();
   std::printf("\nper-frame op census (2-core microprogram, T=%d):\n", cc.timesteps);
   const char* names[8] = {"PS.SUM", "PS.SEND", "PS.BYPASS", "SPK.SPIKE",
                           "SPK.SEND", "SPK.BYPASS", "ACC", "LD_WT"};
@@ -86,6 +87,6 @@ int main() {
                 static_cast<long long>(st.op_neurons[static_cast<usize>(i)]));
   }
   std::printf("  LD_WT (init, once): %lld neuron-ops\n",
-              static_cast<long long>(sim.ldwt_neurons()));
+              static_cast<long long>(engine.model().ldwt_neurons()));
   return 0;
 }

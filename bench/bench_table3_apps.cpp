@@ -85,7 +85,7 @@ int main() {
       "\n* the paper lists Conv1 depth 1 although the CIFAR input has 3 channels;\n"
       "  this build uses (5,5,3,16) — see DESIGN.md section 4.\n");
 
-  // Simulator throughput per app, single-context vs batched (the CIFAR
+  // Engine throughput per app, single-context vs batched (the CIFAR
   // networks are skipped: minutes of conv simulation would drown the
   // structure listing this bench exists for; bench_table4_overall covers
   // them end to end).

@@ -11,7 +11,7 @@
 #include "mapper/mapper.h"
 #include "nn/dataset.h"
 #include "noc/traffic.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 
 using namespace sj;
@@ -48,12 +48,13 @@ int main() {
               mapped.schedule.size());
 
   // Simulate a few frames, accumulating per-link traffic.
-  sim::Simulator sim(mapped, net);
-  sim::SimStats st;
-  for (int f = 0; f < 4; ++f) sim.run_frame(calib.images[static_cast<usize>(f)], &st);
+  const sim::Engine engine(mapped, net);
+  sim::SimContext ctx = engine.make_context();
+  for (int f = 0; f < 4; ++f) engine.run_frame(ctx, calib.images[static_cast<usize>(f)]);
+  const sim::SimStats st = ctx.take_stats();
 
   const noc::TrafficReport rep = noc::TrafficReport::build(
-      sim.topology(), st.noc, st.cycles, st.iterations, model.name());
+      engine.model().topology(), st.noc, st.cycles, st.iterations, model.name());
   std::printf("\n%zu of %zu links active; PS %lld bits, spikes %lld bits, "
               "%lld wire toggles over %llu cycles\n",
               rep.active_links, rep.links.size(),

@@ -7,7 +7,7 @@
 
 #include "harness/pipeline.h"
 #include "mapper/mapper.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 
 using namespace sj;
 

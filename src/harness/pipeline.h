@@ -14,7 +14,7 @@
 #include "nn/model.h"
 #include "nn/train.h"
 #include "power/power.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 #include "snn/evaluate.h"
 

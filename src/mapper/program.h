@@ -139,10 +139,6 @@ void validate(const MappedNetwork& mapped, const snn::SnnNetwork& net);
 /// contexts; validation dry-runs it; power reads its link flags.
 noc::NocTopology make_topology(const MappedNetwork& m);
 
-/// A single-context fabric (topology + one set of router registers) for
-/// tools that simulate exactly one frame stream.
-noc::NocFabric make_fabric(const MappedNetwork& m, noc::FabricOptions options = {});
-
 /// The schedule as NoC dry-run ops (see noc/dryrun.h).
 std::vector<noc::RouteOp> route_ops(const MappedNetwork& m);
 

@@ -6,7 +6,7 @@
 //      spike mask and carrying the unit's threshold;
 //  (2) per-core capacities hold (axons/neurons within the architecture);
 //  (3) weight taps stay within the hardware's synapse width;
-//  (4) the schedule dry-runs cleanly on the NoC fabric (noc/dryrun.h): no
+//  (4) the schedule dry-runs cleanly on the NoC topology (noc/dryrun.h): no
 //      off-grid route, no two same-cycle ops on one plane of one router,
 //      no two same-cycle writes to one router register — the compile-time
 //      equivalent of link-level flow control;
@@ -19,23 +19,11 @@
 
 namespace sj::map {
 
-namespace {
-
-std::vector<Coord> core_positions(const MappedNetwork& m) {
+noc::NocTopology make_topology(const MappedNetwork& m) {
   std::vector<Coord> positions;
   positions.reserve(m.cores.size());
   for (const MappedCore& c : m.cores) positions.push_back(c.pos);
-  return positions;
-}
-
-}  // namespace
-
-noc::NocTopology make_topology(const MappedNetwork& m) {
-  return noc::NocTopology(m.arch, m.grid_rows, m.grid_cols, core_positions(m));
-}
-
-noc::NocFabric make_fabric(const MappedNetwork& m, noc::FabricOptions options) {
-  return noc::NocFabric(m.arch, m.grid_rows, m.grid_cols, core_positions(m), options);
+  return noc::NocTopology(m.arch, m.grid_rows, m.grid_cols, positions);
 }
 
 std::vector<noc::RouteOp> route_ops(const MappedNetwork& m) {

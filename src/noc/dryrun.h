@@ -51,9 +51,4 @@ const char* reg_name(Reg r);
 /// needed, so callers can validate a schedule without building any.
 Status dry_run(const NocTopology& topo, const std::vector<RouteOp>& schedule);
 
-/// Single-context convenience overload.
-inline Status dry_run(const NocFabric& fabric, const std::vector<RouteOp>& schedule) {
-  return dry_run(fabric.topology(), schedule);
-}
-
 }  // namespace sj::noc

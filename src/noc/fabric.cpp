@@ -74,34 +74,21 @@ Status NocTopology::neighbor(u32 core, Dir d, u32* out) const {
   return Status::ok();
 }
 
-u32 NocTopology::neighbor_checked(u32 core, Dir d) const {
-  u32 nb = kInvalidCore;
-  const Status s = neighbor(core, d, &nb);
-  SJ_ASSERT(s.is_ok(), "noc: route off grid edge: " + s.message());
-  return nb;
-}
-
-NocState::NocState(const NocTopology& topo, FabricOptions options)
-    : num_cores_(topo.num_cores()),
-      num_links_(topo.num_links()),
-      track_toggles_(options.track_toggles) {
+NocState::NocState(const NocTopology& topo)
+    : num_cores_(topo.num_cores()), num_links_(topo.num_links()) {
   // Full state: identity slot tables, everything allocated.
   router_slot_.resize(num_cores_);
   for (usize c = 0; c < num_cores_; ++c) router_slot_[c] = static_cast<u32>(c);
   link_slot_.resize(num_links_);
   for (usize l = 0; l < num_links_; ++l) link_slot_[l] = static_cast<u32>(l);
   routers_.resize(num_cores_);
-  if (track_toggles_) {
-    ps_last_.assign(num_links_, std::vector<i16>(Router::kPlanes, 0));
-    spk_last_.assign(num_links_, {});
-  }
+  ps_last_.assign(num_links_, std::vector<i16>(Router::kPlanes, 0));
+  spk_last_.assign(num_links_, {});
 }
 
 NocState::NocState(const NocTopology& topo, const std::vector<u32>& cores,
-                   const std::vector<LinkId>& links, FabricOptions options)
-    : num_cores_(topo.num_cores()),
-      num_links_(topo.num_links()),
-      track_toggles_(options.track_toggles) {
+                   const std::vector<LinkId>& links)
+    : num_cores_(topo.num_cores()), num_links_(topo.num_links()) {
   router_slot_.assign(num_cores_, kNoSlot);
   usize n_routers = 0;
   for (const u32 c : cores) {
@@ -115,10 +102,8 @@ NocState::NocState(const NocTopology& topo, const std::vector<u32>& cores,
     SJ_REQUIRE(l < num_links_, "NocState: touched link off the topology");
     if (link_slot_[l] == kNoSlot) link_slot_[l] = static_cast<u32>(n_links++);
   }
-  if (track_toggles_) {
-    ps_last_.assign(n_links, std::vector<i16>(Router::kPlanes, 0));
-    spk_last_.assign(n_links, {});
-  }
+  ps_last_.assign(n_links, std::vector<i16>(Router::kPlanes, 0));
+  spk_last_.assign(n_links, {});
 }
 
 void NocState::check_topology(const NocTopology& topo) const {
@@ -201,32 +186,29 @@ void NocState::stage_ps(const NocTopology& topo, LinkId lid, const Router::Words
   t.ps_flits += pop;
   t.ps_bits += static_cast<i64>(pop) * topo.noc_bits();
   if (ln.interchip) tc.interchip_ps_bits += static_cast<i64>(pop) * topo.noc_bits();
-  if (track_toggles_) {
-    // Wire-toggle Hamming accounting: full mask words take the word-packed
-    // SIMD kernel, partial words walk set bits. Identical counts either way.
-    std::vector<i16>& last = ps_last_[link_slot(lid)];
-    const u16 wire_mask = static_cast<u16>((u32{1} << topo.noc_bits()) - 1);
-    i64 toggles = 0;
-    for (int wi = 0; wi < Router::kWords; ++wi) {
-      u64 word = mask[static_cast<usize>(wi)];
-      if (word == 0) continue;
-      const int base = wi * 64;
-      if (word == ~u64{0}) {
-        toggles += simd::toggle_update_i16(last.data() + base, values + base, 64,
-                                           wire_mask);
-      } else {
-        while (word != 0) {
-          const int p = base + std::countr_zero(word);
-          word &= word - 1;
-          toggles += std::popcount(static_cast<u32>(
-              (static_cast<u16>(last[static_cast<usize>(p)]) ^
-               static_cast<u16>(values[p])) & wire_mask));
-          last[static_cast<usize>(p)] = values[p];
-        }
+  // Wire-toggle Hamming accounting: full mask words take the word-packed
+  // SIMD kernel, partial words walk set bits. Identical counts either way.
+  std::vector<i16>& last = ps_last_[link_slot(lid)];
+  const u16 wire_mask = static_cast<u16>((u32{1} << topo.noc_bits()) - 1);
+  i64 toggles = 0;
+  for (int wi = 0; wi < Router::kWords; ++wi) {
+    u64 word = mask[static_cast<usize>(wi)];
+    if (word == 0) continue;
+    const int base = wi * 64;
+    if (word == ~u64{0}) {
+      toggles += simd::toggle_update_i16(last.data() + base, values + base, 64, wire_mask);
+    } else {
+      while (word != 0) {
+        const int p = base + std::countr_zero(word);
+        word &= word - 1;
+        toggles += std::popcount(static_cast<u32>(
+            (static_cast<u16>(last[static_cast<usize>(p)]) ^ static_cast<u16>(values[p])) &
+            wire_mask));
+        last[static_cast<usize>(p)] = values[p];
       }
     }
-    t.ps_toggles += toggles;
   }
+  t.ps_toggles += toggles;
 }
 
 void NocState::stage_spike(const NocTopology& topo, LinkId lid, const Router::Words& mask,
@@ -251,19 +233,17 @@ void NocState::stage_spike(const NocTopology& topo, LinkId lid, const Router::Wo
   LinkTraffic& t = tc.links[lid];
   t.spike_flits += pop;
   if (ln.interchip) tc.interchip_spike_bits += pop;
-  if (track_toggles_) {
-    Router::Words& last = spk_last_[link_slot(lid)];
-    i64 toggles = 0;
-    for (int wi = 0; wi < Router::kWords; ++wi) {
-      const u64 m = mask[static_cast<usize>(wi)];
-      if (m == 0) continue;
-      const u64 diff = (last[static_cast<usize>(wi)] ^ bits[static_cast<usize>(wi)]) & m;
-      toggles += std::popcount(diff);
-      last[static_cast<usize>(wi)] =
-          (last[static_cast<usize>(wi)] & ~m) | (bits[static_cast<usize>(wi)] & m);
-    }
-    t.spike_toggles += toggles;
+  Router::Words& last = spk_last_[link_slot(lid)];
+  i64 toggles = 0;
+  for (int wi = 0; wi < Router::kWords; ++wi) {
+    const u64 m = mask[static_cast<usize>(wi)];
+    if (m == 0) continue;
+    const u64 diff = (last[static_cast<usize>(wi)] ^ bits[static_cast<usize>(wi)]) & m;
+    toggles += std::popcount(diff);
+    last[static_cast<usize>(wi)] =
+        (last[static_cast<usize>(wi)] & ~m) | (bits[static_cast<usize>(wi)] & m);
   }
+  t.spike_toggles += toggles;
 }
 
 void NocState::apply_writes(std::vector<PsWrite>& ps, std::vector<SpkWrite>& spk) {
@@ -297,10 +277,8 @@ void NocState::reset() {
   for (Router& r : routers_) r.reset();
   ps_staged_.clear();
   spk_staged_.clear();
-  if (track_toggles_) {
-    for (auto& v : ps_last_) std::fill(v.begin(), v.end(), i16{0});
-    for (auto& w : spk_last_) w = {};
-  }
+  for (auto& v : ps_last_) std::fill(v.begin(), v.end(), i16{0});
+  for (auto& w : spk_last_) w = {};
 }
 
 void NocState::reset_subset(const std::vector<u32>& cores,
@@ -308,12 +286,10 @@ void NocState::reset_subset(const std::vector<u32>& cores,
   for (const u32 c : cores) routers_[router_slot(c)].reset();
   ps_staged_.clear();
   spk_staged_.clear();
-  if (track_toggles_) {
-    for (const LinkId lid : links) {
-      const usize s = link_slot(lid);
-      std::fill(ps_last_[s].begin(), ps_last_[s].end(), i16{0});
-      spk_last_[s] = {};
-    }
+  for (const LinkId lid : links) {
+    const usize s = link_slot(lid);
+    std::fill(ps_last_[s].begin(), ps_last_[s].end(), i16{0});
+    spk_last_[s] = {};
   }
 }
 

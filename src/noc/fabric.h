@@ -10,12 +10,8 @@
 //   router register files, the staged two-phase writes, and the per-wire
 //   toggle history that makes LinkTraffic::*_toggles count real bit-flips.
 //   One NocState per simulation context; movement calls take the topology
-//   they route against explicitly, so a state object never outlives or
-//   aliases the wiring it was sized for by accident.
-//
-//   NocFabric — the single-context convenience pairing (one topology + one
-//   state) that keeps the original fabric API for tools and tests that
-//   simulate exactly one frame stream.
+//   they route against explicitly, and a state refuses (InternalError) a
+//   topology whose dimensions differ from the one it was sized for.
 //
 // Two-phase cycle semantics are owned by the state: staged writes land in
 // the receiving router's input-port registers in staging order at
@@ -43,13 +39,6 @@
 
 namespace sj::noc {
 
-struct FabricOptions {
-  /// Track per-plane-wire previous values so LinkTraffic::*_toggles counts
-  /// real bit-flips. Costs ~0.5 KiB per link; disable for huge fleets of
-  /// throwaway contexts.
-  bool track_toggles = true;
-};
-
 /// Read-only wiring of a `grid_rows` x `grid_cols` tile grid. Safe to share
 /// across threads: nothing here changes after construction.
 class NocTopology {
@@ -75,8 +64,6 @@ class NocTopology {
   }
   /// Testable form: OK + *out on success, error Status at a grid edge.
   Status neighbor(u32 core, Dir d, u32* out) const;
-  /// Throwing form for contexts where off-grid is a programming error.
-  u32 neighbor_checked(u32 core, Dir d) const;
 
   /// Outgoing link of `core` in direction `d`, or kInvalidLink off-grid.
   LinkId link_id(u32 core, Dir d) const {
@@ -133,7 +120,7 @@ class NocState {
 
  public:
   /// Full state: every router and every link's toggle history allocated.
-  explicit NocState(const NocTopology& topo, FabricOptions options = {});
+  explicit NocState(const NocTopology& topo);
 
   /// Compacted state: router registers exist only for `cores` and toggle
   /// history only for `links` — typically a lowered program's touch sets
@@ -142,7 +129,7 @@ class NocState {
   /// InternalError: a correctly lowered program cannot reference them.
   /// Duplicates in the lists are tolerated.
   NocState(const NocTopology& topo, const std::vector<u32>& cores,
-           const std::vector<LinkId>& links, FabricOptions options = {});
+           const std::vector<LinkId>& links);
 
   Router& router(u32 core) { return routers_[router_slot(core)]; }
   const Router& router(u32 core) const { return routers_[router_slot(core)]; }
@@ -150,7 +137,7 @@ class NocState {
   /// Router register files actually allocated (== num_cores for full state,
   /// the touched-core count for compacted state).
   usize allocated_routers() const { return routers_.size(); }
-  /// Links with toggle history allocated (0 when toggle tracking is off).
+  /// Links with toggle history allocated.
   usize allocated_toggle_links() const { return ps_last_.size(); }
 
   // --- two-phase, traffic-accounted movement ------------------------------
@@ -275,7 +262,6 @@ class NocState {
 
   usize num_cores_;
   usize num_links_;
-  bool track_toggles_;
   std::vector<u32> router_slot_;  // core -> slot in routers_
   std::vector<u32> link_slot_;    // link -> slot in ps_last_/spk_last_
   std::vector<Router> routers_;
@@ -284,64 +270,6 @@ class NocState {
   std::vector<Router::Words> spk_last_;    // [link slot], bit-packed
   std::vector<PsWrite> ps_staged_;
   std::vector<SpkWrite> spk_staged_;
-};
-
-/// One topology paired with one state: the single-context fabric. Keeps the
-/// original flat API for tools, tests and single-stream simulations; the
-/// batch engine holds one shared NocTopology and per-context NocStates
-/// directly.
-class NocFabric {
- public:
-  NocFabric(const core::ArchParams& arch, i32 grid_rows, i32 grid_cols,
-            const std::vector<Coord>& positions, FabricOptions options = {})
-      : topo_(arch, grid_rows, grid_cols, positions), state_(topo_, options) {}
-
-  const NocTopology& topology() const { return topo_; }
-  NocState& state() { return state_; }
-  const NocState& state() const { return state_; }
-
-  // --- topology queries (delegated) ---------------------------------------
-  usize num_cores() const { return topo_.num_cores(); }
-  usize num_links() const { return topo_.num_links(); }
-  const std::vector<Link>& links() const { return topo_.links(); }
-  const Link& link(LinkId id) const { return topo_.link(id); }
-  i32 grid_rows() const { return topo_.grid_rows(); }
-  i32 grid_cols() const { return topo_.grid_cols(); }
-  i32 noc_bits() const { return topo_.noc_bits(); }
-  Coord position(u32 core) const { return topo_.position(core); }
-  u32 neighbor(u32 core, Dir d) const { return topo_.neighbor(core, d); }
-  Status neighbor(u32 core, Dir d, u32* out) const { return topo_.neighbor(core, d, out); }
-  u32 neighbor_checked(u32 core, Dir d) const { return topo_.neighbor_checked(core, d); }
-  LinkId link_id(u32 core, Dir d) const { return topo_.link_id(core, d); }
-  TrafficCounters make_counters() const { return topo_.make_counters(); }
-
-  // --- state access / movement (delegated) --------------------------------
-  Router& router(u32 core) { return state_.router(core); }
-  const Router& router(u32 core) const { return state_.router(core); }
-
-  void send_ps(u32 src, Dir d, u16 plane, i16 value, TrafficCounters& tc) {
-    state_.send_ps(topo_, src, d, plane, value, tc);
-  }
-  void send_spike(u32 src, Dir d, u16 plane, bool value, TrafficCounters& tc) {
-    state_.send_spike(topo_, src, d, plane, value, tc);
-  }
-  void send_ps_masked(LinkId lid, const Router::Words& mask, const i16* values,
-                      TrafficCounters& tc) {
-    state_.send_ps_masked(topo_, lid, mask, values, tc);
-  }
-  void send_spike_masked(LinkId lid, const Router::Words& mask, const Router::Words& bits,
-                         TrafficCounters& tc) {
-    state_.send_spike_masked(topo_, lid, mask, bits, tc);
-  }
-  void commit_cycle() { state_.commit_cycle(); }
-  void reset() { state_.reset(); }
-  void reset_subset(const std::vector<u32>& cores, const std::vector<LinkId>& links) {
-    state_.reset_subset(cores, links);
-  }
-
- private:
-  NocTopology topo_;
-  NocState state_;
 };
 
 }  // namespace sj::noc

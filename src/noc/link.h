@@ -7,7 +7,7 @@
 // one *directed* hop of that bundle; the PS and spike networks share the
 // record (same endpoints) and split the counters.
 //
-// Counters are deliberately separated from topology: a NocFabric (fixed
+// Counters are deliberately separated from topology: a NocTopology (fixed
 // wiring) is shared by a simulation run, while TrafficCounters are cheap
 // value objects that each worker thread accumulates privately and merges,
 // exactly like sim::SimStats.
@@ -21,7 +21,7 @@
 
 namespace sj::noc {
 
-/// Index of a directed link in NocFabric::links().
+/// Index of a directed link in NocTopology::links().
 using LinkId = u32;
 
 inline constexpr u32 kInvalidCore = ~u32{0};

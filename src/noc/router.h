@@ -15,7 +15,7 @@
 // is the faithful one — the scalar per-plane accessors below it are the
 // convenience view, not the other way around.
 //
-// Two-phase cycle semantics (read-then-write) are owned by NocFabric: port
+// Two-phase cycle semantics (read-then-write) are owned by NocState: port
 // input registers are only written at commit_cycle(), while the same-tile
 // registers (sum_buf / eject / spike_out) update immediately — the schedule
 // guarantees a plane executes at most one op per router per cycle, so an

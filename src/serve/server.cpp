@@ -135,8 +135,7 @@ std::shared_ptr<const Server::Generation> Server::make_generation(
 Server::Server(ServerOptions options)
     : max_pending_(options.max_pending),
       shard_below_depth_(options.shard_below_depth),
-      profile_engine_(options.profile_engine),
-      opt_level_(options.opt_level) {
+      profile_engine_(options.profile_engine) {
   submitted_ = &registry_.counter("serve.submitted");
   completed_ = &registry_.counter("serve.completed");
   errors_ = &registry_.counter("serve.errors");
@@ -162,10 +161,6 @@ Server::ModelMetrics Server::make_model_metrics(ModelKey key) {
 }
 
 ModelKey Server::load_model(const map::MappedNetwork& mapped, const snn::SnnNetwork& net) {
-  SJ_REQUIRE(opt_level_ < 0 || mapped.opt_level == opt_level_,
-             "serve: load_model at mapper opt level " +
-                 std::to_string(mapped.opt_level) + " but the server admits only level " +
-                 std::to_string(opt_level_));
   const ModelKey key = model_key(mapped, net);
   std::shared_ptr<const Generation> donor;
   {
@@ -219,10 +214,6 @@ ModelKey Server::load_model(const map::MappedNetwork& mapped, const snn::SnnNetw
 
 void Server::swap_weights(ModelKey key, const map::MappedNetwork& mapped,
                           const snn::SnnNetwork& net) {
-  SJ_REQUIRE(opt_level_ < 0 || mapped.opt_level == opt_level_,
-             "serve: swap_weights at mapper opt level " +
-                 std::to_string(mapped.opt_level) + " but the server admits only level " +
-                 std::to_string(opt_level_));
   std::shared_ptr<const Generation> donor;
   {
     const std::lock_guard<std::mutex> lock(mu_);

@@ -22,8 +22,8 @@
 // into the model's tally, then fulfil the future.
 //
 // Determinism: every frame starts from a full context reset, so a request's
-// FrameResult is bit-identical to a single-context sim::Simulator run of
-// the same frame no matter which worker ran it or how requests interleaved.
+// FrameResult is bit-identical to Engine::run_frame of the same frame on a
+// single context, no matter which worker ran it or how requests interleaved.
 // Stats merging is integer-additive and therefore order-independent: the
 // model tally equals the serial accumulation bit for bit.
 //
@@ -120,13 +120,6 @@ struct ServerOptions {
   /// surface in metrics_json() under "engine_profile". Off by default —
   /// profiled frames pay clock reads around every shard range.
   bool profile_engine = false;
-  /// Admission policy for the mapper optimization level: when >= 0,
-  /// load_model() and swap_weights() reject MappedNetworks whose
-  /// `opt_level` differs — a fleet that pins its serving artifacts to one
-  /// optimization pipeline fails fast on a stray compile instead of
-  /// hosting mixed programs. -1 (default) admits any level; cache entries
-  /// still never alias across levels (model_key hashes the level).
-  i32 opt_level = -1;
 };
 
 /// How shutdown() treats requests still sitting in the queue.
@@ -298,7 +291,6 @@ class Server {
   const usize max_pending_;
   const usize shard_below_depth_;
   const bool profile_engine_;
-  const i32 opt_level_;  // admission policy; -1 admits any level
   // The metric store and the hot-path handles into it. Declared before
   // workers_ so it outlives the worker threads on destruction. Lock order:
   // the registry's own mutex is taken either alone (snapshots, record paths

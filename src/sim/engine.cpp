@@ -1185,4 +1185,26 @@ std::vector<FrameResult> Engine::run_batch(std::span<const Tensor> images,
   return results;
 }
 
+double hardware_accuracy(const MappedNetwork& mapped, const snn::SnnNetwork& net,
+                         const nn::Dataset& data, usize max_frames, SimStats* stats) {
+  const usize n = max_frames == 0 ? data.size() : std::min(max_frames, data.size());
+  SJ_REQUIRE(n > 0, "hardware_accuracy: no frames");
+  Engine engine(mapped, net);
+  // Bounded batches: only a chunk of FrameResults is ever live, so a full
+  // dataset evaluation does not materialize n results to compute a scalar.
+  // Chunking does not affect determinism — per-frame results and stats
+  // contributions are independent of how the frames are grouped.
+  constexpr usize kChunk = 1024;
+  usize correct = 0;
+  for (usize base = 0; base < n; base += kChunk) {
+    const usize len = std::min(kChunk, n - base);
+    const std::vector<FrameResult> results =
+        engine.run_batch(std::span<const Tensor>(data.images.data() + base, len), stats);
+    for (usize i = 0; i < len; ++i) {
+      if (results[i].predicted == data.labels[base + i]) ++correct;
+    }
+  }
+  return static_cast<double>(correct) / static_cast<double>(n);
+}
+
 }  // namespace sj::sim

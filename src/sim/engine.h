@@ -28,8 +28,16 @@
 // it — so batch outputs and merged counters are bit-identical under 1 or N
 // threads. tests/test_engine_batch.cpp enforces this.
 //
-// The thin sim::Simulator wrapper (simulator.h) binds one Engine to one
-// context for single-stream callers.
+// A single frame stream is one Engine plus one context from
+// make_context(): run_frame(ctx, image) per frame, stats read back with
+// ctx.take_stats() or ctx.drain_stats().
+//
+// The engine aims to be cycle-by-cycle equivalent to RTL in the three senses
+// the paper lists (§V): it runs the Table-I atomic operations, it produces
+// and routes the same data in neuron cores and NoCs, and it yields the
+// execution statistics for architectural power estimation. Bit-exactness
+// against the abstract SNN is enforced by tests/test_fuzz_equivalence.cpp,
+// and against a per-plane scalar reference by tests/test_exec_kernels.cpp.
 #pragma once
 
 #include <memory>
@@ -139,7 +147,7 @@ struct FrameResult {
 /// topology, the lowered op stream, the precompiled dense weight rows and
 /// the touch sets that let per-frame resets skip filler tiles. Shared
 /// read-only by every SimContext; keeps pointers to `mapped`/`net`, which
-/// must outlive it (same contract as the original Simulator).
+/// must outlive it.
 class CompiledModel {
  public:
   CompiledModel(const MappedNetwork& mapped, const snn::SnnNetwork& net);
@@ -325,10 +333,13 @@ class Engine {
 
   /// Simulates one frame (T + depth iterations) on `ctx`, accruing stats
   /// into ctx.stats(). `trace`, when provided, is filled with per-unit root
-  /// spike trains for equivalence checking. Semantically identical to the
-  /// pre-batch Simulator::run_frame. REQUIREs one pixel per model input
-  /// (image.numel() == mapped().input_taps.size()), checked before `ctx`
-  /// changes; run_frame_sharded and run_batch inherit the check.
+  /// spike trains for equivalence checking. REQUIREs one pixel per model
+  /// input (image.numel() == mapped().input_taps.size()), checked before
+  /// `ctx` changes; a context sized for another core grid is an
+  /// InternalError. run_frame_sharded and run_batch inherit both checks. A
+  /// frame that throws past the checks leaves its partial tally in
+  /// ctx.stats(); callers that keep the context discard it with
+  /// take_stats().
   FrameResult run_frame(SimContext& ctx, const Tensor& image,
                         HardwareTrace* trace = nullptr) const;
 
@@ -424,5 +435,11 @@ class Engine {
   CompiledModel model_;
   std::vector<std::unique_ptr<SimContext>> contexts_;
 };
+
+/// Accuracy of the *hardware* on (a prefix of) a dataset, evaluated as one
+/// Engine batch. Also accumulates stats when given.
+double hardware_accuracy(const MappedNetwork& mapped, const snn::SnnNetwork& net,
+                         const nn::Dataset& data, usize max_frames = 0,
+                         SimStats* stats = nullptr);
 
 }  // namespace sj::sim

@@ -11,7 +11,7 @@
 
 #include "mapper/mapper.h"
 #include "nn/dataset.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 #include "snn/evaluate.h"
 
@@ -130,14 +130,14 @@ TEST_P(EquivalenceFuzzTest, RandomArchitectureIsBitExact) {
       ASSERT_EQ(mapped.opt_level, level);
       ASSERT_EQ(mapped.pipeline, pipe);
 
-      sim::Simulator sim(mapped, net);
-      sim::SimStats st;
+      const sim::Engine engine(mapped, net);
+      sim::SimContext ctx = engine.make_context();
       for (int f = 0; f < 2; ++f) {
         snn::Trace tr;
         const snn::EvalResult abs = ev.run(data.images[static_cast<usize>(f)], nullptr, &tr);
         sim::HardwareTrace ht;
         const sim::FrameResult hw =
-            sim.run_frame(data.images[static_cast<usize>(f)], &st, &ht);
+            engine.run_frame(ctx, data.images[static_cast<usize>(f)], &ht);
         ASSERT_EQ(hw.spike_counts, abs.spike_counts) << "frame " << f;
         for (usize u = 0; u < net.units.size(); ++u) {
           for (usize t = 0; t < ht.units[u].size(); ++t) {
@@ -146,8 +146,8 @@ TEST_P(EquivalenceFuzzTest, RandomArchitectureIsBitExact) {
           }
         }
       }
-      EXPECT_EQ(st.saturations, 0);
-      stats[level][pipe] = st;
+      stats[level][pipe] = ctx.take_stats();
+      EXPECT_EQ(stats[level][pipe].saturations, 0);
     }
 
     // Pipelined vs serial at the same level: identical dataflow, identical

@@ -8,7 +8,7 @@
 
 #include "harness/pipeline.h"
 #include "harness/zoo.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 
 namespace sj::harness {
 namespace {

@@ -1,4 +1,4 @@
-// NoC subsystem tests: fabric topology, two-phase (read-then-write) router
+// NoC subsystem tests: topology wiring, two-phase (read-then-write) router
 // semantics, per-link traffic/toggle/inter-chip accounting, the PS in-router
 // saturating adder, the dry-run conflict checker, and the traffic report.
 // Also the mapper-integration acceptance case: validation rejects a
@@ -11,7 +11,7 @@
 #include "noc/fabric.h"
 #include "noc/traffic.h"
 #include "power/power.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 
 namespace sj::noc {
@@ -21,17 +21,16 @@ using core::AtomicOp;
 using core::PlaneMask;
 
 /// Dense grid of rows x cols cores, row-major core ids.
-NocFabric grid_fabric(i32 rows, i32 cols, core::ArchParams arch = {},
-                      FabricOptions opts = {}) {
+NocTopology grid_topology(i32 rows, i32 cols, core::ArchParams arch = {}) {
   std::vector<Coord> pos;
   for (i32 r = 0; r < rows; ++r) {
     for (i32 c = 0; c < cols; ++c) pos.push_back(Coord{r, c});
   }
-  return NocFabric(arch, rows, cols, pos, opts);
+  return NocTopology(arch, rows, cols, pos);
 }
 
-TEST(NocFabricTest, GridTopology) {
-  const NocFabric f = grid_fabric(2, 3);
+TEST(NocTopologyTest, GridTopology) {
+  const NocTopology f = grid_topology(2, 3);
   EXPECT_EQ(f.num_cores(), 6u);
   // Directed links: horizontal 2 rows * 2 pairs * 2 dirs = 8, vertical
   // 3 cols * 1 pair * 2 dirs = 6.
@@ -58,8 +57,8 @@ TEST(NocFabricTest, GridTopology) {
   }
 }
 
-TEST(NocFabricTest, OffGridNeighborIsTestableStatus) {
-  const NocFabric f = grid_fabric(2, 2);
+TEST(NocTopologyTest, OffGridNeighborIsTestableStatus) {
+  const NocTopology f = grid_topology(2, 2);
   u32 nb = kInvalidCore;
   // Corner core 0 = (0,0): North and West fall off the grid.
   const Status north = f.neighbor(0, Dir::North, &nb);
@@ -68,50 +67,52 @@ TEST(NocFabricTest, OffGridNeighborIsTestableStatus) {
   const Status east = f.neighbor(0, Dir::East, &nb);
   ASSERT_TRUE(east.is_ok());
   EXPECT_EQ(nb, 1u);
-  // The throwing form stays available for can't-happen contexts.
-  EXPECT_THROW(f.neighbor_checked(0, Dir::West), InternalError);
-  EXPECT_EQ(f.neighbor_checked(0, Dir::South), 2u);
+  EXPECT_FALSE(f.neighbor(0, Dir::West, &nb).is_ok());
+  ASSERT_TRUE(f.neighbor(0, Dir::South, &nb).is_ok());
+  EXPECT_EQ(nb, 2u);
 }
 
-TEST(NocFabricTest, SparseGridHasNoWireAcrossHoles) {
+TEST(NocTopologyTest, SparseGridHasNoWireAcrossHoles) {
   // Cores at (0,0) and (0,2) with a hole at (0,1): no direct link.
   core::ArchParams arch;
-  const NocFabric f(arch, 1, 3, {Coord{0, 0}, Coord{0, 2}});
+  const NocTopology f(arch, 1, 3, {Coord{0, 0}, Coord{0, 2}});
   EXPECT_EQ(f.num_links(), 0u);
   EXPECT_EQ(f.neighbor(0, Dir::East), kInvalidCore);
 }
 
-TEST(NocFabricTest, DuplicateTileRejected) {
+TEST(NocTopologyTest, DuplicateTileRejected) {
   core::ArchParams arch;
-  EXPECT_THROW(NocFabric(arch, 1, 2, {Coord{0, 0}, Coord{0, 0}}), InvalidArgument);
+  EXPECT_THROW(NocTopology(arch, 1, 2, {Coord{0, 0}, Coord{0, 0}}), InvalidArgument);
 }
 
 TEST(NocRouterTest, TwoPhaseSendIsInvisibleUntilCommit) {
-  NocFabric f = grid_fabric(1, 2);
-  TrafficCounters tc = f.make_counters();
-  f.send_ps(0, Dir::East, 7, 1234, tc);
-  f.send_spike(0, Dir::East, 7, true, tc);
+  const NocTopology topo = grid_topology(1, 2);
+  NocState st(topo);
+  TrafficCounters tc = topo.make_counters();
+  st.send_ps(topo, 0, Dir::East, 7, 1234, tc);
+  st.send_spike(topo, 0, Dir::East, 7, true, tc);
   // Read phase of the same cycle still sees the old register values.
-  EXPECT_EQ(f.router(1).ps_in(Dir::West, 7), 0);
-  EXPECT_FALSE(f.router(1).spike_in(Dir::West, 7));
-  f.commit_cycle();
-  EXPECT_EQ(f.router(1).ps_in(Dir::West, 7), 1234);
-  EXPECT_TRUE(f.router(1).spike_in(Dir::West, 7));
+  EXPECT_EQ(st.router(1).ps_in(Dir::West, 7), 0);
+  EXPECT_FALSE(st.router(1).spike_in(Dir::West, 7));
+  st.commit_cycle();
+  EXPECT_EQ(st.router(1).ps_in(Dir::West, 7), 1234);
+  EXPECT_TRUE(st.router(1).spike_in(Dir::West, 7));
   // Plane isolation: neighboring planes untouched.
-  EXPECT_EQ(f.router(1).ps_in(Dir::West, 6), 0);
-  EXPECT_FALSE(f.router(1).spike_in(Dir::West, 8));
+  EXPECT_EQ(st.router(1).ps_in(Dir::West, 6), 0);
+  EXPECT_FALSE(st.router(1).spike_in(Dir::West, 8));
 }
 
 TEST(NocRouterTest, CommitAppliesStagedWritesInOrder) {
   // Two same-cycle writes to one register are a schedule bug (the dry run
-  // rejects them), but the fabric's behavior is still defined: staging
+  // rejects them), but the state's behavior is still defined: staging
   // order wins, mirroring the pre-refactor simulator.
-  NocFabric f = grid_fabric(1, 2);
-  TrafficCounters tc = f.make_counters();
-  f.send_ps(0, Dir::East, 0, 11, tc);
-  f.send_ps(0, Dir::East, 0, 22, tc);
-  f.commit_cycle();
-  EXPECT_EQ(f.router(1).ps_in(Dir::West, 0), 22);
+  const NocTopology topo = grid_topology(1, 2);
+  NocState st(topo);
+  TrafficCounters tc = topo.make_counters();
+  st.send_ps(topo, 0, Dir::East, 0, 11, tc);
+  st.send_ps(topo, 0, Dir::East, 0, 22, tc);
+  st.commit_cycle();
+  EXPECT_EQ(st.router(1).ps_in(Dir::West, 0), 22);
 }
 
 TEST(NocRouterTest, CompactStateMatchesFullStateOnTheTouchSet) {
@@ -167,16 +168,45 @@ TEST(NocRouterTest, CompactStateMatchesFullStateOnTheTouchSet) {
   EXPECT_THROW(compact.send_ps(topo, 1, Dir::South, 0, 1, tc), InternalError);
 }
 
+TEST(NocRouterTest, StateRejectsATopologyItWasNotSizedFor) {
+  // Callers pair a topology with a state by hand; a state sized for one
+  // grid must refuse to route over another rather than index past its
+  // router and toggle tables.
+  const NocTopology sized = grid_topology(1, 2);
+  const NocTopology wider = grid_topology(1, 3);
+  NocState st(sized);
+  TrafficCounters tc = wider.make_counters();
+  const LinkId east = wider.link_id(0, Dir::East);
+  ASSERT_NE(east, kInvalidLink);
+  Router::Words mask{};
+  mask[0] = 1;
+  const std::array<i16, Router::kPlanes> values{};
+  const auto expect_mismatch = [](const auto& send) {
+    try {
+      send();
+      ADD_FAILURE() << "mismatched topology accepted";
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find("routed over a topology it was not sized for"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_mismatch([&] { st.send_ps_masked(wider, east, mask, values.data(), tc); });
+  expect_mismatch([&] { st.send_spike_masked(wider, east, mask, mask, tc); });
+  EXPECT_TRUE(tc.links[east].idle());
+}
+
 TEST(NocRouterTest, PsAdderSaturatesAtNocWidth) {
   core::ArchParams arch;
   arch.noc_bits = 8;  // [-128, 127]
   arch.local_ps_bits = 7;
-  NocFabric f = grid_fabric(1, 2, arch);
-  TrafficCounters tc = f.make_counters();
-  f.send_ps(0, Dir::East, 3, 100, tc);
-  f.commit_cycle();
+  const NocTopology topo = grid_topology(1, 2, arch);
+  NocState st(topo);
+  TrafficCounters tc = topo.make_counters();
+  st.send_ps(topo, 0, Dir::East, 3, 100, tc);
+  st.commit_cycle();
   i64 sats = 0;
-  Router& r = f.router(1);
+  Router& r = st.router(1);
   r.ps_sum(3, 60, Dir::West, arch.noc_bits, &sats);  // 160 > 127: clips
   EXPECT_EQ(r.sum_buf(3), 127);
   EXPECT_EQ(sats, 1);
@@ -187,29 +217,30 @@ TEST(NocRouterTest, PsAdderSaturatesAtNocWidth) {
 
 TEST(NocTrafficTest, PerLinkBitAndToggleCounters) {
   const i32 noc_bits = core::ArchParams{}.noc_bits;
-  NocFabric f = grid_fabric(1, 2);
-  TrafficCounters tc = f.make_counters();
-  const LinkId east = f.link_id(0, Dir::East);
+  const NocTopology topo = grid_topology(1, 2);
+  NocState st(topo);
+  TrafficCounters tc = topo.make_counters();
+  const LinkId east = topo.link_id(0, Dir::East);
   ASSERT_NE(east, kInvalidLink);
 
-  f.send_ps(0, Dir::East, 0, 0b1010, tc);  // from 0: 2 wire toggles
-  f.commit_cycle();
-  f.send_ps(0, Dir::East, 0, 0b1010, tc);  // same value: 0 toggles
-  f.commit_cycle();
-  f.send_ps(0, Dir::East, 0, 0b0101, tc);  // 4 toggles
-  f.commit_cycle();
+  st.send_ps(topo, 0, Dir::East, 0, 0b1010, tc);  // from 0: 2 wire toggles
+  st.commit_cycle();
+  st.send_ps(topo, 0, Dir::East, 0, 0b1010, tc);  // same value: 0 toggles
+  st.commit_cycle();
+  st.send_ps(topo, 0, Dir::East, 0, 0b0101, tc);  // 4 toggles
+  st.commit_cycle();
   EXPECT_EQ(tc.links[east].ps_flits, 3);
   EXPECT_EQ(tc.links[east].ps_bits, 3 * noc_bits);
   EXPECT_EQ(tc.links[east].ps_toggles, 6);
 
-  f.send_spike(0, Dir::East, 9, true, tc);
-  f.send_spike(0, Dir::East, 9, true, tc);   // no transition
-  f.send_spike(0, Dir::East, 9, false, tc);  // transition
+  st.send_spike(topo, 0, Dir::East, 9, true, tc);
+  st.send_spike(topo, 0, Dir::East, 9, true, tc);   // no transition
+  st.send_spike(topo, 0, Dir::East, 9, false, tc);  // transition
   EXPECT_EQ(tc.links[east].spike_flits, 3);
   EXPECT_EQ(tc.links[east].spike_toggles, 2);
 
   // Nothing moved westward.
-  const LinkId west = f.link_id(1, Dir::West);
+  const LinkId west = topo.link_id(1, Dir::West);
   EXPECT_TRUE(tc.links[west].idle());
 }
 
@@ -218,36 +249,38 @@ TEST(NocTrafficTest, InterchipLinksAndAggregates) {
   core::ArchParams arch;
   arch.chip_rows = 2;
   arch.chip_cols = 2;
-  NocFabric f = grid_fabric(1, 4, arch);
+  const NocTopology topo = grid_topology(1, 4, arch);
+  NocState st(topo);
   int interchip = 0;
-  for (const Link& l : f.links()) interchip += l.interchip ? 1 : 0;
+  for (const Link& l : topo.links()) interchip += l.interchip ? 1 : 0;
   EXPECT_EQ(interchip, 2);  // east and west directions of the boundary hop
 
-  TrafficCounters tc = f.make_counters();
-  f.send_ps(0, Dir::East, 0, 5, tc);   // intra-chip
-  f.send_ps(1, Dir::East, 0, 5, tc);   // crosses the boundary
-  f.send_spike(2, Dir::West, 0, true, tc);  // crosses back
+  TrafficCounters tc = topo.make_counters();
+  st.send_ps(topo, 0, Dir::East, 0, 5, tc);   // intra-chip
+  st.send_ps(topo, 1, Dir::East, 0, 5, tc);   // crosses the boundary
+  st.send_spike(topo, 2, Dir::West, 0, true, tc);  // crosses back
   EXPECT_EQ(tc.interchip_ps_bits, arch.noc_bits);
   EXPECT_EQ(tc.interchip_spike_bits, 1);
 }
 
 TEST(NocTrafficTest, CountersMerge) {
-  NocFabric f = grid_fabric(1, 2);
-  TrafficCounters a = f.make_counters(), b = f.make_counters();
-  f.send_ps(0, Dir::East, 0, 1, a);
-  f.commit_cycle();
-  f.send_ps(0, Dir::East, 0, 2, b);
-  f.commit_cycle();
+  const NocTopology topo = grid_topology(1, 2);
+  NocState st(topo);
+  TrafficCounters a = topo.make_counters(), b = topo.make_counters();
+  st.send_ps(topo, 0, Dir::East, 0, 1, a);
+  st.commit_cycle();
+  st.send_ps(topo, 0, Dir::East, 0, 2, b);
+  st.commit_cycle();
   TrafficCounters merged;  // starts empty: adopts the first operand
   merged.merge(a);
   merged.merge(b);
-  const LinkId east = f.link_id(0, Dir::East);
+  const LinkId east = topo.link_id(0, Dir::East);
   EXPECT_EQ(merged.links[east].ps_flits, 2);
   EXPECT_EQ(merged.total_ps_bits(), a.total_ps_bits() + b.total_ps_bits());
 }
 
 TEST(NocDryRunTest, CleanScheduleAndPlaneMaskingPass) {
-  const NocFabric f = grid_fabric(1, 3);
+  const NocTopology f = grid_topology(1, 3);
   std::vector<RouteOp> ops;
   // Same cycle, same core, same block — but disjoint plane sets: legal
   // (the 256 planes are physically independent networks).
@@ -258,7 +291,7 @@ TEST(NocDryRunTest, CleanScheduleAndPlaneMaskingPass) {
 }
 
 TEST(NocDryRunTest, SameCycleIssueConflictOnOverlappingPlanes) {
-  const NocFabric f = grid_fabric(1, 3);
+  const NocTopology f = grid_topology(1, 3);
   std::vector<RouteOp> ops;
   ops.push_back({4, 1, PlaneMask::first_n(8), AtomicOp::ps_sum(Dir::West, false)});
   ops.push_back({4, 1, PlaneMask::single(3), AtomicOp::ps_send(Dir::East, true)});
@@ -271,7 +304,7 @@ TEST(NocDryRunTest, SameCycleIssueConflictOnOverlappingPlanes) {
 }
 
 TEST(NocDryRunTest, TwoWritersOfOneRegisterRejected) {
-  const NocFabric f = grid_fabric(1, 3);
+  const NocTopology f = grid_topology(1, 3);
   // Cores 0 and 1 both SUM into core 1's... impossible from two cores; the
   // realistic double-writer is one core issuing against one register twice
   // in different *cycles* folded to one by a scheduler bug. Model it
@@ -290,7 +323,7 @@ TEST(NocDryRunTest, TwoWritersOfOneRegisterRejected) {
 }
 
 TEST(NocDryRunTest, OffGridRouteIsStatusNotCrash) {
-  const NocFabric f = grid_fabric(1, 2);
+  const NocTopology f = grid_topology(1, 2);
   std::vector<RouteOp> ops;
   ops.push_back({0, 1, PlaneMask::single(0), AtomicOp::spk_send(Dir::East)});
   const Status s = dry_run(f, ops);
@@ -353,10 +386,11 @@ TEST(NocMapperIntegration, SimTrafficMatchesStaticCensusPerTimestep) {
   // traffic divided by iterations must equal the static census — this is
   // the contract estimate_measured() relies on.
   Built b = build_small();
-  sim::Simulator sim(b.mapped, b.net);
-  sim::SimStats st;
-  sim.run_frame(b.data.images[0], &st);
-  sim.run_frame(b.data.images[1], &st);
+  const sim::Engine engine(b.mapped, b.net);
+  sim::SimContext ctx = engine.make_context();
+  engine.run_frame(ctx, b.data.images[0]);
+  engine.run_frame(ctx, b.data.images[1]);
+  const sim::SimStats st = ctx.take_stats();
   ASSERT_GT(st.iterations, 0);
 
   i64 send_flits = 0;  // PS values a timestep puts on the wires, per census
@@ -371,7 +405,7 @@ TEST(NocMapperIntegration, SimTrafficMatchesStaticCensusPerTimestep) {
   EXPECT_EQ(measured_flits, send_flits * st.iterations);
 
   const TrafficReport rep =
-      TrafficReport::build(sim.topology(), st.noc, st.cycles, st.iterations, "noc-int");
+      TrafficReport::build(engine.model().topology(), st.noc, st.cycles, st.iterations, "noc-int");
   EXPECT_EQ(rep.total_ps_bits, measured_flits * b.mapped.arch.noc_bits);
   EXPECT_EQ(rep.interchip_ps_bits, st.interchip_ps_bits());
   EXPECT_GT(rep.active_links, 0u);
@@ -411,9 +445,10 @@ TEST(NocMapperIntegration, MeasuredPowerMatchesStaticEstimate) {
   mc.arch.chip_cols = 1;  // one tile per chip: every hop crosses chips
   const map::MappedNetwork mapped = map::map_network(net, mc);
 
-  sim::Simulator sim(mapped, net);
-  sim::SimStats st;
-  sim.run_frame(d.images[0], &st);
+  const sim::Engine engine(mapped, net);
+  sim::SimContext ctx = engine.make_context();
+  engine.run_frame(ctx, d.images[0]);
+  const sim::SimStats st = ctx.take_stats();
   ASSERT_GT(st.interchip_ps_bits() + st.interchip_spike_bits(), 0);
 
   const power::PowerReport from_census = power::estimate(mapped, 30.0);

@@ -12,7 +12,7 @@
 #include "mapper/mapper.h"
 #include "mapper/pipeline.h"
 #include "nn/dataset.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 
 namespace sj {
@@ -161,8 +161,8 @@ TEST(PipelineProgramTest, SlackFlowsToExecProgram) {
     mc.pipeline = pipe;
     const map::MappedNetwork mapped = map::map_network(net, mc);
     ASSERT_EQ(mapped.pipeline, pipe);
-    sim::Simulator sim(mapped, net);
-    const map::ExecProgram& prog = sim.program();
+    const sim::Engine engine(mapped, net);
+    const map::ExecProgram& prog = engine.model().program();
     const map::PipelineSchedule ps = map::build_pipeline(mapped);
     EXPECT_EQ(prog.pipeline_depth, ps.depth);
     ASSERT_EQ(prog.pipeline_slack.size(), mapped.schedule.size());

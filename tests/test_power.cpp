@@ -7,6 +7,7 @@
 #include "nn/dataset.h"
 #include "power/comparison.h"
 #include "power/power.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 
 namespace sj::power {
@@ -44,8 +45,8 @@ TEST(EnergyTable, CyclesPerOp) {
 }
 
 struct MlpFixture : public ::testing::Test {
-  static const map::MappedNetwork& mapped() {
-    static const map::MappedNetwork m = [] {
+  static const snn::SnnNetwork& net() {
+    static const snn::SnnNetwork n = [] {
       Rng rng(101);
       nn::Model model({28, 28, 1}, "mlp");
       model.flatten();
@@ -56,8 +57,12 @@ struct MlpFixture : public ::testing::Test {
       const nn::Dataset calib = nn::make_synth_digits(24, {.seed = 4});
       snn::ConvertConfig cc;
       cc.timesteps = 20;
-      return map::map_network(snn::convert(model, calib, cc));
+      return snn::convert(model, calib, cc);
     }();
+    return n;
+  }
+  static const map::MappedNetwork& mapped() {
+    static const map::MappedNetwork m = map::map_network(net());
     return m;
   }
 };
@@ -103,6 +108,33 @@ TEST_F(MlpFixture, Fig5TradeoffIsLinearInFps) {
   // Paper band check at 40 fps: 120 kHz / 181 uW-per-tile regime.
   EXPECT_GT(pts[3].tile_power_w, 50e-6);
   EXPECT_LT(pts[3].tile_power_w, 300e-6);
+}
+
+TEST_F(MlpFixture, EffectiveCyclesFollowTheEngineSchedule) {
+  // Both schedules: MapperConfig::pipeline only stamps
+  // MappedNetwork::pipeline, so re-stamping a copy is the same compile.
+  const std::vector<double> fps = {24, 30, 40, 60};
+  for (const i32 pipe : {0, 1}) {
+    SCOPED_TRACE("pipeline " + std::to_string(pipe));
+    map::MappedNetwork m = mapped();
+    m.pipeline = pipe;
+    const sim::Engine engine(m, net());
+    const map::PipelineSchedule& ps = engine.model().pipeline();
+    const u64 T = static_cast<u64>(m.timesteps);
+    const PowerReport r = estimate(m, 40.0);
+    EXPECT_EQ(r.effective_cycles_per_frame,
+              (T - 1) * static_cast<u64>(ps.ii) + static_cast<u64>(ps.span));
+    if (pipe == 0) {
+      EXPECT_EQ(r.effective_cycles_per_frame, r.cycles_per_frame);
+    }
+    const auto pts = throughput_tradeoff(m, fps);
+    ASSERT_EQ(pts.size(), fps.size());
+    for (usize i = 0; i < pts.size(); ++i) {
+      const PowerReport at = estimate(m, fps[i]);
+      EXPECT_EQ(pts[i].freq_hz, at.freq_hz) << "fps " << fps[i];
+      EXPECT_EQ(pts[i].tile_power_w, at.power_per_core_w) << "fps " << fps[i];
+    }
+  }
 }
 
 TEST_F(MlpFixture, CensusCountsAccPerCore) {

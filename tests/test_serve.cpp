@@ -1,8 +1,8 @@
 // Serving front-end tests: the async queue, the multi-model cache and the
 // weight swap must all be invisible in the numbers.
 //
-//  1. Interleaved multi-client submissions are bit-identical to serial
-//     single-context Simulator runs — per frame AND in the merged stats.
+//  1. Interleaved multi-client submissions are bit-identical to a serial
+//     single-context engine run — per frame AND in the merged stats.
 //  2. Weight swap serves the new model's outputs with no stale state, while
 //     requests bound before the swap still serve the old generation.
 //  3. Shutdown with in-flight requests neither deadlocks nor leaks partial
@@ -21,7 +21,7 @@
 #include "mapper/mapper.h"
 #include "nn/dataset.h"
 #include "serve/server.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 
 namespace sj::serve {
@@ -102,16 +102,23 @@ void expect_stats_eq(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.noc.interchip_spike_bits, b.noc.interchip_spike_bits);
 }
 
-/// Serial single-context reference: results + accumulated stats.
-std::pair<std::vector<FrameResult>, SimStats> serial_reference(const Built& b) {
-  sim::Simulator sim(b.mapped, b.net);
-  SimStats st;
+/// Serial single-context reference: one Engine and one context running
+/// `images` in order; results + the context's accumulated stats.
+std::pair<std::vector<FrameResult>, SimStats> serial_reference(
+    const map::MappedNetwork& mapped, const snn::SnnNetwork& net,
+    const std::vector<Tensor>& images) {
+  const sim::Engine engine(mapped, net);
+  sim::SimContext ctx = engine.make_context();
   std::vector<FrameResult> res;
-  for (const Tensor& img : b.data.images) res.push_back(sim.run_frame(img, &st));
-  return {std::move(res), std::move(st)};
+  for (const Tensor& img : images) res.push_back(engine.run_frame(ctx, img));
+  return {std::move(res), ctx.take_stats()};
 }
 
-TEST(Serve, SingleClientMatchesSerialSimulatorBitExactly) {
+std::pair<std::vector<FrameResult>, SimStats> serial_reference(const Built& b) {
+  return serial_reference(b.mapped, b.net, b.data.images);
+}
+
+TEST(Serve, SingleClientMatchesSerialFrameLoopBitExactly) {
   // Both schedules: the mapping as compiled with MapperConfig::pipeline 0
   // (serial II = C) and 1 (overlapped where feasible). The flag only stamps
   // MappedNetwork::pipeline, so re-stamping a copy is the same compile.
@@ -223,10 +230,7 @@ TEST(Serve, WeightSwapServesNewOutputsWithoutStaleState) {
   const auto [want_old, stats_old] = serial_reference(b1);
   // The new generation evaluated on b1's frames (what post-swap clients
   // submitting those frames must see).
-  sim::Simulator new_sim(b2.mapped, b2.net);
-  SimStats stats_new;
-  std::vector<FrameResult> want_new;
-  for (const Tensor& img : b1.data.images) want_new.push_back(new_sim.run_frame(img, &stats_new));
+  const auto [want_new, stats_new] = serial_reference(b2.mapped, b2.net, b1.data.images);
 
   Server server({.workers = 2});
   const ModelKey key = server.load_model(b1.mapped, b1.net);
@@ -424,9 +428,7 @@ TEST(Serve, ConcurrentBatchesOnABoundedQueueAllComplete) {
   // every admission must reserve the whole batch (no half-admitted batch
   // can deadlock the other client), and every future must come back right.
   const Built b = build_fc(153, 4, 4);
-  sim::Simulator serial(b.mapped, b.net);
-  std::vector<FrameResult> want;
-  for (const Tensor& img : b.data.images) want.push_back(serial.run_frame(img));
+  const std::vector<FrameResult> want = serial_reference(b).first;
 
   Server server({.workers = 1, .max_pending = 4});
   const ModelKey key = server.load_model(b.mapped, b.net);

@@ -7,7 +7,7 @@
 
 #include "mapper/mapper.h"
 #include "nn/dataset.h"
-#include "sim/simulator.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 #include "snn/evaluate.h"
 
@@ -44,13 +44,13 @@ Built build(nn::Model& m, const Shape& in_shape, u64 seed, i32 T,
 /// Asserts per-unit per-timestep spike-train equality plus output equality.
 void expect_equivalent(const Built& b, usize frames, i64* sat_out = nullptr) {
   const snn::AbstractEvaluator ev(b.net);
-  Simulator sim(b.mapped, b.net);
-  SimStats st;
+  const Engine engine(b.mapped, b.net);
+  SimContext ctx = engine.make_context();
   for (usize f = 0; f < frames; ++f) {
     snn::Trace tr;
     const snn::EvalResult abs = ev.run(b.data.images[f], nullptr, &tr);
     HardwareTrace ht;
-    const FrameResult hw = sim.run_frame(b.data.images[f], &st, &ht);
+    const FrameResult hw = engine.run_frame(ctx, b.data.images[f], &ht);
     ASSERT_EQ(hw.spike_counts, abs.spike_counts) << "frame " << f;
     ASSERT_EQ(hw.predicted, abs.predicted) << "frame " << f;
     ASSERT_EQ(hw.final_potentials.size(), abs.final_potentials.size());
@@ -66,6 +66,7 @@ void expect_equivalent(const Built& b, usize frames, i64* sat_out = nullptr) {
       }
     }
   }
+  const SimStats st = ctx.take_stats();
   if (sat_out != nullptr) *sat_out = st.saturations;
   else EXPECT_EQ(st.saturations, 0);
 }
@@ -167,13 +168,14 @@ TEST(SimDeterminism, RepeatedRunsIdentical) {
   m.relu();
   m.dense(64, 10);
   const Built b = build(m, {300}, 5, 10);
-  Simulator s1(b.mapped, b.net), s2(b.mapped, b.net);
-  const FrameResult a = s1.run_frame(b.data.images[0]);
-  const FrameResult c = s2.run_frame(b.data.images[0]);
+  const Engine e1(b.mapped, b.net), e2(b.mapped, b.net);
+  SimContext c1 = e1.make_context(), c2 = e2.make_context();
+  const FrameResult a = e1.run_frame(c1, b.data.images[0]);
+  const FrameResult c = e2.run_frame(c2, b.data.images[0]);
   EXPECT_EQ(a.spike_counts, c.spike_counts);
   EXPECT_EQ(a.final_potentials, c.final_potentials);
-  // Same simulator reused (state reset) must also agree.
-  const FrameResult d = s1.run_frame(b.data.images[0]);
+  // Same context reused (state reset) must also agree.
+  const FrameResult d = e1.run_frame(c1, b.data.images[0]);
   EXPECT_EQ(a.spike_counts, d.spike_counts);
 }
 
@@ -183,9 +185,10 @@ TEST(SimStatsTest, CountersAreConsistent) {
   m.relu();
   m.dense(128, 10);
   const Built b = build(m, {784}, 6, 10);
-  Simulator sim(b.mapped, b.net);
-  SimStats st;
-  sim.run_frame(b.data.images[0], &st);
+  const Engine engine(b.mapped, b.net);
+  SimContext ctx = engine.make_context();
+  engine.run_frame(ctx, b.data.images[0]);
+  const SimStats st = ctx.take_stats();
   EXPECT_EQ(st.frames, 1);
   EXPECT_EQ(st.iterations, 10 + b.mapped.output_depth);
   EXPECT_EQ(st.cycles,
@@ -196,7 +199,7 @@ TEST(SimStatsTest, CountersAreConsistent) {
   const double act = st.switching_activity();
   EXPECT_GT(act, 0.0);
   EXPECT_LT(act, 1.0);
-  EXPECT_GT(sim.ldwt_neurons(), 0);
+  EXPECT_GT(engine.model().ldwt_neurons(), 0);
   // Single-chip system: no inter-chip traffic.
   EXPECT_EQ(st.interchip_ps_bits(), 0);
   EXPECT_EQ(st.interchip_spike_bits(), 0);
@@ -239,10 +242,10 @@ TEST(SimSaturation, NarrowLocalPsDetected) {
   cfg.arch.local_ps_bits = 8;
   cfg.arch.noc_bits = 9;
   const map::MappedNetwork mapped = map::map_network(net, cfg);
-  Simulator sim(mapped, net);
-  SimStats st;
-  sim.run_frame(d.images[0], &st);
-  EXPECT_GT(st.saturations, 0);
+  const Engine engine(mapped, net);
+  SimContext ctx = engine.make_context();
+  engine.run_frame(ctx, d.images[0]);
+  EXPECT_GT(ctx.stats().saturations, 0);
 }
 
 TEST(SimHardwareAccuracy, RunsAndBounds) {
