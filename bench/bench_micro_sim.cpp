@@ -9,10 +9,15 @@
 // and writes the headline throughput (frames/s, simulated cycles/s, batched
 // frames/s with the thread/context count) to BENCH_sim.json via
 // bench_util.h, so the perf trajectory of the plane-parallel engine is
-// machine-readable across PRs. SHENJING_FAST=1 shrinks the timed runs;
-// SHENJING_THREADS pins the batch worker count.
+// machine-readable across PRs. Two sharded single-frame probes ride along:
+// the MLP on 2x2-tile chips, whose shards do not pay (run_frame_sharded
+// runs it plain, so its sharded_speedup checks that the shard-cost rule
+// does no harm), and the MNIST CNN on 14x14-tile chips at reduced T, whose
+// shards do (cnn_sharded_speedup). SHENJING_FAST=1 shrinks the timed runs;
+// SHENJING_THREADS pins the batch and shard worker count.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <span>
 #include <string>
@@ -38,17 +43,48 @@ struct Fixture {
   nn::Dataset data;
 };
 
-Fixture make_fixture(bool cnn) {
+Fixture make_fixture(bool cnn, i32 timesteps = 20, const map::MapperConfig& cfg = {}) {
   Rng rng(55);
   nn::Model m = cnn ? harness::make_mnist_cnn() : harness::make_mnist_mlp();
   m.init_weights(rng);
   nn::Dataset d = nn::make_synth_digits(8, {.seed = 12});
   snn::ConvertConfig cc;
-  cc.timesteps = 20;
+  cc.timesteps = timesteps;
   Fixture f{snn::convert(m, d, cc), {}, {}};
-  f.mapped = map::map_network(f.net);
+  f.mapped = map::map_network(f.net, cfg);
   f.data = std::move(d);
   return f;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+/// Median per-frame wall time of run_frame and of run_frame_sharded (over
+/// the global ThreadPool) on `engine`, from `pairs` plain/sharded frame
+/// pairs run back to back on one context: interleaving keeps host speed
+/// drift out of their ratio, and medians keep a scheduler hiccup out.
+struct PlainVsSharded {
+  double plain_ms = 0.0, sharded_ms = 0.0;
+  double speedup() const { return sharded_ms > 0.0 ? plain_ms / sharded_ms : 0.0; }
+};
+
+PlainVsSharded time_plain_vs_sharded(const sim::Engine& engine, const nn::Dataset& data,
+                                     usize pairs) {
+  sim::SimContext ctx = engine.make_context();
+  std::vector<double> plain, sharded;
+  for (usize k = 0; k < pairs; ++k) {
+    const Tensor& img = data.images[k % data.size()];
+    const auto t0 = std::chrono::steady_clock::now();
+    engine.run_frame(ctx, img);
+    const auto t1 = std::chrono::steady_clock::now();
+    engine.run_frame_sharded(ctx, img);
+    const auto t2 = std::chrono::steady_clock::now();
+    plain.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+    sharded.push_back(std::chrono::duration<double, std::milli>(t2 - t1).count());
+  }
+  return {median(std::move(plain)), median(std::move(sharded))};
 }
 
 const Fixture& mlp_fixture() {
@@ -166,32 +202,41 @@ void record_throughput() {
   // chips swallow the MLP whole; shrinking the chip edge is the scaled-down
   // stand-in for a network big enough to straddle real chips). Batching
   // answers throughput; this answers how much sooner ONE frame finishes.
+  // Its shards do not pay, so run_frame_sharded runs it plain and
+  // sharded_speedup (~1.0) checks that the shard-cost rule does no harm.
   map::MapperConfig scfg;
   scfg.arch.chip_rows = 2;
   scfg.arch.chip_cols = 2;
   const map::MappedNetwork smapped = map::map_network(f.net, scfg);
-  sim::Engine sharded_engine(smapped, f.net);
+  const sim::Engine sharded_engine(smapped, f.net);
   const map::ShardPlan& plan = sharded_engine.model().shard_plan();
-  sim::SimContext sctx = sharded_engine.make_context();
-
-  usize fi = 0;
-  const auto next_image = [&]() -> const Tensor& {
-    return f.data.images[fi++ % f.data.size()];
-  };
-  const double plain_fps = bench::measure_fps(min_frames, min_seconds, [&]() -> i64 {
-    sharded_engine.run_frame(sctx, next_image());
-    return 1;
-  });
-  const double sharded_fps = bench::measure_fps(min_frames, min_seconds, [&]() -> i64 {
-    sharded_engine.run_frame_sharded(sctx, next_image());
-    return 1;
-  });
-  const double plain_ms = 1e3 / plain_fps;
-  const double sharded_ms = 1e3 / sharded_fps;
-  std::printf("sharded single-frame latency (%zu chip shards, %u phases/iter, "
+  const PlainVsSharded mlp_shard =
+      time_plain_vs_sharded(sharded_engine, f.data, harness::fast_mode() ? 96 : 256);
+  std::printf("sharded single-frame latency (%zu chip shards, %u phases/iter, %s, "
               "%zu threads): %.3f ms vs %.3f ms unsharded — %.2fx\n",
-              plan.num_shards(), plan.num_phases, threads, sharded_ms, plain_ms,
-              sharded_ms > 0.0 ? plain_ms / sharded_ms : 0.0);
+              plan.num_shards(), plan.num_phases,
+              sharded_engine.model().sharding_pays() ? "shards pay" : "shards do not pay",
+              threads, mlp_shard.sharded_ms, mlp_shard.plain_ms, mlp_shard.speedup());
+
+  // Sharded CNN latency: the MNIST CNN on 14x14-tile chips, a model whose
+  // shards pay, at T = 8 so a frame takes tens of ms. Compiled with
+  // pipeline 0: the modulo analysis takes seconds on this net and settles
+  // on the serial II = C schedule anyway.
+  map::MapperConfig ccfg;
+  ccfg.arch.chip_rows = 14;
+  ccfg.arch.chip_cols = 14;
+  ccfg.pipeline = 0;
+  const Fixture cnn = make_fixture(true, 8, ccfg);
+  const sim::Engine cnn_engine(cnn.mapped, cnn.net);
+  const map::ShardPlan& cnn_plan = cnn_engine.model().shard_plan();
+  const bool cnn_pays = cnn_engine.model().sharding_pays();
+  const PlainVsSharded cnn_shard =
+      time_plain_vs_sharded(cnn_engine, cnn.data, harness::fast_mode() ? 15 : 31);
+  std::printf("sharded CNN frame (14x14-tile chips, T = %d, %zu chip shards, %u phases/iter, "
+              "%s, %zu threads): %.2f ms vs %.2f ms unsharded — %.2fx\n",
+              cnn.mapped.timesteps, cnn_plan.num_shards(), cnn_plan.num_phases,
+              cnn_pays ? "shards pay" : "shards do not pay", threads, cnn_shard.sharded_ms,
+              cnn_shard.plain_ms, cnn_shard.speedup());
 
   json::Value doc;
   doc.set("network", "mnist-mlp-table4");
@@ -217,14 +262,22 @@ void record_throughput() {
   doc.set("shard_chip_edge", static_cast<i64>(scfg.arch.chip_rows));
   doc.set("shard_count", static_cast<i64>(plan.num_shards()));
   doc.set("shard_phases", static_cast<i64>(plan.num_phases));
-  doc.set("sharded_frame_ms", sharded_ms);
-  doc.set("unsharded_frame_ms", plain_ms);
-  doc.set("sharded_frames_per_sec", sharded_fps);
-  doc.set("sharded_speedup", sharded_ms > 0.0 ? plain_ms / sharded_ms : 0.0);
+  doc.set("sharded_frame_ms", mlp_shard.sharded_ms);
+  doc.set("unsharded_frame_ms", mlp_shard.plain_ms);
+  doc.set("sharded_frames_per_sec", 1e3 / mlp_shard.sharded_ms);
+  doc.set("sharded_speedup", mlp_shard.speedup());
+  doc.set("cnn_timesteps", static_cast<i64>(cnn.mapped.timesteps));
+  doc.set("cnn_shard_chip_edge", static_cast<i64>(ccfg.arch.chip_rows));
+  doc.set("cnn_shard_count", static_cast<i64>(cnn_plan.num_shards()));
+  doc.set("cnn_sharding_pays", cnn_pays);
+  doc.set("cnn_frame_ms", cnn_shard.plain_ms);
+  doc.set("cnn_sharded_frame_ms", cnn_shard.sharded_ms);
+  doc.set("cnn_sharded_speedup", cnn_shard.speedup());
   // Host shape and kernel dispatch, so check_bench.py can tell which
   // numbers are comparable: parallel-speedup metrics (batch_speedup,
-  // sharded_speedup) only gate when both baseline and current ran with
-  // host_cores > 1, and a backend mismatch explains a frames_per_sec jump.
+  // sharded_speedup, cnn_sharded_speedup) only gate when both baseline and
+  // current ran with host_cores > 1, and a backend mismatch explains a
+  // frames_per_sec jump.
   doc.set("host_cores", static_cast<i64>(hardware_thread_count()));
   doc.set("simd_backend", simd::backend_name(simd::active_backend()));
   doc.set("fast_mode", harness::fast_mode());

@@ -29,16 +29,18 @@ inline u64 now_ns() {
 /// tallies from different contexts/workers; per-shard vectors align by shard
 /// index (the ShardPlan's order, stable for a compiled model).
 struct PhaseProfile {
-  i64 frames = 0;          // run_frame frames profiled
-  i64 sharded_frames = 0;  // run_frame_sharded frames profiled
+  i64 frames = 0;          // plain frames profiled (run_frame, and
+                           // run_frame_sharded when sharding does not pay)
+  i64 sharded_frames = 0;  // team frames profiled (run_frame_sharded)
   u64 reset_ns = 0;        // per-frame context reset
   u64 encode_ns = 0;       // input rate encoder (set-up and every step)
   u64 exec_ns = 0;         // the frame's range loop, encoder excluded
   u64 frame_ns = 0;        // whole frames, end to end
-  // Sharded path, accrued per range (sim::PipeRange) across the frame:
+  // Team frames, accrued per range (sim::PipeRange) across the frame:
   u64 phase_wall_ns = 0;      // wall time of the parallel section
   u64 barrier_commit_ns = 0;  // cross-shard commit (drain) at each barrier
-  i64 shard_ranges = 0;       // ranges run (one barrier each)
+  i64 shard_ranges = 0;       // ranges run (two barrier stages each:
+                              // exec, then the cross-shard drain)
   std::vector<u64> shard_exec_ns;  // [shard] time executing its range slices
   std::vector<u64> shard_wait_ns;  // [shard] range wall minus own exec
 

@@ -423,10 +423,9 @@ void Server::worker_loop() {
     // Latency/throughput policy: a shallow queue means workers are about to
     // idle — spend them on the claimed frame's chip shards instead. A deep
     // queue keeps every worker on its own frame (run_frame_sharded is
-    // bit-identical to run_frame, so the policy never shows in results).
-    const bool sharded = shard_below_depth_ != 0 &&
-                         depth_after_claim < shard_below_depth_ &&
-                         req.gen->engine->model().shard_plan().num_shards() > 1;
+    // bit-identical to run_frame, so the policy never shows in results, and
+    // it runs a model whose shards do not pay whole anyway).
+    const bool sharded = shard_below_depth_ != 0 && depth_after_claim < shard_below_depth_;
 
     auto it = contexts.find(req.key);
     if (it == contexts.end()) {

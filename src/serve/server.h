@@ -112,7 +112,9 @@ struct ServerOptions {
   /// over the global ThreadPool — idle workers speed up the one frame in
   /// flight. At or above it, frames run whole so workers stay on
   /// independent frames (throughput). Results are bit-identical either way
-  /// (the sharded path's contract); single-chip models always run whole.
+  /// (the sharded path's contract). Models whose shards do not pay
+  /// (sim::CompiledModel::sharding_pays, false for every single-chip model)
+  /// always run whole, as does every model on a one-thread global pool.
   /// 0 disables sharded serving.
   usize shard_below_depth = 0;
   /// Enables engine phase profiling on every worker context

@@ -197,7 +197,8 @@ CompiledModel::CompiledModel(const MappedNetwork& mapped, const snn::SnnNetwork&
       plain_ranges_(donor.plain_ranges_),
       shard_ranges_(donor.shard_ranges_),
       pend_slot_(donor.pend_slot_),
-      pend_count_(donor.pend_count_) {
+      pend_count_(donor.pend_count_),
+      sharding_pays_(donor.sharding_pays_) {
   require_swap_compatible(donor.mapped(), mapped);
   // Touch sets and the shard plan depend only on the (identical) program,
   // chip geometry and input taps, so the donor's copies hold; dense rows
@@ -444,6 +445,32 @@ void CompiledModel::build_pipeline_exec() {
   plain_ranges_ = make_ranges(hazard);
   for (const u32 i : plan_.hazard_ops) hazard[static_cast<usize>(pipe_.op_cycle[i])] = true;
   shard_ranges_ = make_ranges(hazard);
+
+  // Shard-cost rule: a team frame's critical path is each sharded range's
+  // busiest shard plus a barrier that every shard pays into; a plain frame
+  // runs every op of every iteration back to back. A range's live
+  // iterations are the ones Engine::exec_range runs: kn - 1 and kn, clipped
+  // to the frame.
+  const auto range_ops = [&](const PipeTables& pt, const PipeRange& rg) {
+    const i64 kn = static_cast<i64>(rg.b / ii);
+    i64 n = 0;
+    for (i64 k = std::max<i64>(kn - 1, 0); k <= std::min<i64>(kn, total - 1); ++k) {
+      const u64 base = static_cast<u64>(k) * ii;
+      const u64 hi = std::min(rg.e, base + static_cast<u64>(span));
+      for (u64 a = std::max(rg.b, base); a < hi; ++a) {
+        const PipeTables::Row& row = pt.rows[a - base];
+        n += row.op_e - row.op_b;
+      }
+    }
+    return n;
+  };
+  i64 critical = 0;
+  for (const PipeRange& rg : shard_ranges_) {
+    i64 busiest = 0;
+    for (const PipeTables& pt : pipe_shards_) busiest = std::max(busiest, range_ops(pt, rg));
+    critical += busiest + kShardBarrierOps * static_cast<i64>(pipe_shards_.size());
+  }
+  sharding_pays_ = critical < static_cast<i64>(total) * static_cast<i64>(prog_.ops.size());
 }
 
 i64 CompiledModel::ldwt_neurons() const {
@@ -840,7 +867,7 @@ void Engine::team_exec_epoch(const Engine* eng, Team& w, u64 e, usize runner) {
   for (const u32 s : w.order[runner]) {
     if (!w.barrier.claim_exec(s, e)) continue;
     // A successful claim implies the coordinator is still inside this
-    // frame's run_frame_sharded, so eng/ctx are alive.
+    // frame's run_frame_team, so eng/ctx are alive.
     if (!w.failed.load(std::memory_order_acquire)) {
       try {
         eng->exec_shard(*w.ctx, s, (*w.ranges)[static_cast<usize>(e - 1)]);
@@ -883,49 +910,38 @@ void Engine::team_helper_loop(const std::shared_ptr<Team>& w, usize runner) {
   }
 }
 
-void Engine::run_shard_range(SimContext& ctx, Team* team, const PipeRange& rg) const {
-  const usize shards = model_.plan_.num_shards();
+void Engine::run_shard_range(SimContext& ctx, Team& team) const {
   const bool prof = ctx.profile_on_;
   const u64 p0 = prof ? obs::now_ns() : 0;
-  u64 e = 0;
-  if (team == nullptr) {
-    // Degenerate pools (or a single shard): run every shard on this thread.
-    for (usize s = 0; s < shards; ++s) exec_shard(ctx, s, rg);
-  } else {
-    // Persistent-team path: this thread coordinates and participates as
-    // runner 0. Opening an epoch wakes the helpers; everyone claims exec
-    // slots, the epoch's drains are gated on every exec finishing (a later
-    // op in the range may legally read a port value the commit would
-    // overwrite), and idle runners help drain.
-    e = team->barrier.open_phase();
-    team_exec_epoch(this, *team, e, 0);
-    team->barrier.await_execs(e);
-  }
+  // This thread coordinates and participates as runner 0. Opening epoch e
+  // (the frame's range e - 1) wakes the helpers; everyone claims exec
+  // slots, the epoch's drains are gated on every exec finishing (a later op
+  // in the range may legally read a port value the commit would
+  // overwrite), and idle runners help drain.
+  const u64 e = team.barrier.open_phase();
+  team_exec_epoch(this, team, e, 0);
+  team.barrier.await_execs(e);
   if (prof) {
     // phase_wall is the exec-stage wall on the coordinator; shard wait is
     // its slack against the shard's own exec time.
     const u64 wall = obs::now_ns() - p0;
     ctx.profile_.phase_wall_ns += wall;
-    for (usize s = 0; s < shards; ++s) {
+    for (usize s = 0; s < model_.plan_.num_shards(); ++s) {
       const u64 exec = ctx.profile_scratch_[s];
       ctx.profile_.shard_exec_ns[s] += exec;
       ctx.profile_.shard_wait_ns[s] += wall > exec ? wall - exec : 0;
     }
   }
   const u64 b0 = prof ? obs::now_ns() : 0;
-  if (team == nullptr) {
-    for (usize s = 0; s < shards; ++s) ctx.noc_.commit_lane_cross(ctx.lanes_[s]);
-  } else {
-    team_drain_epoch(*team, e, 0);
-    team->barrier.await_drains(e);
-  }
+  team_drain_epoch(team, e, 0);
+  team.barrier.await_drains(e);
   if (prof) {
     ctx.profile_.barrier_commit_ns += obs::now_ns() - b0;
     ++ctx.profile_.shard_ranges;
   }
-  if (team != nullptr && team->failed.load(std::memory_order_acquire)) {
-    const std::lock_guard<std::mutex> lock(team->err_mutex);
-    std::rethrow_exception(team->first_error);
+  if (team.failed.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(team.err_mutex);
+    std::rethrow_exception(team.first_error);
   }
 }
 
@@ -1060,9 +1076,17 @@ void Engine::drain_shard_stats(SimContext& ctx) const {
 
 FrameResult Engine::run_frame_sharded(SimContext& ctx, const Tensor& image,
                                       HardwareTrace* trace, ThreadPool* pool) const {
+  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
+  if (!model_.sharding_pays_ || std::min(model_.plan_.num_shards(), p.num_threads()) <= 1) {
+    return run_frame(ctx, image, trace);
+  }
+  return run_frame_team(ctx, image, trace, p);
+}
+
+FrameResult Engine::run_frame_team(SimContext& ctx, const Tensor& image, HardwareTrace* trace,
+                                   ThreadPool& p) const {
   const u64 f0 = begin_frame(ctx, image);
   const bool prof = ctx.profile_on_;
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
   const usize shards = model_.plan_.num_shards();
   if (ctx.lanes_.size() < shards) ctx.lanes_.resize(shards);
   if (ctx.shard_stats_.size() < shards) ctx.shard_stats_.resize(shards);
@@ -1080,40 +1104,37 @@ FrameResult Engine::run_frame_sharded(SimContext& ctx, const Tensor& image,
   // runners-1 pool helpers, pinned to the frame. Helpers are plain
   // submitted tasks parked on the team barrier between epochs; the barrier
   // is work-counted, so a helper the pool never schedules costs nothing —
-  // the coordinator finishes every slot alone. Degenerate setups (one
-  // shard, one thread) skip the team entirely.
-  std::shared_ptr<Team> team;
-  const usize runners = std::min(shards, std::max<usize>(p.num_threads(), 1));
-  if (runners > 1) {
-    team = std::make_shared<Team>(shards);
-    team->eng = this;
-    team->ctx = &ctx;
-    team->ranges = &model_.shard_ranges_;
-    // Shard -> runner locality from the plan's static weights; every runner
-    // prefers its own shards and steals the rest in index order.
-    const std::vector<u32> owner = model_.plan_.assign_workers(runners);
-    team->order.assign(runners, {});
-    for (usize r = 0; r < runners; ++r) {
-      team->order[r].reserve(shards);
-      for (u32 s = 0; s < shards; ++s) {
-        if (owner[s] == r) team->order[r].push_back(s);
-      }
-      for (u32 s = 0; s < shards; ++s) {
-        if (owner[s] != r) team->order[r].push_back(s);
-      }
+  // the coordinator finishes every slot alone, as it does when the team is
+  // the coordinator only (a one-thread pool).
+  const auto team = std::make_shared<Team>(shards);
+  const usize runners = std::max<usize>(std::min(shards, p.num_threads()), 1);
+  team->eng = this;
+  team->ctx = &ctx;
+  team->ranges = &model_.shard_ranges_;
+  // Shard -> runner locality from the plan's static weights; every runner
+  // prefers its own shards and steals the rest in index order.
+  const std::vector<u32> owner = model_.plan_.assign_workers(runners);
+  team->order.assign(runners, {});
+  for (usize r = 0; r < runners; ++r) {
+    team->order[r].reserve(shards);
+    for (u32 s = 0; s < shards; ++s) {
+      if (owner[s] == r) team->order[r].push_back(s);
     }
-    for (usize r = 1; r < runners; ++r) {
-      p.submit([team, r] { team_helper_loop(team, r); });
+    for (u32 s = 0; s < shards; ++s) {
+      if (owner[s] != r) team->order[r].push_back(s);
     }
+  }
+  for (usize r = 1; r < runners; ++r) {
+    p.submit([team, r] { team_helper_loop(team, r); });
   }
 
   try {
     FrameResult res =
         run_ranges(ctx, image, trace, model_.shard_ranges_,
-                   [&](const PipeRange& rg) { run_shard_range(ctx, team.get(), rg); });
+                   [&](const PipeRange&) { run_shard_range(ctx, *team); });
     // Every epoch is fully drained here (run_shard_range awaits each drain),
     // so releasing the helpers is safe.
-    if (team) team->barrier.finish_team();
+    team->barrier.finish_team();
     drain_shard_stats(ctx);
     if (prof) {
       ++ctx.profile_.sharded_frames;
@@ -1127,7 +1148,7 @@ FrameResult Engine::run_frame_sharded(SimContext& ctx, const Tensor& image,
     // Coordinator-side throws only happen at range boundaries (shard
     // exceptions are captured and rethrown after the awaited drain), so
     // the helpers are idle and finish_team is safe here too.
-    if (team) team->barrier.finish_team();
+    team->barrier.finish_team();
     drain_shard_stats(ctx);
     for (auto& lane : ctx.lanes_) lane.clear();
     throw;

@@ -19,7 +19,8 @@
 // compiled timestep schedule replayed T + depth times as a modulo schedule
 // (map::build_pipeline, whose serial form is the degenerate II = C case),
 // with the plane-parallel word kernels. Engine::run_frame_sharded runs the
-// same loop with the chip shards fanned out over threads.
+// same loop with the chip shards fanned out over threads when the model's
+// shard-cost rule (CompiledModel::sharding_pays) says that is faster.
 // Engine::run_batch(images) fans frames out over the global ThreadPool, one
 // context per worker shard, and merges per-context SimStats and per-link
 // traffic counters in fixed context order. Because every frame starts from
@@ -136,6 +137,28 @@ struct HardwareTrace {
   std::vector<std::vector<BitVec>> units;
 };
 
+/// Host cost of a shard-team barrier per shard, in op-equivalents: at each
+/// range barrier every shard pays one exec claim, one finish and one drain
+/// on the team's shared counters, so a sharded range costs its busiest
+/// shard's ops plus kShardBarrierOps * num_shards. Measured on a 4-core x86
+/// host (avx2) with T-step frames of MNIST-style networks, timing plain and
+/// team frames back to back and subtracting the team's critical path at the
+/// plain frame's cost per op:
+///   - MLP on 2x2-tile chips, opt 2, T = 20: 3 shards on 3 runners, 110
+///     ranges, 836 ops, critical path 636. Plain 0.23-0.33 ms (0.28-0.40 us
+///     per op), team 0.52-0.58 ms: 2.7-3.7 us per range, 2.3-4.4 ops per
+///     shard.
+///   - A two-conv CNN on 16x16 inputs, 4x4-tile chips, T = 6: 20 shards on
+///     4 runners, 451 ranges, 23,144 ops. Plain 2.3-4.0 ms, team 5.1-5.4 ms:
+///     9-11 us per range, 2.6-5.1 ops per shard.
+///   - MNIST CNN on 14x14-tile chips, T = 20: 9 shards on 4 runners, 2418
+///     ranges, 384,618 ops, critical path 172,120. Plain 82-108 ms, team
+///     46-56 ms: up to 2.5 ops per shard.
+/// A flat per-range constant cannot serve all three: the 20-shard CNN's
+/// ranges cost three times the MLP's, and at a flat 8-16 ops per range the
+/// rule would shard that CNN and lose up to 2x.
+inline constexpr i64 kShardBarrierOps = 4;
+
 /// Result of simulating one input frame.
 struct FrameResult {
   std::vector<i32> spike_counts;      // output unit, per neuron, over T steps
@@ -193,6 +216,13 @@ class CompiledModel {
   /// feasible II worth taking.
   const map::PipelineSchedule& pipeline() const { return pipe_; }
 
+  /// The shard-cost rule, decided once at compile time: true when a team
+  /// frame's estimated critical path — the sum over sharded ranges of the
+  /// busiest shard's ops plus kShardBarrierOps * num_shards — is shorter
+  /// than the plain frame's op total. Engine::run_frame_sharded runs the
+  /// plain path when it is false; a single-shard model never pays.
+  bool sharding_pays() const { return sharding_pays_; }
+
  private:
   friend class Engine;
 
@@ -234,6 +264,7 @@ class CompiledModel {
   std::vector<PipeRange> shard_ranges_;
   std::vector<i32> pend_slot_;  // core -> acc_pend_ pair index, -1 if no ACC
   i32 pend_count_ = 0;
+  bool sharding_pays_ = false;
 };
 
 /// The mutable state of one frame stream: neuron-core registers, one
@@ -259,10 +290,11 @@ class SimContext {
 
   /// Opt-in engine phase profiling (obs::PhaseProfile). When on, both frame
   /// paths accrue reset/encode/exec/frame wall time (exec excludes the input
-  /// encoder), and run_frame_sharded additionally accrues per-shard exec and
-  /// barrier wait per range — shard imbalance measured, not inferred. When
-  /// off (the default), frames pay one predictable branch per frame/range
-  /// and zero clock reads, keeping the bench-regression gate honest.
+  /// encoder), and team frames (run_frame_sharded when sharding pays)
+  /// additionally accrue per-shard exec and barrier wait per range — shard
+  /// imbalance measured, not inferred. When off (the default), frames pay
+  /// one predictable branch per frame/range and zero clock reads, keeping
+  /// the bench-regression gate honest.
   void set_profiling(bool on) { profile_on_ = on; }
   bool profiling() const { return profile_on_; }
   const obs::PhaseProfile& profile() const { return profile_; }
@@ -284,7 +316,7 @@ class SimContext {
   noc::NocState noc_;
   std::vector<CoreState> cores_;
   SimStats stats_;
-  // Sharded-run scratch (Engine::run_frame_sharded): one staging lane and
+  // Team-frame scratch (Engine::run_frame_team): one staging lane and
   // one stats tally per chip shard, lazily sized and reused across frames.
   // Shard tallies merge into stats_ in fixed shard order at frame end.
   std::vector<noc::NocState::ShardLane> lanes_;
@@ -343,17 +375,25 @@ class Engine {
   FrameResult run_frame(SimContext& ctx, const Tensor& image,
                         HardwareTrace* trace = nullptr) const;
 
-  /// Simulates one frame like run_frame, but fans the model's chip shards
+  /// Simulates one frame like run_frame, fanning the model's chip shards
   /// (model().shard_plan()) out over `pool` (the global ThreadPool when
-  /// null) *within* each iteration. A persistent shard team is pinned to
-  /// the frame: this thread plus up to num_shards-1 pool helpers stay
-  /// resident for every range of the frame, synchronizing at the range
-  /// boundaries (PipeRange) through a cooperative claim-based barrier
-  /// (common/barrier.h) instead of a parallel_for launch per range. Shards
-  /// prefer the runner ShardPlan::assign_workers gave them and steal the
-  /// rest; idle runners help drain the cross-shard commit at each barrier.
-  /// Results, SimStats and per-link traffic counters are bit-identical to
-  /// run_frame under any thread count (tests/test_shard.cpp).
+  /// null) *within* each iteration — when that pays. The shard-cost rule
+  /// (CompiledModel::sharding_pays, kShardBarrierOps) is fixed at compile
+  /// time: a model whose busiest-shard ops plus the barriers do not
+  /// undercut its plain op total runs run_frame instead, and so does any
+  /// model when the pool gives at most one runner (min(shards, threads)
+  /// <= 1). Nothing forces either path. Otherwise a persistent shard team
+  /// is pinned to the frame: this thread plus up to num_shards-1 pool
+  /// helpers stay resident for every range of the frame, synchronizing at
+  /// the range boundaries (PipeRange) through a cooperative claim-based
+  /// barrier (common/barrier.h) instead of a parallel_for launch per range.
+  /// Shards prefer the runner ShardPlan::assign_workers gave them and steal
+  /// the rest; idle runners help drain the cross-shard commit at each
+  /// barrier.
+  /// Either path's results, SimStats and per-link traffic counters are
+  /// bit-identical to run_frame under any thread count
+  /// (tests/test_shard.cpp); the profile shows which ran (frames for the
+  /// plain path, sharded_frames for the team).
   /// Latency-oriented: one frame finishes sooner on a multi-chip model;
   /// run_batch still wins on throughput when independent frames queue deep.
   FrameResult run_frame_sharded(SimContext& ctx, const Tensor& image,
@@ -371,6 +411,10 @@ class Engine {
                                      ThreadPool* pool = nullptr);
 
  private:
+  // The test seam onto run_frame_team (tests/test_shard.cpp), so the team
+  // mechanism stays covered on models where the rule picks the plain path.
+  friend class EngineTestPeer;
+
   // Per-frame state of the persistent shard team (defined in engine.cpp):
   // one PhaseTeam barrier plus shard->runner preference orders. Heap-shared
   // with the pool helpers so a late-scheduled helper can never touch freed
@@ -401,13 +445,17 @@ class Engine {
   // One shard's slice of range `rg` with local lane commits (cross-shard
   // traffic drains at the range barrier); times itself when profiling.
   void exec_shard(SimContext& ctx, usize s, const PipeRange& rg) const;
-  // One range of the sharded frame: every shard's slice (on the team, or on
-  // this thread when `team` is null), then the cross-shard drain.
-  void run_shard_range(SimContext& ctx, Team* team, const PipeRange& rg) const;
+  // The team frame behind run_frame_sharded: shards fanned out over a team
+  // of min(shards, pool threads) runners (at least the coordinator alone).
+  FrameResult run_frame_team(SimContext& ctx, const Tensor& image, HardwareTrace* trace,
+                             ThreadPool& pool) const;
+  // The team frame's next range: every shard's slice, then the cross-shard
+  // drain.
+  void run_shard_range(SimContext& ctx, Team& team) const;
   // Team runner bodies (static: helpers may outlive the frame, and must not
   // invoke anything through a possibly-dead `this`; the engine pointer in
   // `Team` is only dereferenced behind a successful claim, which can only
-  // happen while run_frame_sharded is still on the coordinator's stack).
+  // happen while run_frame_team is still on the coordinator's stack).
   static void team_exec_epoch(const Engine* eng, Team& w, u64 e, usize runner);
   static void team_drain_epoch(Team& w, u64 e, usize runner);
   static void team_helper_loop(const std::shared_ptr<Team>& w, usize runner);

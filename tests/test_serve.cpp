@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
+#include "harness/zoo.h"
 #include "mapper/mapper.h"
 #include "nn/dataset.h"
 #include "serve/server.h"
@@ -62,6 +64,26 @@ Built build_fc(u64 seed, i32 T, usize frames, i32 chip = 28, i32 in = 300,
   cfg.arch.chip_rows = chip;
   cfg.arch.chip_cols = chip;
   b.mapped = map::map_network(b.net, cfg);
+  b.data = std::move(d);
+  return b;
+}
+
+/// A zoo network (calibrated on synthetic digits) mapped onto chips of
+/// `chip` x `chip` tiles.
+Built build_zoo(nn::Model m, i32 T, usize frames, i32 chip, i32 pipeline = 1) {
+  Rng rng(55);
+  m.init_weights(rng);
+  nn::Dataset d = nn::make_synth_digits(std::max<usize>(frames, 8), {.seed = 12});
+  snn::ConvertConfig cc;
+  cc.timesteps = T;
+  Built b{snn::convert(m, d, cc), {}, {}};
+  map::MapperConfig cfg;
+  cfg.arch.chip_rows = chip;
+  cfg.arch.chip_cols = chip;
+  cfg.pipeline = pipeline;
+  b.mapped = map::map_network(b.net, cfg);
+  d.images.resize(frames);
+  d.labels.resize(frames);
   b.data = std::move(d);
   return b;
 }
@@ -510,6 +532,28 @@ TEST(Serve, ShardedServingPolicyIsInvisibleInTheNumbers) {
   expect_stats_eq(server.take_stats(key), want_stats);
 }
 
+TEST(Serve, ShardedServingRunsWholeWhereShardsDoNotPay) {
+  // The Table-IV MLP on 2x2-tile chips fails the shard-cost rule: with the
+  // latency policy fully on, every frame still runs whole (plain frames in
+  // the profile, none sharded) and the numbers match the serial path.
+  const Built b = build_zoo(harness::make_mnist_mlp(), 20, 4, /*chip=*/2);
+  ASSERT_GT(b.mapped.chips_used, 1);
+  const auto [want, want_stats] = serial_reference(b);
+
+  Server server({.workers = 2, .shard_below_depth = ~usize{0}, .profile_engine = true});
+  const ModelKey key = server.load_model(b.mapped, b.net);
+  std::vector<std::future<FrameResult>> futs = server.submit_batch(key, batch_of(b));
+  std::vector<FrameResult> got;
+  for (auto& f : futs) got.push_back(f.get());
+  expect_frames_eq(got, want);
+  expect_stats_eq(server.take_stats(key), want_stats);
+  const json::Value doc = server.metrics_json();
+  const json::Value& prof = doc.at("models").as_array()[0].at("engine_profile");
+  EXPECT_EQ(prof.at("frames").as_int(), static_cast<i64>(b.data.size()));
+  EXPECT_EQ(prof.at("sharded_frames").as_int(), 0);
+  server.shutdown();
+}
+
 TEST(Serve, ServingAccuracyMatchesHardwareAccuracy) {
   const Built b = build_fc(157, 6, 5);
   SimStats hw_stats;
@@ -643,11 +687,15 @@ TEST(ServeTelemetry, MetricsJsonStaysMonotoneAcrossTakeStats) {
 }
 
 TEST(ServeTelemetry, EngineProfileCoversPlainAndShardedPaths) {
-  // profile_engine=true on a multi-chip model with the shard policy fully
-  // on: the per-model engine_profile must report sharded frames with
-  // per-shard exec/wait arrays — and stay bit-identical to serial.
-  const Built b = build_fc(233, 6, 4, /*chip=*/3, /*in=*/900, /*hidden=*/300);
+  // profile_engine=true on a model whose shards pay (the MNIST CNN on
+  // 14x14-tile chips; compiled serial, the schedule its modulo analysis
+  // settles on after seconds) with the shard policy fully on: the per-model
+  // engine_profile must report sharded frames with per-shard exec/wait
+  // arrays — and stay bit-identical to serial. A one-thread global pool
+  // gives the frames one runner, so they run plain.
+  const Built b = build_zoo(harness::make_mnist_cnn(), 4, 2, /*chip=*/14, /*pipeline=*/0);
   ASSERT_GT(b.mapped.chips_used, 1);
+  const bool team = ThreadPool::global().num_threads() > 1;
   const auto [want, want_stats] = serial_reference(b);
 
   Server server({.workers = 2, .shard_below_depth = ~usize{0}, .profile_engine = true});
@@ -660,13 +708,16 @@ TEST(ServeTelemetry, EngineProfileCoversPlainAndShardedPaths) {
 
   const json::Value doc = server.metrics_json();
   const json::Value& prof = doc.at("models").as_array()[0].at("engine_profile");
-  EXPECT_EQ(prof.at("sharded_frames").as_int(), static_cast<i64>(b.data.size()));
+  EXPECT_EQ(prof.at(team ? "sharded_frames" : "frames").as_int(),
+            static_cast<i64>(b.data.size()));
   EXPECT_GT(prof.at("frame_ns").as_int(), 0);
-  const json::Array& shard_exec = prof.at("shard_exec_ns").as_array();
-  ASSERT_GT(shard_exec.size(), 1u);
-  i64 exec_total = 0;
-  for (const json::Value& ns : shard_exec) exec_total += ns.as_int();
-  EXPECT_GT(exec_total, 0);
+  if (team) {
+    const json::Array& shard_exec = prof.at("shard_exec_ns").as_array();
+    ASSERT_GT(shard_exec.size(), 1u);
+    i64 exec_total = 0;
+    for (const json::Value& ns : shard_exec) exec_total += ns.as_int();
+    EXPECT_GT(exec_total, 0);
+  }
   EXPECT_GT(prof.at("encode_ns").as_int(), 0);  // the encoder is its own layer
   // Sharded frames accrue exec the same way plain ones do: the range loop
   // without the encoder, so the layers fit inside the frame.

@@ -1,27 +1,45 @@
-// Chip-level sharding tests: the shard plan and the sharded frame path must
-// be invisible in the numbers.
+// Chip-level sharding tests: the shard plan, the shard-cost rule and the
+// team frame must be invisible in the numbers.
 //
 //  1. Plan invariants: shards and cross_shard flags agree with the chip
 //     geometry, the per-shard op counts cover the lowered program, and a
-//     sharded frame on the serial II = C schedule runs exactly
+//     team frame on the serial II = C schedule runs exactly
 //     (T + output_depth) * num_phases ranges.
-//  2. Fuzz equivalence over multi-chip mappings: run_frame_sharded is
+//  2. Fuzz equivalence over multi-chip mappings: the team frame is
 //     bit-identical to run_frame — FrameResults, HardwareTraces, merged
 //     SimStats and the entire per-link TrafficCounters table — under a
 //     1-thread and an N-thread pool, on both the overlapped and the serial
 //     II = C schedule, across random networks and random chip geometries.
+//     These FC stacks mostly fail the shard-cost rule, so they reach the
+//     team through EngineTestPeer, the test seam onto the private
+//     Engine::run_frame_team.
 //  3. Degenerate shapes keep working: a single-chip model collapses to one
-//     shard (and still runs), and sharded/unsharded frames interleave on one
+//     shard (and still runs), and team and plain frames interleave on one
 //     context.
+//  4. The shard-cost rule (CompiledModel::sharding_pays): the MNIST MLP on
+//     2x2-tile chips takes the plain path through public run_frame_sharded
+//     with identical numbers; the MNIST CNN on 14x14-tile chips shards.
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "harness/zoo.h"
 #include "mapper/mapper.h"
 #include "nn/dataset.h"
 #include "sim/engine.h"
 #include "snn/convert.h"
 
 namespace sj::sim {
+
+/// The test seam onto the team frame: runs Engine::run_frame_team whatever
+/// the shard-cost rule says, on a team of min(shards, pool threads) runners.
+class EngineTestPeer {
+ public:
+  static FrameResult run_frame_team(const Engine& engine, SimContext& ctx, const Tensor& image,
+                                    HardwareTrace* trace, ThreadPool& pool) {
+    return engine.run_frame_team(ctx, image, trace, pool);
+  }
+};
+
 namespace {
 
 struct Built {
@@ -58,6 +76,28 @@ Built build_fc(u64 seed, i32 T, usize frames, i32 chip, i32 in = 300, i32 hidden
   cfg.arch.chip_cols = chip;
   cfg.opt_level = opt_level;
   b.mapped = map::map_network(b.net, cfg);
+  b.data = std::move(d);
+  return b;
+}
+
+/// A zoo network (calibrated on synthetic digits) mapped onto chips of
+/// `chip` x `chip` tiles.
+Built build_zoo(nn::Model m, i32 T, usize frames, i32 chip, i32 opt_level = -1,
+                i32 pipeline = 1) {
+  Rng rng(55);
+  m.init_weights(rng);
+  nn::Dataset d = nn::make_synth_digits(std::max<usize>(frames, 8), {.seed = 12});
+  snn::ConvertConfig cc;
+  cc.timesteps = T;
+  Built b{snn::convert(m, d, cc), {}, {}};
+  map::MapperConfig cfg;
+  cfg.arch.chip_rows = chip;
+  cfg.arch.chip_cols = chip;
+  cfg.opt_level = opt_level;
+  cfg.pipeline = pipeline;
+  b.mapped = map::map_network(b.net, cfg);
+  d.images.resize(frames);
+  d.labels.resize(frames);
   b.data = std::move(d);
   return b;
 }
@@ -101,12 +141,12 @@ void expect_stats_eq(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.noc.interchip_spike_bits, b.noc.interchip_spike_bits);
 }
 
-/// Runs every frame through both paths on fresh contexts and compares
-/// everything observable, sharding over `threads` workers. Covers both
-/// schedules: the mapping is run as compiled with MapperConfig::pipeline 0
-/// (the serial II = C schedule) and 1 (overlapped where feasible) — the
-/// flag only stamps MappedNetwork::pipeline, so re-stamping a copy is the
-/// same compile.
+/// Runs every frame through run_frame and the team frame on fresh contexts
+/// and compares everything observable, sharding over `threads` workers.
+/// Covers both schedules: the mapping is run as compiled with
+/// MapperConfig::pipeline 0 (the serial II = C schedule) and 1 (overlapped
+/// where feasible) — the flag only stamps MappedNetwork::pipeline, so
+/// re-stamping a copy is the same compile.
 void expect_sharded_equivalence(const Built& b, usize threads) {
   ThreadPool pool(threads);
   for (const i32 pipe : {0, 1}) {
@@ -119,7 +159,8 @@ void expect_sharded_equivalence(const Built& b, usize threads) {
     for (usize i = 0; i < b.data.size(); ++i) {
       HardwareTrace t1, t2;
       const FrameResult r1 = engine.run_frame(plain, b.data.images[i], &t1);
-      const FrameResult r2 = engine.run_frame_sharded(sharded, b.data.images[i], &t2, &pool);
+      const FrameResult r2 =
+          EngineTestPeer::run_frame_team(engine, sharded, b.data.images[i], &t2, pool);
       expect_frames_eq(r2, r1, ("frame " + std::to_string(i)).c_str());
       expect_traces_eq(t2, t1);
     }
@@ -175,7 +216,7 @@ TEST(ShardPlan, MultiChipPlanPartitionsTheProgram) {
 
 TEST(ShardPlan, SerialShardedFrameRunsNumPhasesRangesPerIteration) {
   // num_phases is the engine's barrier count: on the serial II = C schedule
-  // a profiled sharded frame runs exactly (T + output_depth) * num_phases
+  // a profiled team frame runs exactly (T + output_depth) * num_phases
   // ranges, at every opt level (placement search minimizes this count).
   for (const i32 level : {0, 1, 2}) {
     SCOPED_TRACE("opt level " + std::to_string(level));
@@ -187,7 +228,7 @@ TEST(ShardPlan, SerialShardedFrameRunsNumPhasesRangesPerIteration) {
     ThreadPool pool(3);
     SimContext ctx = engine.make_context();
     ctx.set_profiling(true);
-    engine.run_frame_sharded(ctx, b.data.images[0], nullptr, &pool);
+    EngineTestPeer::run_frame_team(engine, ctx, b.data.images[0], nullptr, pool);
     const i64 iterations = b.mapped.timesteps + b.mapped.output_depth;
     EXPECT_EQ(ctx.profile().shard_ranges, iterations * static_cast<i64>(plan.num_phases));
   }
@@ -216,16 +257,18 @@ TEST(ShardedFrame, ThreadCountDoesNotChangeAnything) {
 
 TEST(ShardedFrame, InterleavesWithUnshardedFramesOnOneContext) {
   // The frame-boundary reset must erase the mode as thoroughly as it erases
-  // history: sharded and plain frames alternate on one context and each
+  // history: team and plain frames alternate on one context and each
   // frame's numbers match a fresh single-mode run.
   const Built b = build_fc(23, 6, 4, 2, 700, 280);
+  ThreadPool pool(3);
   Engine engine(b.mapped, b.net);
   SimContext mixed = engine.make_context();
   SimContext plain = engine.make_context();
   for (usize i = 0; i < b.data.size(); ++i) {
     const FrameResult want = engine.run_frame(plain, b.data.images[i]);
     const FrameResult got = (i % 2 == 0)
-                                ? engine.run_frame_sharded(mixed, b.data.images[i])
+                                ? EngineTestPeer::run_frame_team(engine, mixed, b.data.images[i],
+                                                                 nullptr, pool)
                                 : engine.run_frame(mixed, b.data.images[i]);
     expect_frames_eq(got, want, ("frame " + std::to_string(i)).c_str());
   }
@@ -233,8 +276,9 @@ TEST(ShardedFrame, InterleavesWithUnshardedFramesOnOneContext) {
 }
 
 TEST(ShardedFrame, RunsInsideBatchWorkersWithoutDeadlock) {
-  // A sharded frame launched from a worker of the pool it shards over:
-  // the nested parallel_for help-drains, so this must complete and match.
+  // A team frame launched from a worker of the pool it shards over: the
+  // barrier is work-counted, so the coordinator finishes the slots of
+  // helpers the busy pool never schedules, and this must complete and match.
   const Built b = build_fc(29, 5, 3, 2, 600, 280);
   ThreadPool pool(3);
   Engine engine(b.mapped, b.net);
@@ -248,7 +292,7 @@ TEST(ShardedFrame, RunsInsideBatchWorkersWithoutDeadlock) {
   std::vector<FrameResult> got(b.data.size());
   pool.parallel_for(b.data.size(), [&](usize i) {
     SimContext ctx = engines[i].make_context();
-    got[i] = engines[i].run_frame_sharded(ctx, b.data.images[i], nullptr, &pool);
+    got[i] = EngineTestPeer::run_frame_team(engines[i], ctx, b.data.images[i], nullptr, pool);
   });
   for (usize i = 0; i < got.size(); ++i) {
     expect_frames_eq(got[i], want[i], ("frame " + std::to_string(i)).c_str());
@@ -265,23 +309,87 @@ TEST(ShardedFrame, WrongSizeFrameThrowsWithoutPartialStats) {
   SimContext ctx = engine.make_context();
   SimContext ref = engine.make_context();
   for (const usize pixels : {usize{4}, usize{701}}) {
-    EXPECT_THROW(engine.run_frame_sharded(ctx, Tensor({pixels}), nullptr, &pool), Error)
+    EXPECT_THROW(EngineTestPeer::run_frame_team(engine, ctx, Tensor({pixels}), nullptr, pool),
+                 Error)
         << pixels;
     EXPECT_EQ(ctx.stats().frames, 0);
     EXPECT_EQ(ctx.stats().iterations, 0);
     EXPECT_EQ(ctx.stats().noc.interchip_ps_bits, 0);
   }
   for (const Tensor& img : b.data.images) {
-    const FrameResult got = engine.run_frame_sharded(ctx, img, nullptr, &pool);
+    const FrameResult got = EngineTestPeer::run_frame_team(engine, ctx, img, nullptr, pool);
     const FrameResult want = engine.run_frame(ref, img);
     expect_frames_eq(got, want, "after rejected frames");
   }
   expect_stats_eq(ctx.take_stats(), ref.take_stats());
 }
 
+TEST(ShardCostRule, MlpOnSmallChipsRunsPlainWithIdenticalNumbers) {
+  // The Table-IV MLP on 2x2-tile chips: its three shards cannot cover their
+  // barriers (at opt 2 the busiest-shard ops alone are 636 of the frame's
+  // 836), so public run_frame_sharded runs the plain path at every opt
+  // level, even with a runner per shard — and shows it only in the profile.
+  for (const i32 level : {0, 1, 2}) {
+    SCOPED_TRACE("opt level " + std::to_string(level));
+    const Built b = build_zoo(harness::make_mnist_mlp(), 20, 3, 2, level);
+    Engine engine(b.mapped, b.net);
+    ASSERT_EQ(engine.model().shard_plan().num_shards(), 3u);
+    EXPECT_FALSE(engine.model().sharding_pays());
+    ThreadPool pool(4);
+    SimContext via_sharded = engine.make_context();
+    SimContext plain = engine.make_context();
+    via_sharded.set_profiling(true);
+    for (usize i = 0; i < b.data.size(); ++i) {
+      HardwareTrace t1, t2;
+      const FrameResult r1 = engine.run_frame(plain, b.data.images[i], &t1);
+      const FrameResult r2 = engine.run_frame_sharded(via_sharded, b.data.images[i], &t2, &pool);
+      expect_frames_eq(r2, r1, ("frame " + std::to_string(i)).c_str());
+      expect_traces_eq(t2, t1);
+    }
+    EXPECT_EQ(via_sharded.profile().frames, static_cast<i64>(b.data.size()));
+    EXPECT_EQ(via_sharded.profile().sharded_frames, 0);
+    EXPECT_EQ(via_sharded.profile().shard_ranges, 0);
+    expect_stats_eq(via_sharded.take_stats(), plain.take_stats());
+  }
+}
+
+TEST(ShardCostRule, CnnOnMidSizeChipsShardsWhenThePoolHasRunners) {
+  // The MNIST CNN on 14x14-tile chips: eight or nine shards whose per-range
+  // work dwarfs the barrier (busiest-shard ops 172,120 of 384,618 at
+  // T = 20), so run_frame_sharded runs the team — unless the pool gives it
+  // one runner. Compiled with pipeline 0: the modulo analysis takes seconds
+  // on this net and settles on the serial II = C schedule for it anyway.
+  const Built b = build_zoo(harness::make_mnist_cnn(), 4, 2, 14, -1, 0);
+  Engine engine(b.mapped, b.net);
+  ASSERT_GT(engine.model().shard_plan().num_shards(), 1u);
+  EXPECT_TRUE(engine.model().sharding_pays());
+  ThreadPool pool(4), single(1);
+  SimContext team = engine.make_context();
+  SimContext lone = engine.make_context();
+  SimContext plain = engine.make_context();
+  team.set_profiling(true);
+  lone.set_profiling(true);
+  for (usize i = 0; i < b.data.size(); ++i) {
+    const FrameResult want = engine.run_frame(plain, b.data.images[i]);
+    const std::string what = "frame " + std::to_string(i);
+    expect_frames_eq(engine.run_frame_sharded(team, b.data.images[i], nullptr, &pool), want,
+                     what.c_str());
+    expect_frames_eq(engine.run_frame_sharded(lone, b.data.images[i], nullptr, &single), want,
+                     what.c_str());
+  }
+  const i64 n = static_cast<i64>(b.data.size());
+  EXPECT_EQ(team.profile().sharded_frames, n);
+  EXPECT_EQ(team.profile().frames, 0);
+  EXPECT_EQ(lone.profile().frames, n);
+  EXPECT_EQ(lone.profile().sharded_frames, 0);
+  const SimStats want_stats = plain.take_stats();
+  expect_stats_eq(team.take_stats(), want_stats);
+  expect_stats_eq(lone.take_stats(), want_stats);
+}
+
 /// Randomized equivalence over architectures and chip geometries: every
 /// seed draws an FC stack (dimensions wide enough to straddle chips) and a
-/// chip edge in [3, 8], then requires the sharded path to be bit-identical
+/// chip edge in [3, 8], then requires the team frame to be bit-identical
 /// under 1 and 4 threads.
 class ShardFuzzTest : public ::testing::TestWithParam<u64> {};
 
