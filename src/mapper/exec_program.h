@@ -55,14 +55,6 @@ struct ExecOp {
 /// The lowered program: one flat op array.
 struct ExecProgram {
   std::vector<ExecOp> ops;  // cycle-major, schedule order preserved
-
-  // The engine's modulo schedule (mapper/pipeline.h), stamped by
-  // CompiledModel. pipeline_slack[i] is op i's slack against the serial
-  // timestep boundary (depth - delay; negative = the op is delayed past its
-  // serial slot); pipeline_depth is the number of cycles of timestep t+1
-  // overlapped with timestep t. All zero on the serial II = C schedule.
-  std::vector<i32> pipeline_slack;
-  i32 pipeline_depth = 0;
 };
 
 /// Lowers `m.schedule` against `topo` (which must be the topology built from

@@ -61,11 +61,7 @@ void optimize_schedule(MappedNetwork& m, i32 level) {
       {"coalesce", &coalesce_sends},
       {"repack", &repack_cycles},
   };
-  // Debug escape hatch: SHENJING_OPT_PASSES="dead-ops,repack" runs only the
-  // named passes (pass bisection when chasing an equivalence failure).
-  const char* only = std::getenv("SHENJING_OPT_PASSES");
   for (const Pass& pass : passes) {
-    if (only != nullptr && std::string(only).find(pass.name) == std::string::npos) continue;
     OptPassStat stat;
     stat.pass = pass.name;
     const ProgramMetrics before = measure(m);

@@ -25,7 +25,7 @@
 //     iteration and across the II offset.
 //
 // The result is the schedule the engine's one frame loop (sim/engine.cpp)
-// runs, surfaced as ExecProgram::pipeline_slack / pipeline_depth. When
+// runs, surfaced as sim::CompiledModel::pipeline(). When
 // pipelining is off, infeasible or not worth it, build_pipeline() returns the
 // serial schedule as the degenerate modulo schedule: II = span = C, one live
 // iteration, every op in its schedule cycle and ACC committed in place.

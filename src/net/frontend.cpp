@@ -1,13 +1,8 @@
 #include "net/frontend.h"
 
-#include <sys/epoll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <utility>
 
-#include "common/log.h"
 #include "common/string_util.h"
 #include "obs/profile.h"
 
@@ -22,114 +17,40 @@ u32 us_between(u64 a_ns, u64 b_ns) {
   return us > 0xffffffffull ? 0xffffffffu : static_cast<u32>(us);
 }
 
+/// A failed batch slot: ok flag 0, the error code, its message.
+std::vector<u8> error_entry(ErrCode code, const std::string& msg) {
+  WireWriter w;
+  w.u8v(0);
+  w.u32v(static_cast<u32>(code));
+  w.str(msg);
+  return w.take();
+}
+
+/// The kBatchResult payload: the slot count, then every slot's entry.
+std::vector<u8> batch_payload(const std::vector<std::vector<u8>>& entries) {
+  WireWriter w;
+  w.u32v(static_cast<u32>(entries.size()));
+  for (const auto& e : entries) w.bytes(e.data(), e.size());
+  return w.take();
+}
+
 }  // namespace
 
 Frontend::Frontend(serve::Server& server, FrontendOptions options)
-    : server_(server), options_(std::move(options)) {
+    : server_(server),
+      options_(std::move(options)),
+      wire_(server_.registry(), "net", options_.port, options_.conn_pending_limit,
+            [this](WireConn& c, const Frame& f) { dispatch(c, f); }) {
   obs::Registry& reg = server_.registry();
-  accepted_ = &reg.counter("net.accepted");
-  closed_ = &reg.counter("net.closed");
-  frames_in_ = &reg.counter("net.frames_in");
-  frames_out_ = &reg.counter("net.frames_out");
-  bytes_in_ = &reg.counter("net.bytes_in");
-  bytes_out_ = &reg.counter("net.bytes_out");
-  protocol_errors_ = &reg.counter("net.protocol_errors");
   busy_rejects_ = &reg.counter("net.busy_rejects");
-  backpressure_pauses_ = &reg.counter("net.backpressure_pauses");
-  connections_ = &reg.gauge("net.connections");
-  net_inflight_ = &reg.gauge("net.inflight");
   accept_to_admit_us_ =
       &reg.histogram("net.accept_to_admit_us", obs::Registry::wire_bounds_us());
-
-  auto [fd, port] = listen_tcp(options_.port);
-  listener_ = std::move(fd);
-  port_ = port;
-  loop_.add_fd(listener_.get(), EPOLLIN, [this](u32) { on_accept(); });
 }
 
 Frontend::~Frontend() = default;
 
 void Frontend::register_model(serve::ModelKey key, std::string name, Shape input_shape) {
   models_.emplace_back(key, ModelDir{std::move(name), std::move(input_shape)});
-}
-
-void Frontend::run() { loop_.run(); }
-
-void Frontend::begin_drain() {
-  loop_.post([this] { start_drain(); });
-}
-
-void Frontend::on_accept() {
-  for (;;) {
-    const int fd = ::accept4(listener_.get(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN (or a raced-away connection): done for now
-    set_nodelay(fd);
-    auto conn = std::make_unique<WireConn>();
-    conn->id = next_conn_id_++;
-    conn->fd = Fd(fd);
-    conn->armed = EPOLLIN | EPOLLRDHUP;
-    const u64 id = conn->id;
-    loop_.add_fd(fd, conn->armed, [this, id](u32 ev) { on_conn_event(id, ev); });
-    conns_.emplace(id, std::move(conn));
-    accepted_->inc();
-    connections_->set(static_cast<i64>(conns_.size()));
-  }
-}
-
-void Frontend::on_conn_event(u64 conn_id, u32 events) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  WireConn& c = *it->second;
-  try {
-    if (events & (EPOLLERR | EPOLLHUP)) {
-      close_conn(conn_id);
-      return;
-    }
-    if (events & EPOLLOUT) {
-      bytes_out_->inc(static_cast<i64>(flush_writes(c)));
-      if (c.outq.empty() && c.closing) {
-        close_conn(conn_id);
-        return;
-      }
-      update_events(loop_, c);
-      maybe_finish_drain();
-    }
-    if ((events & (EPOLLIN | EPOLLRDHUP)) && c.reading && !c.closing) {
-      u8 buf[64 * 1024];
-      for (;;) {
-        const i64 n = read_some(c.fd.get(), buf, sizeof(buf));
-        if (n < 0) break;  // would block
-        if (n == 0) {      // orderly EOF
-          close_conn(conn_id);
-          return;
-        }
-        bytes_in_->inc(n);
-        c.reader.feed(buf, static_cast<usize>(n));
-        while (auto f = c.reader.next()) {
-          frames_in_->inc();
-          dispatch(c, *f);
-          if (c.closing || !c.reading) break;  // stop parsing: error or pushback
-        }
-        if (c.closing || !c.reading) break;
-      }
-      update_events(loop_, c);
-    }
-  } catch (const WireError& e) {
-    // Unparseable bytes: answer with a final error frame and close once it
-    // flushes — there is no way to resynchronize a byte stream.
-    protocol_errors_->inc();
-    send_error(c, 0, ErrCode::kBadFrame, e.what());
-    c.closing = true;
-    if (c.outq.empty()) {
-      close_conn(conn_id);
-    } else {
-      update_events(loop_, c);
-    }
-  } catch (const Error& e) {
-    SJ_WARN("net: connection " << conn_id << " dropped: " << e.what());
-    close_conn(conn_id);
-  }
 }
 
 void Frontend::dispatch(WireConn& c, const Frame& f) {
@@ -142,26 +63,26 @@ void Frontend::dispatch(WireConn& c, const Frame& f) {
       return;
     case MsgType::kPing: {
       PongInfo p;
-      p.accepting = !draining_ && server_.accepting();
+      p.accepting = !wire_.draining() && server_.accepting();
       p.pending = static_cast<u32>(server_.pending());
       p.models = static_cast<u32>(models_.size());
-      send(c, MsgType::kPong, f.header.request_id, encode_pong(p));
+      wire_.send(c, MsgType::kPong, f.header.request_id, encode_pong(p));
       return;
     }
     case MsgType::kMetrics:
-      send(c, MsgType::kMetricsResult, f.header.request_id,
-           encode_string(server_.metrics_json().dump()));
+      wire_.send(c, MsgType::kMetricsResult, f.header.request_id,
+                 encode_string(server_.metrics_json().dump()));
       return;
     case MsgType::kInfo:
-      send(c, MsgType::kInfoResult, f.header.request_id,
-           encode_string(info_json().dump()));
+      wire_.send(c, MsgType::kInfoResult, f.header.request_id,
+                 encode_string(info_json().dump()));
       return;
     case MsgType::kSwapWeights:
       handle_swap(c, f);
       return;
     default:
-      send_error(c, f.header.request_id, ErrCode::kUnknownType,
-                 strprintf("unhandled message type %u", f.header.type));
+      wire_.send_error(c, f.header.request_id, ErrCode::kUnknownType,
+                       strprintf("unhandled message type %u", f.header.type));
       return;
   }
 }
@@ -170,7 +91,7 @@ std::optional<ErrCode> Frontend::admit(WireConn& c, serve::ModelKey key, Tensor 
                                        u64 request_id,
                                        std::shared_ptr<PendingBatch> batch, u32 slot,
                                        u64 t_frame_done_ns) {
-  if (draining_) return ErrCode::kDraining;
+  if (wire_.draining()) return ErrCode::kDraining;
   const bool known = std::any_of(models_.begin(), models_.end(),
                                  [key](const auto& m) { return m.first == key; });
   if (!known) return ErrCode::kUnknownModel;
@@ -185,7 +106,7 @@ std::optional<ErrCode> Frontend::admit(WireConn& c, serve::ModelKey key, Tensor 
     // The hook runs on an engine worker thread: one post through the
     // eventfd, nothing else — the worker is back to serving immediately.
     fut = server_.try_submit(key, std::move(frame), &p->trace, [this, cookie] {
-      loop_.post([this, cookie] { finish(cookie); });
+      wire_.loop().post([this, cookie] { finish(cookie); });
     });
   } catch (const Error&) {
     // Raced a shutdown (accepting flipped) — the wire answer is "draining".
@@ -199,9 +120,7 @@ std::optional<ErrCode> Frontend::admit(WireConn& c, serve::ModelKey key, Tensor 
       static_cast<i64>(us_between(t_frame_done_ns, obs::now_ns())));
   p->future = std::move(*fut);
   pending_.emplace(cookie, std::move(p));
-  c.inflight += 1;
-  net_inflight_->add(1);
-  apply_backpressure(c);
+  wire_.admitted(c);
   return std::nullopt;
 }
 
@@ -210,21 +129,14 @@ void Frontend::handle_submit(WireConn& c, const Frame& f) {
   SubmitMsg m = decode_submit(f);  // WireError propagates: connection-fatal
   if (const auto err = admit(c, m.model_key, std::move(m.frame), f.header.request_id,
                              nullptr, 0, t0)) {
-    send_error(c, f.header.request_id, *err, err_code_name(*err));
+    wire_.send_error(c, f.header.request_id, *err, err_code_name(*err));
   }
 }
 
 void Frontend::handle_submit_batch(WireConn& c, const Frame& f) {
   const u64 t0 = obs::now_ns();
   SubmitBatchMsg m = decode_submit_batch(f);
-  if (m.frames.empty()) {
-    WireWriter w;
-    w.u32v(0);
-    send(c, MsgType::kBatchResult, f.header.request_id, w.take());
-    return;
-  }
   auto batch = std::make_shared<PendingBatch>();
-  batch->conn_id = c.id;
   batch->request_id = f.header.request_id;
   batch->remaining = m.frames.size();
   batch->entries.resize(m.frames.size());
@@ -235,37 +147,31 @@ void Frontend::handle_submit_batch(WireConn& c, const Frame& f) {
     const auto err = admit(c, m.model_key, std::move(m.frames[i]),
                            f.header.request_id, batch, i, t0);
     if (err.has_value()) {
-      WireWriter w;
-      w.u8v(0);
-      w.u32v(static_cast<u32>(*err));
-      w.str(err_code_name(*err));
-      batch->entries[i] = w.take();
+      batch->entries[i] = error_entry(*err, err_code_name(*err));
       batch->remaining -= 1;
     }
   }
   if (batch->remaining == 0) {
-    // Everything rejected synchronously: answer now.
-    WireWriter w;
-    w.u32v(static_cast<u32>(batch->entries.size()));
-    for (const auto& e : batch->entries) w.bytes(e.data(), e.size());
-    send(c, MsgType::kBatchResult, f.header.request_id, w.take());
+    // Empty, or everything rejected synchronously: answer now.
+    wire_.send(c, MsgType::kBatchResult, f.header.request_id,
+               batch_payload(batch->entries));
   }
 }
 
 void Frontend::handle_swap(WireConn& c, const Frame& f) {
   const SwapMsg m = decode_swap(f);
   if (!options_.swap_fn) {
-    send(c, MsgType::kSwapResult, f.header.request_id,
-         encode_status(static_cast<u32>(ErrCode::kUnknownType),
-                       "weight swap not configured on this server"));
+    wire_.send(c, MsgType::kSwapResult, f.header.request_id,
+               encode_status(static_cast<u32>(ErrCode::kUnknownType),
+                             "weight swap not configured on this server"));
     return;
   }
   try {
     options_.swap_fn(m.model_key, m.seed);
-    send(c, MsgType::kSwapResult, f.header.request_id, encode_status(0, "ok"));
+    wire_.send(c, MsgType::kSwapResult, f.header.request_id, encode_status(0, "ok"));
   } catch (const Error& e) {
-    send(c, MsgType::kSwapResult, f.header.request_id,
-         encode_status(static_cast<u32>(ErrCode::kInternal), e.what()));
+    wire_.send(c, MsgType::kSwapResult, f.header.request_id,
+               encode_status(static_cast<u32>(ErrCode::kInternal), e.what()));
   }
 }
 
@@ -274,7 +180,6 @@ void Frontend::finish(u64 cookie) {
   if (it == pending_.end()) return;
   std::unique_ptr<Pending> p = std::move(it->second);
   pending_.erase(it);
-  net_inflight_->add(-1);
 
   // The hook fired after the worker fulfilled the promise, so get() cannot
   // block; the trace is fully stamped on both the value and error paths.
@@ -306,85 +211,29 @@ void Frontend::finish(u64 cookie) {
     error_msg = e.what();
   }
 
-  const auto cit = conns_.find(p->conn_id);
-  WireConn* c = cit == conns_.end() ? nullptr : cit->second.get();
-  if (c != nullptr) {
-    c->inflight -= 1;
-    if (!draining_ && !c->closing && !c->reading &&
-        c->inflight < options_.conn_pending_limit) {
-      c->reading = true;  // backpressure released
-      update_events(loop_, *c);
+  WireConn* c = wire_.find(p->conn_id);
+  if (p->batch != nullptr) {
+    PendingBatch& b = *p->batch;
+    b.entries[p->slot] = ok ? std::move(entry) : error_entry(code, error_msg);
+    b.remaining -= 1;
+    if (b.remaining == 0 && c != nullptr) {
+      wire_.send(*c, MsgType::kBatchResult, b.request_id, batch_payload(b.entries));
+    }
+  } else if (c != nullptr) {
+    if (ok) {
+      wire_.send(*c, MsgType::kResult, p->request_id, single);
+    } else {
+      wire_.send_error(*c, p->request_id, code, error_msg);
     }
   }
-
-  // finish() runs as a posted closure, outside any connection's dispatch
-  // try-block: a dead socket here must close that connection, not unwind
-  // the event loop.
-  try {
-    if (p->batch != nullptr) {
-      PendingBatch& b = *p->batch;
-      if (!ok) {
-        WireWriter w;
-        w.u8v(0);
-        w.u32v(static_cast<u32>(code));
-        w.str(error_msg);
-        entry = w.take();
-      }
-      b.entries[p->slot] = std::move(entry);
-      b.remaining -= 1;
-      if (b.remaining == 0 && c != nullptr) {
-        WireWriter w;
-        w.u32v(static_cast<u32>(b.entries.size()));
-        for (const auto& e : b.entries) w.bytes(e.data(), e.size());
-        send(*c, MsgType::kBatchResult, b.request_id, w.take());
-      }
-    } else if (c != nullptr) {
-      if (ok) {
-        send(*c, MsgType::kResult, p->request_id, single);
-      } else {
-        send_error(*c, p->request_id, code, error_msg);
-      }
-    }
-  } catch (const Error&) {
-    close_conn(p->conn_id);
-  }
-  maybe_finish_drain();
-}
-
-void Frontend::send(WireConn& c, MsgType type, u64 request_id,
-                    const std::vector<u8>& payload) {
-  frames_out_->inc();
-  bytes_out_->inc(
-      static_cast<i64>(queue_frame(loop_, c, encode_frame(type, request_id, payload))));
-}
-
-void Frontend::send_error(WireConn& c, u64 request_id, ErrCode code,
-                          const std::string& msg) {
-  send(c, MsgType::kError, request_id, encode_error(code, msg));
-}
-
-void Frontend::close_conn(u64 conn_id) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  loop_.del_fd(it->second->fd.get());
-  conns_.erase(it);  // pending completions for this conn settle in finish()
-  closed_->inc();
-  connections_->set(static_cast<i64>(conns_.size()));
-  maybe_finish_drain();
-}
-
-void Frontend::apply_backpressure(WireConn& c) {
-  if (c.reading && c.inflight >= options_.conn_pending_limit) {
-    c.reading = false;  // stop reading; kernel buffers push back on the peer
-    backpressure_pauses_->inc();
-    update_events(loop_, c);
-  }
+  // Settle after the answer is queued: a drain waits for it to flush.
+  wire_.settled(p->conn_id);
 }
 
 json::Value Frontend::info_json() const {
   json::Value root;
   root.set("version", static_cast<i64>(kWireVersion));
-  root.set("accepting", !draining_ && server_.accepting());
+  root.set("accepting", !wire_.draining() && server_.accepting());
   root.set("workers", static_cast<i64>(server_.num_workers()));
   json::Array models;
   for (const auto& [key, dir] : models_) {
@@ -398,36 +247,6 @@ json::Value Frontend::info_json() const {
   }
   root.set("models", std::move(models));
   return root;
-}
-
-void Frontend::start_drain() {
-  if (draining_) return;
-  draining_ = true;
-  SJ_INFO("net: draining (" << conns_.size() << " connections, " << pending_.size()
-                            << " in flight)");
-  // Stop accepting; existing connections keep being read so pings see the
-  // draining state and pipelined submits get kDraining answers.
-  if (listener_.valid()) {
-    loop_.del_fd(listener_.get());
-    listener_.reset();
-  }
-  maybe_finish_drain();
-}
-
-void Frontend::maybe_finish_drain() {
-  if (!draining_ || !pending_.empty()) return;
-  for (const auto& [id, c] : conns_) {
-    if (!c->outq.empty()) return;  // a response is still flushing
-  }
-  // Close every connection before stopping: after run() returns no socket
-  // remains, exactly as if the serving process had exited — which is what
-  // lets a router detect an in-process backend drain the same way it
-  // detects a process death (EOF on its persistent connection).
-  for (const auto& [id, c] : conns_) loop_.del_fd(c->fd.get());
-  closed_->inc(static_cast<i64>(conns_.size()));
-  conns_.clear();
-  connections_->set(0);
-  loop_.stop();
 }
 
 }  // namespace sj::net

@@ -14,11 +14,14 @@
 // frame and writes it out. Admission uses Server::try_submit — nonblocking,
 // so a full serve queue answers kBusy instead of stalling the loop.
 //
-// Connection-level backpressure: a connection whose in-flight request count
-// reaches FrontendOptions::conn_pending_limit stops being read (EPOLLIN
-// dropped) until completions drain it below the bound — the kernel socket
-// buffer then pushes back on the client, which is the wire-level analogue of
-// the server's bounded queue.
+// Connections, backpressure and drain belong to the WireServer (net/conn.h)
+// the frontend holds; its counters are the net.* family. The frontend keeps
+// the policy: admission and completions. A connection with
+// FrontendOptions::conn_pending_limit admitted requests stops being read
+// until completions settle it below the bound; the kernel socket buffer then
+// pushes back on the client, the wire-level analogue of the server's bounded
+// queue. When it resumes, the frames it had already sent are dispatched
+// first.
 //
 // Drain (SIGTERM in shenjing_serverd, begin_drain() here): stop accepting
 // new connections, answer pings with accepting=false (the router's drain
@@ -35,7 +38,6 @@
 
 #include "json/json.h"
 #include "net/conn.h"
-#include "net/event_loop.h"
 #include "net/wire.h"
 #include "serve/server.h"
 
@@ -67,19 +69,18 @@ class Frontend {
   /// already be loaded into the server.
   void register_model(serve::ModelKey key, std::string name, Shape input_shape);
 
-  u16 port() const { return port_; }
+  u16 port() const { return wire_.port(); }
 
   /// Serves until a drain completes. Call from the thread that owns the
   /// network (shenjing_serverd's main; a std::thread in tests).
-  void run();
+  void run() { wire_.run(); }
 
   /// Thread- and signal-context-safe: starts the graceful drain. run()
   /// returns once every admitted request has been answered and flushed.
-  void begin_drain();
+  void begin_drain() { wire_.begin_drain(); }
 
  private:
   struct PendingBatch {
-    u64 conn_id = 0;
     u64 request_id = 0;
     usize remaining = 0;
     std::vector<std::vector<u8>> entries;  // per-slot encoded results/errors
@@ -101,8 +102,6 @@ class Frontend {
     Shape input;
   };
 
-  void on_accept();
-  void on_conn_event(u64 conn_id, u32 events);
   void dispatch(WireConn& c, const Frame& f);
   void handle_submit(WireConn& c, const Frame& f);
   void handle_submit_batch(WireConn& c, const Frame& f);
@@ -113,40 +112,19 @@ class Frontend {
                                u64 request_id, std::shared_ptr<PendingBatch> batch,
                                u32 slot, u64 t_frame_done_ns);
   void finish(u64 cookie);
-  void send(WireConn& c, MsgType type, u64 request_id, const std::vector<u8>& payload);
-  void send_error(WireConn& c, u64 request_id, ErrCode code, const std::string& msg);
-  void close_conn(u64 conn_id);
-  void apply_backpressure(WireConn& c);
   json::Value info_json() const;
-  void start_drain();
-  void maybe_finish_drain();
 
   serve::Server& server_;
   const FrontendOptions options_;
-  EventLoop loop_;
-  Fd listener_;
-  u16 port_ = 0;
-  u64 next_conn_id_ = 1;
+  // net.* telemetry lives in the server's registry, so one metrics_json()
+  // document covers process + wire (the router's load poll reads
+  // serve.queue_depth from the same place).
+  WireServer wire_;
   u64 next_cookie_ = 1;
-  std::unordered_map<u64, std::unique_ptr<WireConn>> conns_;
   std::unordered_map<u64, std::unique_ptr<Pending>> pending_;
   std::vector<std::pair<serve::ModelKey, ModelDir>> models_;  // kInfo directory
-  bool draining_ = false;
 
-  // net.* telemetry, registered in the server's registry so one
-  // metrics_json() document covers process + wire (the router's load poll
-  // reads serve.queue_depth and net.connections from the same place).
-  obs::Counter* accepted_ = nullptr;
-  obs::Counter* closed_ = nullptr;
-  obs::Counter* frames_in_ = nullptr;
-  obs::Counter* frames_out_ = nullptr;
-  obs::Counter* bytes_in_ = nullptr;
-  obs::Counter* bytes_out_ = nullptr;
-  obs::Counter* protocol_errors_ = nullptr;
   obs::Counter* busy_rejects_ = nullptr;
-  obs::Counter* backpressure_pauses_ = nullptr;
-  obs::Gauge* connections_ = nullptr;
-  obs::Gauge* net_inflight_ = nullptr;
   obs::Histogram* accept_to_admit_us_ = nullptr;
 };
 

@@ -11,14 +11,16 @@
 
 namespace sj::net {
 
-Router::Router(RouterOptions options) : options_(std::move(options)) {
+Router::Router(RouterOptions options)
+    : options_(std::move(options)),
+      wire_(registry_, "router", options_.port, options_.conn_pending_limit,
+            [this](WireConn& c, const Frame& f) { dispatch_client(c, f); }) {
   SJ_REQUIRE(!options_.backend_ports.empty(), "router needs at least one backend");
   routed_ = &registry_.counter("router.routed");
   answered_ = &registry_.counter("router.answered");
   no_backend_ = &registry_.counter("router.no_backend");
   lost_ = &registry_.counter("router.backend_lost");
   reconnects_ = &registry_.counter("router.reconnects");
-  clients_gauge_ = &registry_.gauge("router.clients");
   routes_gauge_ = &registry_.gauge("router.routes");
   healthy_gauge_ = &registry_.gauge("router.backends_healthy");
 
@@ -28,94 +30,16 @@ Router::Router(RouterOptions options) : options_(std::move(options)) {
     backends_[i].backend_port = options_.backend_ports[i];
   }
 
-  auto [fd, port] = listen_tcp(options_.port);
-  listener_ = std::move(fd);
-  port_ = port;
-  loop_.add_fd(listener_.get(), EPOLLIN, [this](u32) { on_accept(); });
-
   // First connect attempts happen on the first timer tick; fire an initial
   // round immediately so a co-started fleet links up without waiting.
-  loop_.post([this] { poll_health(); });
-  loop_.add_timer(options_.health_period_s, [this] { poll_health(); });
+  wire_.loop().post([this] { poll_health(); });
+  wire_.loop().add_timer(options_.health_period_s, [this] { poll_health(); });
 }
 
 Router::~Router() = default;
 
-void Router::run() { loop_.run(); }
-
-void Router::begin_drain() {
-  loop_.post([this] { start_drain(); });
-}
-
 // ---------------------------------------------------------------------------
 // Client side.
-
-void Router::on_accept() {
-  for (;;) {
-    const int fd = ::accept4(listener_.get(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;
-    set_nodelay(fd);
-    auto conn = std::make_unique<WireConn>();
-    conn->id = next_conn_id_++;
-    conn->fd = Fd(fd);
-    conn->armed = EPOLLIN | EPOLLRDHUP;
-    const u64 id = conn->id;
-    loop_.add_fd(fd, conn->armed, [this, id](u32 ev) { on_client_event(id, ev); });
-    clients_.emplace(id, std::move(conn));
-    clients_gauge_->set(static_cast<i64>(clients_.size()));
-  }
-}
-
-void Router::on_client_event(u64 conn_id, u32 events) {
-  const auto it = clients_.find(conn_id);
-  if (it == clients_.end()) return;
-  WireConn& c = *it->second;
-  try {
-    if (events & (EPOLLERR | EPOLLHUP)) {
-      close_client(conn_id);
-      return;
-    }
-    if (events & EPOLLOUT) {
-      flush_writes(c);
-      if (c.outq.empty() && c.closing) {
-        close_client(conn_id);
-        return;
-      }
-      update_events(loop_, c);
-      maybe_finish_drain();
-    }
-    if ((events & (EPOLLIN | EPOLLRDHUP)) && c.reading && !c.closing) {
-      u8 buf[64 * 1024];
-      for (;;) {
-        const i64 n = read_some(c.fd.get(), buf, sizeof(buf));
-        if (n < 0) break;
-        if (n == 0) {
-          close_client(conn_id);
-          return;
-        }
-        c.reader.feed(buf, static_cast<usize>(n));
-        while (auto f = c.reader.next()) {
-          dispatch_client(c, *f);
-          if (c.closing || !c.reading) break;
-        }
-        if (c.closing || !c.reading) break;
-      }
-      update_events(loop_, c);
-    }
-  } catch (const WireError& e) {
-    send_error(c, 0, ErrCode::kBadFrame, e.what());
-    c.closing = true;
-    if (c.outq.empty()) {
-      close_client(conn_id);
-    } else {
-      update_events(loop_, c);
-    }
-  } catch (const Error& e) {
-    SJ_WARN("router: client " << conn_id << " dropped: " << e.what());
-    close_client(conn_id);
-  }
-}
 
 void Router::dispatch_client(WireConn& c, const Frame& f) {
   switch (f.type()) {
@@ -130,23 +54,23 @@ void Router::dispatch_client(WireConn& c, const Frame& f) {
       answer_ping(c, f.header.request_id);
       return;
     case MsgType::kMetrics:
-      send(c, MsgType::kMetricsResult, f.header.request_id,
-           encode_string(metrics_json().dump()));
+      wire_.send(c, MsgType::kMetricsResult, f.header.request_id,
+                 encode_string(metrics_json().dump()));
       return;
     case MsgType::kInfo:
-      send(c, MsgType::kInfoResult, f.header.request_id,
-           encode_string(info_json().dump()));
+      wire_.send(c, MsgType::kInfoResult, f.header.request_id,
+                 encode_string(info_json().dump()));
       return;
     default:
-      send_error(c, f.header.request_id, ErrCode::kUnknownType,
-                 strprintf("router does not handle type %u", f.header.type));
+      wire_.send_error(c, f.header.request_id, ErrCode::kUnknownType,
+                       strprintf("router does not handle type %u", f.header.type));
       return;
   }
 }
 
 void Router::route_submit(WireConn& c, const Frame& f) {
-  if (draining_) {
-    send_error(c, f.header.request_id, ErrCode::kDraining, "router draining");
+  if (wire_.draining()) {
+    wire_.send_error(c, f.header.request_id, ErrCode::kDraining, "router draining");
     return;
   }
   if (f.payload.size() < 8) {
@@ -157,17 +81,19 @@ void Router::route_submit(WireConn& c, const Frame& f) {
   const int pick = pick_backend(key);
   if (pick < 0) {
     no_backend_->inc();
-    send_error(c, f.header.request_id, ErrCode::kNoBackend,
-               strprintf("no healthy backend serves model %016llx",
-                         static_cast<unsigned long long>(key)));
+    wire_.send_error(c, f.header.request_id, ErrCode::kNoBackend,
+                     strprintf("no healthy backend serves model %016llx",
+                               static_cast<unsigned long long>(key)));
     return;
   }
-  forward(backends_[static_cast<usize>(pick)], c, f);
+  wire_.admitted(c);
+  routed_->inc();
+  forward(backends_[static_cast<usize>(pick)], c, f, nullptr);
 }
 
 void Router::route_swap(WireConn& c, const Frame& f) {
-  if (draining_) {
-    send_error(c, f.header.request_id, ErrCode::kDraining, "router draining");
+  if (wire_.draining()) {
+    wire_.send_error(c, f.header.request_id, ErrCode::kDraining, "router draining");
     return;
   }
   if (f.payload.size() < 8) {
@@ -185,31 +111,15 @@ void Router::route_swap(WireConn& c, const Frame& f) {
   }
   if (targets.empty()) {
     no_backend_->inc();
-    send_error(c, f.header.request_id, ErrCode::kNoBackend,
-               strprintf("no backend serves model %016llx",
-                         static_cast<unsigned long long>(key)));
+    wire_.send_error(c, f.header.request_id, ErrCode::kNoBackend,
+                     strprintf("no backend serves model %016llx",
+                               static_cast<unsigned long long>(key)));
     return;
   }
   auto fanout = std::make_shared<SwapFanout>();
-  fanout->client_conn = c.id;
-  fanout->orig_id = f.header.request_id;
   fanout->remaining = targets.size();
-  for (const usize t : targets) {
-    Backend& b = backends_[t];
-    const u64 rid = next_rid_++;
-    routes_.emplace(rid, Route{c.id, f.header.request_id, t, fanout});
-    b.inflight += 1;
-    std::vector<u8> out(kHeaderSize + f.payload.size());
-    encode_header(f.type(), rid, static_cast<u32>(f.payload.size()), out.data());
-    std::memcpy(out.data() + kHeaderSize, f.payload.data(), f.payload.size());
-    try {
-      queue_frame(loop_, *b.conn, std::move(out));
-    } catch (const Error& e) {
-      backend_lost(b, e.what());  // settles this target's fanout slot
-    }
-  }
-  routes_gauge_->set(static_cast<i64>(routes_.size()));
-  apply_client_backpressure(c);
+  wire_.admitted(c);  // the whole fan-out is one request of the client's
+  for (const usize t : targets) forward(backends_[t], c, f, fanout);
 }
 
 int Router::pick_backend(u64 key) const {
@@ -228,41 +138,49 @@ int Router::pick_backend(u64 key) const {
   return best;
 }
 
-void Router::forward(Backend& b, WireConn& client, const Frame& f) {
+void Router::forward(Backend& b, WireConn& client, const Frame& f,
+                     std::shared_ptr<SwapFanout> fanout) {
   const u64 rid = next_rid_++;
-  routes_.emplace(rid, Route{client.id, f.header.request_id, b.index, nullptr});
+  routes_.emplace(rid, Route{client.id, f.header.request_id, b.index, std::move(fanout)});
   b.inflight += 1;
-  routed_->inc();
   routes_gauge_->set(static_cast<i64>(routes_.size()));
-  std::vector<u8> out(kHeaderSize + f.payload.size());
-  encode_header(f.type(), rid, static_cast<u32>(f.payload.size()), out.data());
-  std::memcpy(out.data() + kHeaderSize, f.payload.data(), f.payload.size());
   try {
-    queue_frame(loop_, *b.conn, std::move(out));
+    queue_frame(wire_.loop(), *b.conn, encode_frame(f.type(), rid, f.payload));
   } catch (const Error& e) {
     backend_lost(b, e.what());  // settles the just-registered route too
-    return;
   }
-  apply_client_backpressure(client);
 }
 
-void Router::settle_fanout(const Route& r, u32 code, const std::string& message) {
-  SwapFanout& fo = *r.fanout;
-  if (code != 0 && fo.worst_code == 0) {
-    fo.worst_code = code;
-    fo.message = message;
-  }
-  fo.remaining -= 1;
-  if (fo.remaining != 0) return;
-  const auto it = clients_.find(fo.client_conn);
-  if (it != clients_.end()) {
-    try {
-      send(*it->second, MsgType::kSwapResult, fo.orig_id,
-           encode_status(fo.worst_code, fo.message));
-    } catch (const Error&) {
-      close_client(fo.client_conn);
+void Router::settle_route(const Route& r, const Frame& answer) {
+  WireConn* client = wire_.find(r.client_conn);
+  if (r.fanout == nullptr) {
+    // Forward the backend's payload verbatim under the original id.
+    if (client != nullptr) wire_.send(*client, answer.type(), r.orig_id, answer.payload);
+  } else {
+    SwapFanout& fo = *r.fanout;
+    u32 code = 0;
+    std::string message = "ok";
+    if (answer.type() == MsgType::kSwapResult) {
+      const StatusMsg s = decode_status(answer);
+      code = s.code;
+      message = s.message;
+    } else if (answer.type() == MsgType::kError) {
+      const ErrorMsg e = decode_error(answer);
+      code = static_cast<u32>(e.code);
+      message = e.message;
+    }
+    if (code != 0 && fo.worst_code == 0) {
+      fo.worst_code = code;
+      fo.message = message;
+    }
+    fo.remaining -= 1;
+    if (fo.remaining != 0) return;
+    if (client != nullptr) {
+      wire_.send(*client, MsgType::kSwapResult, r.orig_id,
+                 encode_status(fo.worst_code, fo.message));
     }
   }
+  wire_.settled(r.client_conn);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,25 +193,25 @@ void Router::start_connect(Backend& b) {
     return;  // next health tick retries
   }
   const usize index = b.index;
-  loop_.add_fd(b.connecting.get(), EPOLLOUT,
-               [this, index](u32 ev) { on_connecting(index, ev); });
+  wire_.loop().add_fd(b.connecting.get(), EPOLLOUT,
+                      [this, index](u32 ev) { on_connecting(index, ev); });
 }
 
 void Router::on_connecting(usize index, u32 events) {
   Backend& b = backends_[index];
   if (!b.connecting.valid()) return;
-  loop_.del_fd(b.connecting.get());
+  wire_.loop().del_fd(b.connecting.get());
   if ((events & (EPOLLERR | EPOLLHUP)) || connect_result(b.connecting.get()) != 0) {
     b.connecting.reset();  // refused (backend not up yet); retry on the timer
     return;
   }
   set_nodelay(b.connecting.get());
-  b.conn = std::make_unique<WireConn>();
+  b.conn = std::make_shared<WireConn>();
   b.conn->id = b.index;
   b.conn->fd = std::move(b.connecting);
   b.conn->armed = EPOLLIN | EPOLLRDHUP;
-  loop_.add_fd(b.conn->fd.get(), b.conn->armed,
-               [this, index](u32 ev) { on_backend_event(index, ev); });
+  wire_.loop().add_fd(b.conn->fd.get(), b.conn->armed,
+                      [this, index](u32 ev) { on_backend_event(index, ev); });
   reconnects_->inc();
   SJ_INFO("router: backend " << index << " connected (port " << b.backend_port << ")");
   // Learn the model directory and health before routing anything there.
@@ -304,33 +222,12 @@ void Router::on_connecting(usize index, u32 events) {
 
 void Router::on_backend_event(usize index, u32 events) {
   Backend& b = backends_[index];
-  if (b.conn == nullptr) return;
-  WireConn& c = *b.conn;
+  const std::shared_ptr<WireConn> c = b.conn;  // outlives a loss mid-pump
+  if (c == nullptr) return;
   try {
-    if (events & (EPOLLERR | EPOLLHUP)) {
-      backend_lost(b, "socket error");
-      return;
-    }
-    if (events & EPOLLOUT) {
-      flush_writes(c);
-      update_events(loop_, c);
-    }
-    if (events & (EPOLLIN | EPOLLRDHUP)) {
-      u8 buf[64 * 1024];
-      for (;;) {
-        const i64 n = read_some(c.fd.get(), buf, sizeof(buf));
-        if (n < 0) break;
-        if (n == 0) {
-          backend_lost(b, "closed the connection");
-          return;
-        }
-        c.reader.feed(buf, static_cast<usize>(n));
-        while (auto f = c.reader.next()) {
-          dispatch_backend(b, *f);
-          if (b.conn == nullptr) return;  // lost while dispatching
-        }
-      }
-      update_events(loop_, c);
+    if (!wire_.service(*c, events,
+                       [this, &b](WireConn&, const Frame& f) { dispatch_backend(b, f); })) {
+      backend_lost(b, "closed the connection");
     }
   } catch (const Error& e) {
     backend_lost(b, e.what());
@@ -375,65 +272,25 @@ void Router::dispatch_backend(Backend& b, const Frame& f) {
       default:
         break;
     }
-    i64 healthy = 0;
-    for (const Backend& be : backends_) healthy += be.routable() ? 1 : 0;
-    healthy_gauge_->set(healthy);
+    update_gauges();
     return;
   }
 
   const auto rit = routes_.find(id);
-  if (rit == routes_.end()) return;  // client vanished and route was reaped
+  if (rit == routes_.end()) return;  // an id this router is not waiting on
   const Route route = rit->second;
   routes_.erase(rit);
   b.inflight -= 1;
-  routes_gauge_->set(static_cast<i64>(routes_.size()));
-
-  if (route.fanout != nullptr) {
-    u32 code = 0;
-    std::string message = "ok";
-    if (f.type() == MsgType::kSwapResult) {
-      const StatusMsg s = decode_status(f);
-      code = s.code;
-      message = s.message;
-    } else if (f.type() == MsgType::kError) {
-      const ErrorMsg e = decode_error(f);
-      code = static_cast<u32>(e.code);
-      message = e.message;
-    }
-    settle_fanout(route, code, message);
-  } else {
-    const auto cit = clients_.find(route.client_conn);
-    if (cit != clients_.end()) {
-      WireConn& client = *cit->second;
-      answered_->inc();
-      try {
-        // Forward the backend's payload verbatim under the original id.
-        std::vector<u8> out(kHeaderSize + f.payload.size());
-        encode_header(f.type(), route.orig_id, static_cast<u32>(f.payload.size()),
-                      out.data());
-        std::memcpy(out.data() + kHeaderSize, f.payload.data(), f.payload.size());
-        queue_frame(loop_, client, std::move(out));
-        if (!client.reading && !client.closing && !draining_ &&
-            client_routes(client.id) < options_.conn_pending_limit) {
-          client.reading = true;
-          update_events(loop_, client);
-        }
-      } catch (const Error&) {
-        // A dead CLIENT must not be mistaken for a dead backend (we are in
-        // the backend's dispatch context here).
-        close_client(route.client_conn);
-      }
-    }
-  }
-  maybe_finish_drain();
+  answered_->inc();
+  update_gauges();
+  settle_route(route, f);
 }
 
 void Router::backend_lost(Backend& b, const std::string& why) {
+  if (b.conn == nullptr) return;
   SJ_WARN("router: backend " << b.index << " lost: " << why);
-  if (b.conn != nullptr) {
-    loop_.del_fd(b.conn->fd.get());
-    b.conn.reset();
-  }
+  close_socket(wire_.loop(), *b.conn);
+  b.conn.reset();
   b.saw_pong = false;
   b.accepting = false;
   b.load = 0;
@@ -444,39 +301,27 @@ void Router::backend_lost(Backend& b, const std::string& why) {
   }
   // Every route on this backend fails back to its client: the frame may or
   // may not have executed, so the only honest answer is kBackendLost.
-  std::vector<u64> dead;
-  for (const auto& [rid, route] : routes_) {
-    if (route.backend == b.index) dead.push_back(rid);
-  }
-  for (const u64 rid : dead) {
-    const Route route = routes_[rid];
-    routes_.erase(rid);
-    lost_->inc();
-    if (route.fanout != nullptr) {
-      settle_fanout(route, static_cast<u32>(ErrCode::kBackendLost), why);
+  std::vector<Route> dead;
+  for (auto it = routes_.begin(); it != routes_.end();) {
+    if (it->second.backend == b.index) {
+      dead.push_back(std::move(it->second));
+      it = routes_.erase(it);
     } else {
-      const auto cit = clients_.find(route.client_conn);
-      if (cit != clients_.end()) {
-        try {
-          send_error(*cit->second, route.orig_id, ErrCode::kBackendLost,
-                     "backend lost with request in flight");
-        } catch (const Error&) {
-          close_client(route.client_conn);
-        }
-      }
+      ++it;
     }
   }
-  routes_gauge_->set(static_cast<i64>(routes_.size()));
-  i64 healthy = 0;
-  for (const Backend& be : backends_) healthy += be.routable() ? 1 : 0;
-  healthy_gauge_->set(healthy);
-  maybe_finish_drain();
+  lost_->inc(static_cast<i64>(dead.size()));
+  update_gauges();
+  Frame lost;
+  lost.header.type = static_cast<u16>(MsgType::kError);
+  lost.payload = encode_error(ErrCode::kBackendLost, "backend lost with request in flight: " + why);
+  for (const Route& r : dead) settle_route(r, lost);
 }
 
 void Router::poll_health() {
   for (Backend& b : backends_) {
     if (b.conn == nullptr) {
-      if (!b.connecting.valid() && !draining_) start_connect(b);
+      if (!b.connecting.valid() && !wire_.draining()) start_connect(b);
       continue;
     }
     try {
@@ -494,7 +339,14 @@ void Router::poll_health() {
 void Router::send_control(Backend& b, MsgType type) {
   const u64 id = kControlBit | next_control_id_++;
   control_.emplace(id, b.index);
-  queue_frame(loop_, *b.conn, encode_frame(type, id, {}));
+  queue_frame(wire_.loop(), *b.conn, encode_frame(type, id, {}));
+}
+
+void Router::update_gauges() {
+  routes_gauge_->set(static_cast<i64>(routes_.size()));
+  i64 healthy = 0;
+  for (const Backend& be : backends_) healthy += be.routable() ? 1 : 0;
+  healthy_gauge_->set(healthy);
 }
 
 // ---------------------------------------------------------------------------
@@ -502,21 +354,21 @@ void Router::send_control(Backend& b, MsgType type) {
 
 void Router::answer_ping(WireConn& c, u64 request_id) {
   PongInfo p;
-  p.accepting = !draining_;
+  p.accepting = !wire_.draining();
   p.pending = static_cast<u32>(routes_.size());
   std::unordered_set<u64> keys;
   for (const Backend& b : backends_) {
     for (const u64 k : b.model_keys) keys.insert(k);
   }
   p.models = static_cast<u32>(keys.size());
-  send(c, MsgType::kPong, request_id, encode_pong(p));
+  wire_.send(c, MsgType::kPong, request_id, encode_pong(p));
 }
 
 json::Value Router::info_json() const {
   // Union of the backends' directories, deduped by key.
   json::Value root;
   root.set("version", static_cast<i64>(kWireVersion));
-  root.set("accepting", !draining_);
+  root.set("accepting", !wire_.draining());
   root.set("router", true);
   json::Array models;
   std::unordered_set<u64> seen;
@@ -548,59 +400,6 @@ json::Value Router::metrics_json() const {
   }
   root.set("backends", std::move(bs));
   return root;
-}
-
-void Router::send(WireConn& c, MsgType type, u64 request_id,
-                  const std::vector<u8>& payload) {
-  queue_frame(loop_, c, encode_frame(type, request_id, payload));
-}
-
-void Router::send_error(WireConn& c, u64 request_id, ErrCode code,
-                        const std::string& msg) {
-  send(c, MsgType::kError, request_id, encode_error(code, msg));
-}
-
-void Router::close_client(u64 conn_id) {
-  const auto it = clients_.find(conn_id);
-  if (it == clients_.end()) return;
-  loop_.del_fd(it->second->fd.get());
-  clients_.erase(it);
-  clients_gauge_->set(static_cast<i64>(clients_.size()));
-  // Routes for this client stay until the backend answers (the backend is
-  // executing them regardless); the answer is then dropped on the floor.
-  maybe_finish_drain();
-}
-
-void Router::apply_client_backpressure(WireConn& c) {
-  if (c.reading && client_routes(c.id) >= options_.conn_pending_limit) {
-    c.reading = false;
-    update_events(loop_, c);
-  }
-}
-
-usize Router::client_routes(u64 conn_id) const {
-  usize n = 0;
-  for (const auto& [rid, route] : routes_) n += route.client_conn == conn_id ? 1 : 0;
-  return n;
-}
-
-void Router::start_drain() {
-  if (draining_) return;
-  draining_ = true;
-  SJ_INFO("router: draining (" << routes_.size() << " routes in flight)");
-  if (listener_.valid()) {
-    loop_.del_fd(listener_.get());
-    listener_.reset();
-  }
-  maybe_finish_drain();
-}
-
-void Router::maybe_finish_drain() {
-  if (!draining_ || !routes_.empty()) return;
-  for (const auto& [id, c] : clients_) {
-    if (!c->outq.empty()) return;
-  }
-  loop_.stop();
 }
 
 }  // namespace sj::net

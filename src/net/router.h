@@ -31,6 +31,15 @@
 //
 // kSwapWeights fans out to EVERY backend serving the key (a fleet must not
 // serve two weight versions); the client gets ok only when all succeeded.
+//
+// The client side is a WireServer (net/conn.h), the same connection server
+// the frontend holds, with the router.* counters; the backend links reuse its
+// read pump. A client request is in flight from routing until its answer is
+// queued: a backend's answer, kBackendLost when the backend dies, or the
+// aggregate of a swap fan-out, which counts as one request. A client at
+// RouterOptions::conn_pending_limit stops being read; whichever of those
+// answers brings it below the limit resumes it, frames it had already sent
+// first.
 #pragma once
 
 #include <memory>
@@ -41,7 +50,6 @@
 
 #include "json/json.h"
 #include "net/conn.h"
-#include "net/event_loop.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 
@@ -67,11 +75,11 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  u16 port() const { return port_; }
+  u16 port() const { return wire_.port(); }
   /// Serves until a drain completes.
-  void run();
+  void run() { wire_.run(); }
   /// Thread-safe graceful drain (SIGTERM handler in shenjing_router).
-  void begin_drain();
+  void begin_drain() { wire_.begin_drain(); }
 
  private:
   /// One backend server: its (re)connection state, the health picture from
@@ -79,7 +87,7 @@ class Router {
   struct Backend {
     usize index = 0;
     u16 backend_port = 0;
-    std::unique_ptr<WireConn> conn;  // null while disconnected
+    std::shared_ptr<WireConn> conn;  // null while disconnected
     Fd connecting;                   // nonblocking connect in flight
     bool accepting = false;          // last pong's flag (drain awareness)
     bool saw_pong = false;           // a pong arrived on this connection
@@ -91,8 +99,6 @@ class Router {
 
   /// A swap fanned out to several backends: the client answer aggregates.
   struct SwapFanout {
-    u64 client_conn = 0;
-    u64 orig_id = 0;
     usize remaining = 0;
     u32 worst_code = 0;  // first non-ok status wins the aggregate
     std::string message = "ok";
@@ -106,15 +112,16 @@ class Router {
     std::shared_ptr<SwapFanout> fanout;  // null for submits
   };
 
-  void on_accept();
-  void on_client_event(u64 conn_id, u32 events);
   void dispatch_client(WireConn& c, const Frame& f);
   void route_submit(WireConn& c, const Frame& f);
   void route_swap(WireConn& c, const Frame& f);
   /// Healthy+accepting backend serving `key` with the lowest load, or -1.
   int pick_backend(u64 key) const;
-  void forward(Backend& b, WireConn& client, const Frame& f);
-  void settle_fanout(const Route& r, u32 code, const std::string& message);
+  void forward(Backend& b, WireConn& client, const Frame& f,
+               std::shared_ptr<SwapFanout> fanout);
+  /// Delivers a finished route's answer (a submit's verbatim, a swap's once
+  /// its fan-out completes) and settles the client's request.
+  void settle_route(const Route& r, const Frame& answer);
 
   void start_connect(Backend& b);
   void on_connecting(usize index, u32 events);
@@ -125,40 +132,28 @@ class Router {
   /// Sends a router-originated control request to a backend; the id carries
   /// kControlBit so responses never collide with forwarded routes.
   void send_control(Backend& b, MsgType type);
+  void update_gauges();
 
   void answer_ping(WireConn& c, u64 request_id);
   json::Value info_json() const;
   json::Value metrics_json() const;
-  void send(WireConn& c, MsgType type, u64 request_id, const std::vector<u8>& payload);
-  void send_error(WireConn& c, u64 request_id, ErrCode code, const std::string& msg);
-  void close_client(u64 conn_id);
-  void apply_client_backpressure(WireConn& c);
-  usize client_routes(u64 conn_id) const;
-  void start_drain();
-  void maybe_finish_drain();
 
   static constexpr u64 kControlBit = 1ull << 63;
 
   const RouterOptions options_;
-  EventLoop loop_;
-  Fd listener_;
-  u16 port_ = 0;
-  u64 next_conn_id_ = 1;
+  obs::Registry registry_;
+  WireServer wire_;
   u64 next_rid_ = 1;        // forwarded-request ids (kControlBit clear)
   u64 next_control_id_ = 1; // control ids (kControlBit set)
-  std::unordered_map<u64, std::unique_ptr<WireConn>> clients_;
   std::vector<Backend> backends_;
   std::unordered_map<u64, Route> routes_;  // rid -> origin
   std::unordered_map<u64, usize> control_; // control id -> backend index
-  bool draining_ = false;
 
-  obs::Registry registry_;
   obs::Counter* routed_ = nullptr;
   obs::Counter* answered_ = nullptr;
   obs::Counter* no_backend_ = nullptr;
   obs::Counter* lost_ = nullptr;
   obs::Counter* reconnects_ = nullptr;
-  obs::Gauge* clients_gauge_ = nullptr;
   obs::Gauge* routes_gauge_ = nullptr;
   obs::Gauge* healthy_gauge_ = nullptr;
 };

@@ -1,7 +1,7 @@
 // Thin POSIX socket layer for the net tier: an RAII fd, nonblocking TCP
 // listen/connect, and EAGAIN-aware read/write helpers. Everything here is
-// mechanism; policy (framing, backpressure, drain) lives in the event loop
-// users (Frontend, Router) and the blocking Client.
+// mechanism; policy (framing, backpressure, drain) lives in the connection
+// server (WireServer, net/conn.h) and the blocking Client.
 #pragma once
 
 #include <optional>

@@ -168,8 +168,7 @@ class WireReader {
 std::vector<u8> encode_frame(MsgType type, u64 request_id,
                              const std::vector<u8>& payload);
 
-/// Encodes just a 24-byte header (router path: forward a payload verbatim
-/// under a rewritten request id without copying it into a fresh frame).
+/// Encodes just a 24-byte header into `out`.
 void encode_header(MsgType type, u64 request_id, u32 payload_len, u8 out[kHeaderSize]);
 
 /// Parses and validates a header from exactly kHeaderSize bytes. Throws

@@ -293,8 +293,6 @@ void CompiledModel::build_pipeline_exec() {
   const MappedNetwork& m = *mapped_;
   SJ_REQUIRE(m.cycles_per_timestep > 0, "Engine: the mapping has an empty timestep schedule");
   pipe_ = map::build_pipeline(m);
-  prog_.pipeline_slack = pipe_.slack;
-  prog_.pipeline_depth = pipe_.depth;
 
   // Pending-buffer slots for ACC gathers: one (core, parity) pair of
   // i32[256] accumulators per ACC-issuing core (SimContext::acc_pend_).

@@ -14,12 +14,22 @@
 //     one (failover), answers kNoBackend when nobody serves the key, and
 //     hot-swaps weights over the wire consistently (swap back restores
 //     bit-exact original results).
+//  5. Backpressure: a connection paused at its in-flight limit gets every
+//     frame it already sent answered once it resumes — on the frontend,
+//     through the router, and when the router's backend dies with the
+//     client's requests in flight. Unparseable bytes sent to the router are
+//     answered with kBadFrame, close the connection and are counted.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
+#include <atomic>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "harness/serve_fixture.h"
 #include "net/client.h"
 #include "net/frontend.h"
@@ -180,6 +190,25 @@ struct Loopback {
   }
 };
 
+/// A receive timeout on the client socket: a stalled server makes
+/// recv_frame() throw instead of hanging the test.
+void set_recv_timeout(const Client& c, int seconds) {
+  const timeval tv{seconds, 0};
+  ASSERT_EQ(::setsockopt(c.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+}
+
+/// Writes `frames` (type, request id 1..n, payload) in ONE write(), so the
+/// server reads them all before it can pause the connection.
+void write_pipelined(const Client& c,
+                     const std::vector<std::pair<MsgType, std::vector<u8>>>& frames) {
+  std::vector<u8> bytes;
+  for (usize i = 0; i < frames.size(); ++i) {
+    const std::vector<u8> f = encode_frame(frames[i].first, i + 1, frames[i].second);
+    bytes.insert(bytes.end(), f.begin(), f.end());
+  }
+  write_all(c.fd(), bytes.data(), bytes.size());
+}
+
 TEST(NetLoopback, WireResultsMatchInProcessSubmitBitExactly) {
   Loopback lb;
   Client client(lb.frontend->port());
@@ -246,9 +275,11 @@ TEST(NetLoopback, FullQueueAnswersBusyWithoutBlockingTheLoop) {
               FrontendOptions{.conn_pending_limit = 1024});
   Client client(lb.frontend->port());
   constexpr usize kFlood = 24;
-  for (usize i = 0; i < kFlood; ++i) {
-    client.send_frame(MsgType::kSubmit, encode_submit(lb.key, lb.fix.data.images[0]));
-  }
+  // One write: the loop dispatches the whole flood back to back, faster
+  // than the worker drains the queue, however the threads are scheduled.
+  const std::vector<std::pair<MsgType, std::vector<u8>>> flood(
+      kFlood, {MsgType::kSubmit, encode_submit(lb.key, lb.fix.data.images[0])});
+  write_pipelined(client, flood);
   usize ok = 0, busy = 0;
   for (usize i = 0; i < kFlood; ++i) {
     const Frame f = client.recv_frame();
@@ -293,6 +324,39 @@ TEST(NetLoopback, DrainAnswersEverythingThenRefusesConnections) {
   EXPECT_THROW(Client{port}, IoError);  // listener is gone
 }
 
+/// 8 submits in one write to a server whose connection limit is 2: every
+/// one must be answered bit-exactly, including the 6 that were already
+/// buffered when the connection paused.
+void expect_buffered_submits_answered(u16 port, Loopback& lb) {
+  Client client(port);
+  set_recv_timeout(client, 3);
+  constexpr usize kN = 8;
+  const std::vector<Tensor>& images = lb.fix.data.images;
+  std::vector<std::pair<MsgType, std::vector<u8>>> frames;
+  for (usize i = 0; i < kN; ++i) {
+    frames.emplace_back(MsgType::kSubmit, encode_submit(lb.key, images[i % images.size()]));
+  }
+  write_pipelined(client, frames);
+  std::vector<bool> seen(kN, false);
+  for (usize i = 0; i < kN; ++i) {
+    const Frame f = client.recv_frame();
+    ASSERT_EQ(f.type(), MsgType::kResult) << "answer " << i;
+    const u64 slot = f.header.request_id - 1;
+    ASSERT_LT(slot, kN);
+    EXPECT_FALSE(seen[slot]) << "request " << slot << " answered twice";
+    seen[slot] = true;
+    const sim::FrameResult local = lb.server.submit(lb.key, images[slot % images.size()]).get();
+    expect_result_eq(decode_result(f).result, local, "resumed submit");
+  }
+}
+
+TEST(NetLoopback, PausedConnectionAnswersFramesItHadBuffered) {
+  Loopback lb({.workers = 2}, FrontendOptions{.conn_pending_limit = 2, .swap_fn = {}});
+  expect_buffered_submits_answered(lb.frontend->port(), lb);
+  const obs::RegistrySnapshot snap = lb.server.registry().snapshot();
+  EXPECT_GT(snap.counter_or("net.backpressure_pauses", 0), 0);
+}
+
 TEST(NetLoopback, WeightSwapOverWireChangesAndRestoresResults) {
   Loopback lb;
   Client client(lb.frontend->port());
@@ -324,8 +388,8 @@ struct RouterRig {
   std::unique_ptr<Router> router;
   std::thread router_thread;
 
-  explicit RouterRig(usize n) {
-    RouterOptions ro;
+  /// `n` in-process backends, plus any ports already in `ro.backend_ports`.
+  explicit RouterRig(usize n, RouterOptions ro = {}) {
     ro.health_period_s = 0.05;
     for (usize i = 0; i < n; ++i) {
       backends.push_back(std::make_unique<Loopback>());
@@ -434,6 +498,197 @@ TEST(NetRouter, FailsOverWhenABackendDiesAndReportsNoBackendWhenAllDo) {
     }
   }
   EXPECT_TRUE(refused);
+}
+
+TEST(NetRouter, PausedClientAnswersFramesItHadBuffered) {
+  RouterOptions ro;
+  ro.conn_pending_limit = 2;
+  RouterRig rig(1, ro);
+  Client probe(rig.router->port());
+  rig.wait_discovered(probe);
+  expect_buffered_submits_answered(rig.router->port(), *rig.backends[0]);
+}
+
+/// Reads one counter or gauge from a router's metrics_json document.
+i64 router_metric(Client& c, const char* kind, const char* name) {
+  const json::Value doc = json::parse(c.metrics_json());
+  const json::Value& table = doc.at("metrics").at(kind);
+  return table.contains(name) ? table.at(name).as_int() : -1;
+}
+
+TEST(NetRouter, GarbageHeaderAnswersBadFrameClosesAndCounts) {
+  RouterRig rig(1);
+  Client client(rig.router->port());
+  set_recv_timeout(client, 3);
+  std::vector<u8> junk(kHeaderSize, 0xab);
+  write_all(client.fd(), junk.data(), junk.size());
+  const Frame f = client.recv_frame();
+  ASSERT_EQ(f.type(), MsgType::kError);
+  EXPECT_EQ(decode_error(f).code, ErrCode::kBadFrame);
+  EXPECT_THROW(client.recv_frame(), IoError);  // the router closed it
+  Client observer(rig.router->port());
+  EXPECT_EQ(router_metric(observer, "counters", "router.protocol_errors"), 1);
+  EXPECT_GE(router_metric(observer, "counters", "router.closed"), 1);
+  EXPECT_EQ(router_metric(observer, "counters", "router.accepted"), 2);
+}
+
+/// A scripted backend for the router: answers the kInfo/kPing/kMetrics
+/// handshake for one model key and records every forwarded request without
+/// ever answering it. kill() closes its listener and its connection, so the
+/// router loses it with those requests in flight.
+struct StubBackend {
+  u64 key;
+  Fd listener;
+  u16 port = 0;
+  std::mutex mu;  // guards conn_fd and requests
+  int conn_fd = -1;
+  std::vector<MsgType> requests;
+  std::thread thread;
+
+  explicit StubBackend(u64 model_key) : key(model_key) {
+    auto [fd, p] = listen_tcp(0);
+    listener = std::move(fd);
+    port = p;
+    thread = std::thread([this, lfd = listener.get()] { serve(lfd); });
+  }
+  ~StubBackend() {
+    kill();
+    thread.join();
+  }
+
+  usize num_requests() {
+    const std::lock_guard<std::mutex> lock(mu);
+    return requests.size();
+  }
+  void kill() {
+    listener.reset();  // no reconnect: the router's retries are refused
+    const std::lock_guard<std::mutex> lock(mu);
+    if (conn_fd >= 0) ::shutdown(conn_fd, SHUT_RDWR);
+  }
+
+  void serve(int lfd) {
+    pollfd pfd{lfd, POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) != 1) return;
+    Fd conn(::accept4(lfd, nullptr, nullptr, SOCK_CLOEXEC));
+    if (!conn.valid()) return;
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      conn_fd = conn.get();
+    }
+    answer_until_closed(conn.get());
+    const std::lock_guard<std::mutex> lock(mu);
+    conn_fd = -1;
+    conn.reset();
+  }
+
+  void answer_until_closed(int fd) {
+    const std::string info =
+        strprintf(R"({"models": [{"key": "%016llx"}]})", static_cast<unsigned long long>(key));
+    FrameReader reader;
+    u8 buf[4096];
+    try {
+      for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0) return;
+        reader.feed(buf, static_cast<usize>(n));
+        while (const std::optional<Frame> f = reader.next()) {
+          std::vector<u8> answer;
+          switch (f->type()) {
+            case MsgType::kInfo:
+              answer = encode_frame(MsgType::kInfoResult, f->header.request_id,
+                                    encode_string(info));
+              break;
+            case MsgType::kPing:
+              answer = encode_frame(MsgType::kPong, f->header.request_id,
+                                    encode_pong(PongInfo{}));
+              break;
+            case MsgType::kMetrics:
+              answer = encode_frame(MsgType::kMetricsResult, f->header.request_id,
+                                    encode_string(R"({"metrics": {"gauges": {}}})"));
+              break;
+            default: {
+              const std::lock_guard<std::mutex> lock(mu);
+              requests.push_back(f->type());
+              continue;
+            }
+          }
+          write_all(fd, answer.data(), answer.size());
+        }
+      }
+    } catch (const Error&) {
+      // kill() raced a handshake answer: the connection is gone either way.
+    }
+  }
+};
+
+TEST(NetRouter, BackendLossAnswersAndResumesAPausedClient) {
+  // Two stub backends serve the key; the client's limit is 2. One write
+  // carries a swap and five submits. The swap fans out to both stubs but is
+  // ONE request of the client's, so exactly one submit is routed too before
+  // the client pauses: the stubs see 3 requests, then nothing more.
+  constexpr u64 kKey = 0x5eedull;
+  StubBackend stub0(kKey), stub1(kKey);
+  RouterOptions ro;
+  ro.conn_pending_limit = 2;
+  ro.backend_ports = {stub0.port, stub1.port};
+  RouterRig rig(0, ro);
+  // The stubs die before the rig drains, also when an assertion returns
+  // early: a drain waits for the requests they never answer.
+  struct KillFirst {
+    StubBackend& a;
+    StubBackend& b;
+    ~KillFirst() {
+      a.kill();
+      b.kill();
+    }
+  } kill_first{stub0, stub1};
+  Client client(rig.router->port());
+  set_recv_timeout(client, 3);
+  for (int tries = 0; router_metric(client, "gauges", "router.backends_healthy") < 2; ++tries) {
+    ASSERT_LT(tries, 200) << "router never linked both stubs";
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+
+  constexpr usize kSubmits = 5;
+  std::vector<std::pair<MsgType, std::vector<u8>>> frames;
+  frames.emplace_back(MsgType::kSwapWeights, encode_swap(kKey, 7));
+  Tensor x({4});
+  for (usize i = 0; i < kSubmits; ++i) frames.emplace_back(MsgType::kSubmit, encode_submit(kKey, x));
+  write_pipelined(client, frames);
+
+  const auto requests = [&] { return stub0.num_requests() + stub1.num_requests(); };
+  for (int tries = 0; requests() < 3; ++tries) {
+    ASSERT_LT(tries, 200) << "only " << requests() << " requests reached the stubs";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_EQ(requests(), 3u) << "the client was not paused at its limit";
+
+  // Both backends die with the swap and one submit in flight. Every frame
+  // the client sent must still be answered: the lost ones with
+  // kBackendLost, the buffered ones (after the resume) with kNoBackend or,
+  // if routed before the second stub's loss was seen, kBackendLost.
+  stub0.kill();
+  stub1.kill();
+  std::vector<bool> seen(frames.size(), false);
+  for (usize i = 0; i < frames.size(); ++i) {
+    const Frame f = client.recv_frame();
+    const u64 slot = f.header.request_id - 1;
+    ASSERT_LT(slot, frames.size());
+    EXPECT_FALSE(seen[slot]);
+    seen[slot] = true;
+    if (slot == 0) {
+      ASSERT_EQ(f.type(), MsgType::kSwapResult);
+      EXPECT_EQ(decode_status(f).code, static_cast<u32>(ErrCode::kBackendLost));
+      continue;
+    }
+    ASSERT_EQ(f.type(), MsgType::kError);
+    const ErrCode code = decode_error(f).code;
+    EXPECT_TRUE(code == ErrCode::kBackendLost || code == ErrCode::kNoBackend)
+        << "submit " << slot << " code " << static_cast<u32>(code);
+  }
+  EXPECT_EQ(router_metric(client, "gauges", "router.inflight"), 0);
+  EXPECT_GE(router_metric(client, "counters", "router.backpressure_pauses"), 1);
 }
 
 }  // namespace

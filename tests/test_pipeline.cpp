@@ -2,8 +2,8 @@
 //
 // The hand-built cases pin build_pipeline()'s arithmetic — II floor, depth,
 // span, per-op slack — on programs small enough to verify on paper; the
-// mapped case checks the analysis flows through lowering onto
-// ExecProgram::pipeline_slack / pipeline_depth, and that a mapping compiled
+// mapped case checks a compiled model runs the schedule the analysis
+// computes (CompiledModel::pipeline()), and that a mapping compiled
 // with pipelining off gets the serial II = C schedule.
 #include <gtest/gtest.h>
 
@@ -162,15 +162,17 @@ TEST(PipelineProgramTest, SlackFlowsToExecProgram) {
     const map::MappedNetwork mapped = map::map_network(net, mc);
     ASSERT_EQ(mapped.pipeline, pipe);
     const sim::Engine engine(mapped, net);
-    const map::ExecProgram& prog = engine.model().program();
+    const map::PipelineSchedule& run = engine.model().pipeline();
     const map::PipelineSchedule ps = map::build_pipeline(mapped);
-    EXPECT_EQ(prog.pipeline_depth, ps.depth);
-    ASSERT_EQ(prog.pipeline_slack.size(), mapped.schedule.size());
-    EXPECT_EQ(prog.pipeline_slack, ps.slack);
+    EXPECT_EQ(run.ii, ps.ii);
+    EXPECT_EQ(run.depth, ps.depth);
+    ASSERT_EQ(run.slack.size(), mapped.schedule.size());
+    EXPECT_EQ(run.slack, ps.slack);
+    EXPECT_EQ(run.op_cycle, ps.op_cycle);
     if (pipe == 0) {
       EXPECT_EQ(ps.ii, static_cast<i32>(mapped.cycles_per_timestep));
-      EXPECT_EQ(prog.pipeline_depth, 0);
-      EXPECT_EQ(prog.pipeline_slack, std::vector<i32>(mapped.schedule.size(), 0));
+      EXPECT_EQ(run.depth, 0);
+      EXPECT_EQ(run.slack, std::vector<i32>(mapped.schedule.size(), 0));
       continue;
     }
     ASSERT_LT(ps.ii, static_cast<i32>(mapped.cycles_per_timestep));

@@ -78,9 +78,11 @@ echo "backends on :$B0_PORT :$B1_PORT, router on :$ROUTER_PORT"
 echo "== net_smoke: loadgen ($REQUESTS open-loop requests via router) =="
 # The loadgen exits nonzero on any wire error or bit-exactness mismatch; it
 # also retries its first frame while the router's health loop discovers the
-# backends, so no sleep is needed between boot and load.
-(cd "$OUT_DIR" && "$BUILD_DIR_ABS/bench_net_loadgen" --port "$ROUTER_PORT" \
-    --requests "$REQUESTS")
+# backends, so no sleep is needed between boot and load. The timeout turns a
+# wire stall (requests that are never answered) into a failure instead of a
+# hung job.
+(cd "$OUT_DIR" && timeout 300 "$BUILD_DIR_ABS/bench_net_loadgen" \
+    --port "$ROUTER_PORT" --requests "$REQUESTS")
 
 echo "== net_smoke: SIGTERM drain (router first, then backends) =="
 drain() {
