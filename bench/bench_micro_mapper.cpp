@@ -21,21 +21,41 @@
 //     repack compacts the shorter wave chains. Gated: cycles_per_timestep
 //     (lower is better).
 //
+// Toolchain wall time, gated with a loose ceiling (host speed drifts):
+//   - setup_ms_mlp: convert + map_network + sim::Engine on the MNIST MLP at
+//     opt level 1, the median of 25 set-ups — what a model load costs;
+//   - compile_ms_cnn: map_network + sim::Engine on the MNIST CNN at opt
+//     level 1, the median of 3 — dominated by the engine's II search.
+//
 // The placement budget is pinned (not SHENJING_FAST-scaled) so the JSON is
 // deterministic and comparable against the committed baseline.
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
 #include "bench_util.h"
 #include "common/status.h"
 #include "harness/zoo.h"
 #include "mapper/mapper.h"
 #include "mapper/opt/opt.h"
 #include "nn/dataset.h"
+#include "sim/engine.h"
 #include "snn/convert.h"
 
 using namespace sj;
 
 namespace {
 
-snn::SnnNetwork build_net(int which) {
+/// A model with its calibration set, ready to convert.
+struct Fixture {
+  nn::Model model;
+  nn::Dataset calib;
+  snn::ConvertConfig cc;
+
+  snn::SnnNetwork convert() const { return snn::convert(model, calib, cc); }
+};
+
+Fixture build_fixture(int which) {
   Rng rng(static_cast<u64>(which) + 77);
   nn::Model m = which == 0   ? harness::make_mnist_mlp()
                 : which == 1 ? harness::make_mnist_cnn()
@@ -53,7 +73,34 @@ snn::SnnNetwork build_net(int which) {
   }
   snn::ConvertConfig cc;
   cc.timesteps = which < 2 ? 20 : 80;
-  return snn::convert(m, calib, cc);
+  return Fixture{std::move(m), std::move(calib), cc};
+}
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Median wall time of `reps` toolchain runs: convert (when `with_convert`),
+/// map_network and the sim::Engine constructor.
+double toolchain_ms(const Fixture& f, const map::MapperConfig& cfg, bool with_convert,
+                    int reps) {
+  const snn::SnnNetwork converted = f.convert();
+  std::vector<double> ms;
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    snn::SnnNetwork own;
+    if (with_convert) own = f.convert();
+    const snn::SnnNetwork& net = with_convert ? own : converted;
+    const map::MappedNetwork mapped = map::map_network(net, cfg);
+    const sim::Engine engine(mapped, net);
+    ms.push_back(ms_since(t0));
+  }
+  return median(ms);
 }
 
 struct MapRun {
@@ -130,8 +177,10 @@ int main() {
   map::MapperConfig cnn_cfg;
   cnn_cfg.placement_evals = 48;
 
-  const snn::SnnNetwork mlp = build_net(0);
-  const snn::SnnNetwork cnn = build_net(1);
+  const Fixture mlp_fixture = build_fixture(0);
+  const Fixture cnn_fixture = build_fixture(1);
+  const snn::SnnNetwork mlp = mlp_fixture.convert();
+  const snn::SnnNetwork cnn = cnn_fixture.convert();
 
   const MapRun mlp_o0 = run_map(mlp, mlp_cfg, 0);
   const MapRun mlp_o2 = run_map(mlp, mlp_cfg, 2);
@@ -145,6 +194,17 @@ int main() {
   const MapRun cnn_o0 = run_map(cnn, cnn_cfg, 0);
   const MapRun cnn_o2 = run_map(cnn, cnn_cfg, 2);
   print_fixture("MNIST CNN, paper arch (pipeline fixture)", cnn_o0, cnn_o2);
+
+  map::MapperConfig o1_cfg;
+  o1_cfg.opt_level = 1;
+  const double setup_ms_mlp = toolchain_ms(mlp_fixture, o1_cfg, /*with_convert=*/true, 25);
+  const double compile_ms_cnn = toolchain_ms(cnn_fixture, o1_cfg, /*with_convert=*/false, 3);
+  std::printf("\nToolchain wall time at opt level 1\n");
+  bench::print_table({
+      {"", "ms"},
+      {"MLP convert + map + Engine (median of 25)", bench::num(setup_ms_mlp, 2)},
+      {"CNN map + Engine (median of 3)", bench::num(compile_ms_cnn, 1)},
+  });
 
   json::Value doc;
   // Gated metrics (tools/check_bench.py --lower-metrics): the optimizer's
@@ -171,6 +231,8 @@ int main() {
   doc.set("map_ms_mlp_o2", mlp_o2.map_ms);
   doc.set("map_ms_cnn_o0", cnn_o0.map_ms);
   doc.set("map_ms_cnn_o2", cnn_o2.map_ms);
+  doc.set("setup_ms_mlp", setup_ms_mlp);
+  doc.set("compile_ms_cnn", compile_ms_cnn);
   for (const map::OptPassStat& p : cnn_o2.passes) {
     doc.set("pass_" + p.pass + "_ms", p.wall_ms);
   }

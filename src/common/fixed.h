@@ -7,6 +7,7 @@
 // overflowed, which EXP-A2 (bit-width ablation) counts.
 #pragma once
 
+#include <cmath>
 #include <limits>
 
 #include "common/status.h"
@@ -30,6 +31,23 @@ constexpr i64 saturate_signed(i64 v, int bits) {
   const i64 lo = signed_min(bits);
   const i64 hi = signed_max(bits);
   return v < lo ? lo : (v > hi ? hi : v);
+}
+
+/// Rounds `x` half away from zero and saturates it into a signed `bits`-wide
+/// field: saturate_signed(std::lround(x), bits) for every x std::lround
+/// takes, with no libm call and no branch, so a loop over it vectorizes. Clamping first is
+/// exact: the bounds are integers, so rounding a clamped value lands on the
+/// same bound as saturating a rounded one. Then c + copysign(h, c), with h
+/// the largest double below 1/2, truncates to the rounded value: a dropped
+/// fraction below 1/2 keeps the sum short of the next integer (the sum is
+/// exact or rounds down for |c| < 2^52), and one of 1/2 or more reaches it
+/// (at |c| < 1 the sum 1 - 2^-54 rounds to even, which is 1).
+inline i32 round_saturate(double x, int bits) {
+  constexpr double kBelowHalf = 0.49999999999999994;  // nextafter(0.5, 0)
+  const double lo = static_cast<double>(signed_min(bits));
+  const double hi = static_cast<double>(signed_max(bits));
+  const double c = x < lo ? lo : (x > hi ? hi : x);
+  return static_cast<i32>(c + std::copysign(kBelowHalf, c));
 }
 
 /// Saturating adder of width `bits`, as implemented inside a PS router.

@@ -110,31 +110,50 @@ void build_cell_edges(Analysis& an, const std::vector<Entry>& list, bool port) {
   an.edges.push_back({lw, f, an.cd[lw] - an.cd[f] + 1, true});
 }
 
-// Bellman-style relaxation of the delay vector to a fixpoint; false when the
-// system diverges (a positive-weight cycle) or any delay exceeds the 2*II
-// window bound. `d` entries only ever grow, so callers may pre-seed floors.
-bool relax(const Analysis& an, i32 ii, std::vector<i32>& d) {
+// A hazard edge at one probed II, its constant terms folded:
+// d[to] >= d[from] + k with k = b[from] + w - b[to] (- II when it crosses).
+struct Hop {
+  u32 from = 0;
+  u32 to = 0;
+  i32 k = 0;
+};
+
+std::vector<Hop> hops_at(const Analysis& an, i32 ii) {
+  std::vector<Hop> hops;
+  hops.reserve(an.edges.size());
+  for (const Edge& e : an.edges) {
+    hops.push_back({e.from, e.to, an.b[e.from] + e.w - an.b[e.to] - (e.cross ? ii : 0)});
+  }
+  return hops;
+}
+
+// Bellman-style relaxation of the delay vector to a fixpoint. Fails with
+// WindowOverflow when a delay exceeds the 2*II window bound and with
+// PositiveCycle when the system never settles (a positive-weight cycle).
+// `d` entries only ever grow, so callers may pre-seed floors.
+SerialReason relax(const std::vector<Hop>& hops, i32 ii, std::vector<i32>& d) {
   const i32 dmax = 2 * ii;
-  const usize nodes = an.b.size();
+  const usize nodes = d.size();
   for (usize pass = 0; pass < nodes + 2; ++pass) {
     bool changed = false;
-    for (const Edge& e : an.edges) {
-      const i32 need = d[e.from] + an.b[e.from] + e.w - an.b[e.to] - (e.cross ? ii : 0);
+    for (const Hop& e : hops) {
+      const i32 need = d[e.from] + e.k;
       if (need > d[e.to]) {
-        if (need > dmax) return false;
+        if (need > dmax) return SerialReason::WindowOverflow;
         d[e.to] = need;
         changed = true;
       }
     }
-    if (!changed) return true;
+    if (!changed) return SerialReason::None;
   }
-  return false;
+  return SerialReason::PositiveCycle;
 }
 
 // Issue cycles must stay conflict-free per (core, block), both within an
 // iteration (equal s) and across the II offset (s_i == s_j + II lands two
 // iterations on one absolute cycle). Virtual nodes occupy no issue slot.
-bool fix_collisions(const Analysis& an, const MappedNetwork& m, i32 ii, std::vector<i32>& d) {
+SerialReason fix_collisions(const Analysis& an, const std::vector<Hop>& hops,
+                            const MappedNetwork& m, i32 ii, std::vector<i32>& d) {
   std::unordered_map<u64, std::vector<u32>> slots;
   for (u32 i = 0; i < an.n; ++i) {
     slots[(static_cast<u64>(m.schedule[i].core) << 2) | an.block[i]].push_back(i);
@@ -158,30 +177,36 @@ bool fix_collisions(const Analysis& an, const MappedNetwork& m, i32 ii, std::vec
         }
       }
     }
-    if (!bumped) return true;
-    if (!relax(an, ii, d)) return false;
+    if (!bumped) return SerialReason::None;
+    if (const SerialReason r = relax(hops, ii, d); r != SerialReason::None) return r;
   }
-  return false;
+  return SerialReason::CollisionRoundsExhausted;
 }
 
-bool feasible(const Analysis& an, const MappedNetwork& m, i32 ii, std::vector<i32>& d) {
+// None when II is feasible, otherwise the first check that failed.
+SerialReason feasible(const Analysis& an, const MappedNetwork& m, i32 ii, std::vector<i32>& d) {
   d.assign(an.b.size(), 0);
-  if (!relax(an, ii, d)) return false;
-  if (!fix_collisions(an, m, ii, d)) return false;
+  const std::vector<Hop> hops = hops_at(an, ii);
+  if (const SerialReason r = relax(hops, ii, d); r != SerialReason::None) return r;
+  if (const SerialReason r = fix_collisions(an, hops, m, ii, d); r != SerialReason::None) {
+    return r;
+  }
   // Every entry — op issues, ACC commits, rotations, the readout — must fall
   // inside the two-iteration window [0, 2*II).
   for (usize i = 0; i < an.b.size(); ++i) {
-    if (an.b[i] + d[i] + an.cd[i] >= 2 * ii) return false;
+    if (an.b[i] + d[i] + an.cd[i] >= 2 * ii) return SerialReason::WindowOverflow;
   }
-  return true;
+  return SerialReason::None;
 }
 
 // The serial schedule as the degenerate modulo schedule: II = span = C, one
 // live iteration, every op at its schedule cycle with zero slack, rotations
 // of the `active` cores at 0, the readout at the timestep's last cycle and
-// ACC committed in place (acc_latency 0).
-PipelineSchedule serial_schedule(const MappedNetwork& m, const std::vector<bool>& active) {
+// ACC committed in place (acc_latency 0). `why` records what ruled overlap out.
+PipelineSchedule serial_schedule(const MappedNetwork& m, const std::vector<bool>& active,
+                                 SerialReason why) {
   PipelineSchedule s;
+  s.serial_reason = why;
   const i32 C = static_cast<i32>(m.cycles_per_timestep);
   s.ii = s.span = C;
   s.op_cycle.reserve(m.schedule.size());
@@ -207,8 +232,9 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
   for (const auto& taps : m.input_taps) {
     for (const Slot& s : taps) active[s.core] = true;
   }
-  if (m.pipeline == 0 || C < 2 || n == 0 || m.timesteps + m.output_depth < 2) {
-    return serial_schedule(m, active);
+  if (m.pipeline == 0) return serial_schedule(m, active, SerialReason::FlagOff);
+  if (C < 2 || n == 0 || m.timesteps + m.output_depth < 2) {
+    return serial_schedule(m, active, SerialReason::ShortFrame);
   }
 
   const opt::GridIndex grid(m);
@@ -296,21 +322,28 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
   // readout sits at C-1 or later) floors the search at ceil((C+1)/2);
   // II == C is the serial schedule and gains nothing. Feasibility is
   // monotone in II for the relaxation (larger II only loosens cross edges
-  // and the window), so a binary search applies; the accepted candidate is
-  // re-validated in full below.
-  const i32 hi0 = C - 1;
-  i32 lo = (C + 2) / 2, hi = hi0, best = -1;
-  std::vector<i32> d;
+  // and the window), so the loosest candidate, II = C-1, is probed first:
+  // when it fails no II in range can pass, and the serial schedule comes
+  // back after one probe. Otherwise a binary search over the whole range
+  // (so its probes are the ones it always made) finds the smallest
+  // feasible II, keeping the delays of the best probe.
+  const i32 lo0 = (C + 2) / 2, hi0 = C - 1;
+  std::vector<i32> d, best_d;
+  const SerialReason loosest =
+      hi0 < lo0 ? SerialReason::WindowOverflow : feasible(an, m, hi0, best_d);
+  if (loosest != SerialReason::None) return serial_schedule(m, active, loosest);
+  i32 lo = lo0, hi = hi0, best = hi0;
   while (lo <= hi) {
     const i32 mid = lo + (hi - lo) / 2;
-    if (feasible(an, m, mid, d)) {
+    if (feasible(an, m, mid, d) == SerialReason::None) {
       best = mid;
+      best_d.swap(d);
       hi = mid - 1;
     } else {
       lo = mid + 1;
     }
   }
-  if (best < 0 || !feasible(an, m, best, d)) return serial_schedule(m, active);
+  d.swap(best_d);
 
   i32 span = 0;
   for (usize i = 0; i < nodes; ++i) span = std::max(span, an.b[i] + d[i] + an.cd[i] + 1);
@@ -321,7 +354,7 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
   // finish *later* than the serial schedule. Keep the serial schedule then.
   const i64 total = static_cast<i64>(m.timesteps) + m.output_depth;
   if ((total - 1) * best + span >= total * static_cast<i64>(C)) {
-    return serial_schedule(m, active);
+    return serial_schedule(m, active, SerialReason::OverlapLoses);
   }
 
   PipelineSchedule out;

@@ -37,6 +37,19 @@
 
 namespace sj::map {
 
+/// Why build_pipeline() returned the serial II = C schedule. On a failed
+/// search it names the first check that failed at the loosest candidate,
+/// II = C-1.
+enum class SerialReason : u8 {
+  None,                      // overlapped: ii < cycles_per_timestep
+  FlagOff,                   // the mapping was compiled with pipeline = 0
+  ShortFrame,                // empty program, C < 2 or fewer than two iterations
+  PositiveCycle,             // the hazard relaxation never settles
+  WindowOverflow,            // an entry cannot fit the window [0, 2*II)
+  CollisionRoundsExhausted,  // issue-slot collisions persist after 64 rounds
+  OverlapLoses,              // feasible, but the overlapped frame is not shorter
+};
+
 struct PipelineSchedule {
   i32 ii = 0;     // initiation interval; cycles_per_timestep when serial
   i32 span = 0;   // one iteration's local window [0, span); span <= 2*ii
@@ -58,13 +71,17 @@ struct PipelineSchedule {
   // end-of-iteration readout/trace sample cycle.
   std::vector<i32> rotate_cycle;
   i32 readout_cycle = 0;
+
+  SerialReason serial_reason = SerialReason::None;
 };
 
 /// The schedule the engine runs for `m`. With `m.pipeline` on, runs the
-/// inter-timestep dependence analysis on `m.schedule` and searches the
-/// smallest feasible II in [ceil((C+1)/2), C-1]. Returns the serial II = C
-/// schedule when `m.pipeline` is 0, the program is empty, the frame has
-/// fewer than two iterations, or no II in range is feasible or worth taking.
+/// inter-timestep dependence analysis on `m.schedule`, probes the loosest
+/// II = C-1 and, when it is feasible, searches the smallest feasible II in
+/// [ceil((C+1)/2), C-1]. Returns the serial II = C schedule, with its
+/// serial_reason, when `m.pipeline` is 0, the program is empty, the frame
+/// has fewer than two iterations, II = C-1 is infeasible, or the best II is
+/// not worth taking.
 PipelineSchedule build_pipeline(const MappedNetwork& m);
 
 }  // namespace sj::map

@@ -102,6 +102,8 @@ struct MappedNetwork {
   // Placement stats.
   i32 grid_rows = 0, grid_cols = 0;
   i32 chips_used = 0;
+  // Wall time of the whole map_network call that built this network,
+  // validation included.
   double mapping_seconds = 0.0;
 
   // Optimizer provenance: the level the schedule was compiled at (part of

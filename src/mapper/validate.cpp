@@ -14,6 +14,9 @@
 //      at a spiking core.
 // Arithmetic equivalence with the abstract SNN is established separately by
 // the simulator tests (tests/test_sim.cpp) — the strongest check of all.
+#include <algorithm>
+#include <array>
+
 #include "common/fixed.h"
 #include "mapper/program.h"
 
@@ -61,11 +64,25 @@ void validate(const MappedNetwork& m, const snn::SnnNetwork& net) {
               "validate: too many axons in " + c.role);
     SJ_ASSERT(c.neuron_mask.popcount() <= m.arch.core_neurons,
               "validate: too many neurons in " + c.role);
+    // One walk of the CSR: the neuron planes the taps reach and the range of
+    // their weights. Plain byte stores keep the walk free of the
+    // read-modify-write chain a bit mask would put on every tap.
+    std::array<u8, 256> reached{};
+    u16 planes_or = 0;
+    i16 wmin = 0, wmax = 0;
     for (const auto& [plane, w] : c.weights.taps) {
-      SJ_ASSERT(c.neuron_mask.get(plane), "validate: tap to unallocated neuron in " + c.role);
-      SJ_ASSERT(fits_signed(w, m.arch.weight_bits),
-                "validate: weight exceeds synapse width in " + c.role);
+      reached[plane & 0xff] = 1;
+      planes_or |= plane;
+      wmin = std::min(wmin, w);
+      wmax = std::max(wmax, w);
     }
+    SJ_ASSERT(planes_or < 256, "validate: tap to a neuron plane past 255 in " + c.role);
+    for (u16 p = 0; p < 256; ++p) {
+      SJ_ASSERT(!reached[p] || c.neuron_mask.get(p),
+                "validate: tap to unallocated neuron in " + c.role);
+    }
+    SJ_ASSERT(fits_signed(wmin, m.arch.weight_bits) && fits_signed(wmax, m.arch.weight_bits),
+              "validate: weight exceeds synapse width in " + c.role);
   }
   // (4): NoC dry run — off-grid routes, issue conflicts, register-write
   // conflicts. The schedule must be executable on routers with no buffers

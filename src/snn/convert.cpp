@@ -1,5 +1,6 @@
 #include "snn/convert.h"
 
+#include <array>
 #include <cmath>
 
 #include "common/fixed.h"
@@ -59,6 +60,21 @@ std::vector<float> activation_maxima(const Model& model, const nn::Dataset& cali
     for (usize v = 0; v < maxima.size(); ++v) maxima[v] = std::max(maxima[v], sm[v]);
   }
   return maxima;
+}
+
+/// The largest |w| in `w` (0 when empty; NaNs are skipped, as std::max
+/// skips a NaN second argument). Eight independent accumulators keep the
+/// loop from being one chain of dependent max operations.
+float max_abs(const std::vector<float>& w) {
+  std::array<float, 8> acc{};
+  usize i = 0;
+  for (; i + 8 <= w.size(); i += 8) {
+    for (usize k = 0; k < 8; ++k) acc[k] = std::max(acc[k], std::fabs(w[i + k]));
+  }
+  for (; i < w.size(); ++i) acc[0] = std::max(acc[0], std::fabs(w[i]));
+  float m = 0.0f;
+  for (const float a : acc) m = std::max(m, a);
+  return m;
 }
 
 /// What a model node maps to after conversion.
@@ -233,10 +249,9 @@ SnnNetwork convert(const Model& model, const nn::Dataset& calib, const ConvertCo
   const double wmax_repr = static_cast<double>(signed_max(cfg.weight_bits));
   for (auto& fu : units) {
     SJ_REQUIRE(fu.finalized, "convert: unit never activated: " + fu.name);
-    double wmax = 0.0;
-    for (const auto& e : fu.edges) {
-      for (const float w : e.weights) wmax = std::max(wmax, std::fabs(static_cast<double>(w)));
-    }
+    float wmax_f = 0.0f;
+    for (const auto& e : fu.edges) wmax_f = std::max(wmax_f, max_abs(e.weights));
+    const double wmax = static_cast<double>(wmax_f);
     const double scale = wmax > 0.0 ? wmax_repr / wmax : 1.0;
     SnnUnit u;
     u.name = fu.name;
@@ -257,10 +272,15 @@ SnnNetwork convert(const Model& model, const nn::Dataset& calib, const ConvertCo
       inc.op.kernel = fe.kernel;
       inc.op.out_c = fe.out_c;
       inc.op.win = fe.win;
-      inc.op.weights.reserve(fe.weights.size());
-      for (const float w : fe.weights) {
-        const i64 q = std::lround(static_cast<double>(w) * scale);
-        inc.op.weights.push_back(static_cast<i16>(saturate_signed(q, cfg.weight_bits)));
+      // One pass into the pre-sized vector; round_saturate is lround +
+      // saturate_signed without the libm call, so the loop vectorizes.
+      const usize n = fe.weights.size();
+      const int bits = cfg.weight_bits;
+      inc.op.weights.resize(n);
+      const float* w = fe.weights.data();
+      i16* q = inc.op.weights.data();
+      for (usize i = 0; i < n; ++i) {
+        q[i] = static_cast<i16>(round_saturate(static_cast<double>(w[i]) * scale, bits));
       }
       u.in.push_back(std::move(inc));
     }

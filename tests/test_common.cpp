@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/bitvec.h"
 #include "common/fixed.h"
@@ -61,6 +63,51 @@ TEST(Fixed, SignedBitWidth) {
   EXPECT_EQ(signed_bit_width(-16), 5);
   EXPECT_EQ(signed_bit_width(1920), 12);  // 128 axons x |w|<=15
   EXPECT_EQ(signed_bit_width(3840), 13);  // 256 axons x |w|<=15 -> local PS
+}
+
+// round_saturate is the weight quantizer of snn::convert: std::lround, then
+// saturate_signed, without the libm call. These pin it to that reference on
+// the values naive rounding gets wrong (floor(x + 0.5) rounds
+// nextafter(0.5, 0) up to 1), on exact halves of both signs, on -0.0, and
+// on both saturation sides at 4 and 15 bits.
+TEST(Fixed, RoundSaturateMatchesLroundOnEdges) {
+  const double below_half = std::nextafter(0.5, 0.0);
+  const std::vector<double> edges = {
+      0.5,     -0.5,     1.5,      -1.5,     2.5,      -2.5,      below_half, -below_half,
+      -0.0,    0.0,      6.5,      -6.5,     7.4999,   7.5,       -8.4999,    -8.5,
+      -9.5,    100.25,   -100.25,  16382.5,  16383.49, 16383.5,   -16383.5,   -16384.5,
+      -16385.5, 65535.5, -65535.5, 2.1e9,    -2.1e9,   std::nextafter(2.5, 3.0),
+      std::nextafter(-2.5, -3.0)};
+  for (const int bits : {4, 15}) {
+    for (const double x : edges) {
+      EXPECT_EQ(round_saturate(x, bits), saturate_signed(std::lround(x), bits))
+          << "x = " << x << ", bits = " << bits;
+    }
+  }
+}
+
+TEST(Fixed, RoundSaturateMatchesLroundOnSweep) {
+  // 2^20 seeded doubles in +-2^16 (a quarter moved onto exact halves), then
+  // as many in +-(signed_max + 2) so most of them round instead of
+  // saturating. The quantize step runs as convert's loop does: an array
+  // pass into i16.
+  for (const int bits : {4, 5, 8, 15}) {
+    Rng rng(static_cast<u64>(bits) + 4242);
+    const double near = static_cast<double>(signed_max(bits)) + 2.0;
+    std::vector<double> xs(usize{1} << 21);
+    for (usize i = 0; i < xs.size(); ++i) {
+      const double span = i < xs.size() / 2 ? 65536.0 : near;
+      xs[i] = rng.uniform(-span, span);
+      if (i % 4 == 0) xs[i] = std::floor(xs[i]) + 0.5;
+    }
+    std::vector<i16> q(xs.size());
+    for (usize i = 0; i < xs.size(); ++i) q[i] = static_cast<i16>(round_saturate(xs[i], bits));
+    usize mismatches = 0;
+    for (usize i = 0; i < xs.size(); ++i) {
+      mismatches += q[i] != saturate_signed(std::lround(xs[i]), bits) ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << "bits = " << bits;
+  }
 }
 
 // A width-parameterized sweep: saturation respects every width.

@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "harness/zoo.h"
 #include "mapper/mapper.h"
 #include "mapper/pipeline.h"
 #include "nn/dataset.h"
@@ -59,6 +60,7 @@ void expect_serial_schedule(const map::PipelineSchedule& ps, const map::MappedNe
   EXPECT_EQ(ps.slack, std::vector<i32>(m.schedule.size(), 0));
   EXPECT_EQ(ps.rotate_cycle, std::vector<i32>(m.cores.size(), 0));
   EXPECT_EQ(ps.readout_cycle, C - 1);
+  EXPECT_NE(ps.serial_reason, map::SerialReason::None);
 }
 
 TEST(PipelineAnalysisTest, SingleAccHandComputed) {
@@ -80,6 +82,7 @@ TEST(PipelineAnalysisTest, SingleAccHandComputed) {
   ASSERT_EQ(ps.slack.size(), 1u);
   EXPECT_EQ(ps.slack[0], ps.depth);
   EXPECT_EQ(ps.acc_latency, 131);
+  EXPECT_EQ(ps.serial_reason, map::SerialReason::None);
   ASSERT_EQ(ps.rotate_cycle.size(), 1u);
   EXPECT_EQ(ps.rotate_cycle[0], 0);
   EXPECT_EQ(ps.readout_cycle, 139);
@@ -113,15 +116,20 @@ TEST(PipelineAnalysisTest, SingleTimestepFrameStaysSerial) {
   // iteration to overlap with; the analysis returns the serial schedule.
   map::MappedNetwork m = tiny(140, 1);
   push(m, 0, AtomicOp::acc());
-  expect_serial_schedule(map::build_pipeline(m), m);
+  const map::PipelineSchedule ps = map::build_pipeline(m);
+  expect_serial_schedule(ps, m);
+  EXPECT_EQ(ps.serial_reason, map::SerialReason::ShortFrame);
 }
 
 TEST(PipelineAnalysisTest, NoIIInRangeStaysSerial) {
-  // C = 2 leaves the search range [ceil((C+1)/2), C-1] = [2, 1] empty: no
-  // overlapped II is feasible, so the serial schedule comes back.
+  // C = 2 leaves the search range [ceil((C+1)/2), C-1] = [2, 1] empty: the
+  // two-iteration window floor already excludes II = C-1, so the serial
+  // schedule comes back without a probe.
   map::MappedNetwork m = tiny(2, 4);
   push(m, 0, AtomicOp::ps_eject(/*fromSumBuf=*/false));
-  expect_serial_schedule(map::build_pipeline(m), m);
+  const map::PipelineSchedule ps = map::build_pipeline(m);
+  expect_serial_schedule(ps, m);
+  EXPECT_EQ(ps.serial_reason, map::SerialReason::WindowOverflow);
 }
 
 TEST(PipelineAnalysisTest, PipelineFlagOffStaysSerial) {
@@ -130,7 +138,41 @@ TEST(PipelineAnalysisTest, PipelineFlagOffStaysSerial) {
   map::MappedNetwork m = tiny(140, 2);
   m.pipeline = 0;
   push(m, 0, AtomicOp::acc());
-  expect_serial_schedule(map::build_pipeline(m), m);
+  const map::PipelineSchedule ps = map::build_pipeline(m);
+  expect_serial_schedule(ps, m);
+  EXPECT_EQ(ps.serial_reason, map::SerialReason::FlagOff);
+}
+
+/// The Table-III(b) MNIST CNN (cnn = true) or MLP, converted on one blank
+/// calibration image and mapped on the paper arch at opt level 1.
+map::MappedNetwork mapped_mnist(bool cnn, snn::SnnNetwork& net) {
+  nn::Model model = cnn ? harness::make_mnist_cnn() : harness::make_mnist_mlp();
+  Rng rng(5);
+  model.init_weights(rng);
+  nn::Dataset d;
+  d.sample_shape = model.input_shape();
+  d.images.emplace_back(model.input_shape());
+  d.labels.push_back(0);
+  net = snn::convert(model, d, snn::ConvertConfig{});
+  map::MapperConfig mc;
+  mc.opt_level = 1;
+  return map::map_network(net, mc);
+}
+
+TEST(PipelineAnalysisTest, SerialReasonNamesTheFailedCheck) {
+  // The MLP overlaps; the CNN's loosest candidate II = C-1 already fails,
+  // so its serial schedule carries the check that ruled it out.
+  snn::SnnNetwork mlp_net, cnn_net;
+  const map::MappedNetwork mlp_mapped = mapped_mnist(false, mlp_net);
+  const map::PipelineSchedule mlp = map::build_pipeline(mlp_mapped);
+  EXPECT_EQ(mlp.serial_reason, map::SerialReason::None);
+  EXPECT_LT(mlp.ii, static_cast<i32>(mlp_mapped.cycles_per_timestep));
+  const map::MappedNetwork cnn_mapped = mapped_mnist(true, cnn_net);
+  const map::PipelineSchedule cnn = map::build_pipeline(cnn_mapped);
+  EXPECT_EQ(cnn.ii, static_cast<i32>(cnn_mapped.cycles_per_timestep));
+  EXPECT_NE(cnn.serial_reason, map::SerialReason::None);
+  EXPECT_NE(cnn.serial_reason, map::SerialReason::FlagOff);
+  EXPECT_NE(cnn.serial_reason, map::SerialReason::ShortFrame);
 }
 
 TEST(PipelineProgramTest, SlackFlowsToExecProgram) {
