@@ -255,4 +255,18 @@ std::string to_string(const AtomicOp& op) {
   return "?";
 }
 
+bool needs_link(const AtomicOp& op) {
+  switch (op.code) {
+    case OpCode::PsSend:
+      return !op.eject;
+    case OpCode::PsBypass:
+    case OpCode::SpkSend:
+    case OpCode::SpkBypass:
+    case OpCode::SpkRecvForward:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace sj::core

@@ -91,4 +91,9 @@ AtomicOp decode(u16 word);
 /// Table-I style assembly, e.g. "SUM W, 1" or "BYPASS N, E".
 std::string to_string(const AtomicOp& op);
 
+/// True for ops that put a value on the outgoing link toward $DST: every
+/// send, bypass and forward, and PS SEND unless it ejects to the local
+/// spiking logic. Exactly these ops need a neighbour in direction `dst`.
+bool needs_link(const AtomicOp& op);
+
 }  // namespace sj::core

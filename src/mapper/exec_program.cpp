@@ -4,27 +4,6 @@
 
 namespace sj::map {
 
-namespace {
-
-/// True for ops that put a value on an outgoing link (and therefore need a
-/// pre-resolved LinkId). PsSend only when not ejecting to the local spiking
-/// logic.
-bool needs_link(const core::AtomicOp& op) {
-  switch (op.code) {
-    case core::OpCode::PsSend:
-      return !op.eject;
-    case core::OpCode::PsBypass:
-    case core::OpCode::SpkSend:
-    case core::OpCode::SpkBypass:
-    case core::OpCode::SpkRecvForward:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 ExecProgram lower_program(const MappedNetwork& m, const noc::NocTopology& topo) {
   SJ_REQUIRE(m.cores.size() == topo.num_cores(),
              "lower_program: topology does not match the mapping");
@@ -46,7 +25,7 @@ ExecProgram lower_program(const MappedNetwork& m, const noc::NocTopology& topo) 
     e.core = top.core;
     e.mask = top.mask.w;
     e.mask_pop = top.mask.popcount();
-    if (needs_link(top.op)) {
+    if (core::needs_link(top.op)) {
       e.link = topo.link_id(top.core, top.op.dst);
       SJ_ASSERT(e.link != noc::kInvalidLink,
                 strprintf("lower_program: core %u routes %s off the grid edge "

@@ -58,10 +58,11 @@ struct ExecProgram {
 };
 
 /// Lowers `m.schedule` against `topo` (which must be the topology built from
-/// `m`, see make_topology). Throws InternalError on an off-grid route — the
-/// same condition check_routes() reports as a Status. Lowering is purely
-/// topological, so one lowered program is shared read-only by every
-/// execution context.
+/// `m`, see make_topology). Every op with core::needs_link gets the LinkId
+/// toward its $DST; a missing one throws InternalError — check_routes()
+/// reports the same condition, through the same predicate, as a Status.
+/// Lowering is purely topological, so one lowered program is shared
+/// read-only by every execution context.
 ExecProgram lower_program(const MappedNetwork& m, const noc::NocTopology& topo);
 
 }  // namespace sj::map

@@ -19,7 +19,7 @@
 //             landing moved up, and the per-wire value sequence — hence
 //             toggle accounting — is untouched);
 //   issue   — the merged planes are free on the core's router block at the
-//             merge cycle (the dry run's issue rule).
+//             merge cycle (check_routes' issue rule).
 //
 // Flits, payload bits and popcount-weighted census rows are additive over
 // planes, so merging moves no statistic: the pass is invisible to results,
@@ -36,16 +36,9 @@ namespace {
 
 using core::OpCode;
 
+/// Every link-writing op but SPK.RECV_FWD, which also delivers axons here.
 bool mergeable(const core::AtomicOp& op) {
-  switch (op.code) {
-    case OpCode::PsSend: return !op.eject;  // ejects feed SPIKE locally
-    case OpCode::PsBypass:
-    case OpCode::SpkSend:
-    case OpCode::SpkBypass:
-      return true;
-    default:
-      return false;  // SPK.RECV_FWD also delivers axons here: leave it be
-  }
+  return core::needs_link(op) && op.code != OpCode::SpkRecvForward;
 }
 
 struct Event {
@@ -60,7 +53,7 @@ struct Event {
 i64 coalesce_sends(MappedNetwork& m) {
   const usize n = m.schedule.size();
   if (n < 2) return 0;
-  const GridIndex grid(m);
+  const noc::NocTopology topo = make_topology(m);
   const u32 acc_lat = static_cast<u32>(m.arch.acc_cycles);
 
   std::vector<OpModel> models(n);
@@ -72,7 +65,7 @@ i64 coalesce_sends(MappedNetwork& m) {
   std::vector<bool> is_acc(n, false);
   for (usize i = 0; i < n; ++i) {
     const TimedOp& t = m.schedule[i];
-    models[i] = op_model(m, grid, t);
+    models[i] = op_model(topo, t);
     is_acc[i] = models[i].acc;
     issue_busy[cell_key(t.cycle, t.core, static_cast<u8>(models[i].block))] |= t.mask;
     const auto log_access = [&](const Access& a, bool write) {

@@ -1,44 +1,54 @@
-// Internal dataflow model shared by the optimizer passes (mapper/opt).
+// Internal dataflow model shared by the optimizer passes (mapper/opt), the
+// pipeline analysis (mapper/pipeline.cpp) and check_routes' issue keys: the
+// one place that says which router registers each op writes.
 //
 // Every pass reasons about the same two facts per scheduled op:
 //
-//   * which (core, register-file, plane) cells it reads and writes — a
-//     superset of the dry run's conflict domains (noc/dryrun.cpp) extended
-//     with the neuron-core registers the dry run does not track (the local
-//     partial-sum file ACC writes, the membrane potential SPIKE
-//     read-modify-writes), because dependence edges need them even though
-//     same-cycle conflicts on them cannot arise;
+//   * which (core, register-file, plane) cells it reads and writes — the
+//     router registers (port inputs, sum_buf, eject, spike_out) plus the
+//     neuron-core registers (the local partial-sum file ACC writes, the
+//     membrane potential SPIKE read-modify-writes), because dependence
+//     edges need them even though same-cycle conflicts on them cannot
+//     arise;
 //   * the architectural read-after-write latency: `arch.acc_cycles` behind
 //     an ACC (the neuron core streams 256 accumulations before the PS file
 //     is stable — the same floor the greedy scheduler's `ps_ready` models),
 //     one cycle behind everything else (two-phase commit: a staged or
 //     latched write is readable the next cycle).
 //
-// $DST operands are resolved against the mapped grid directly (GridIndex)
-// so passes need no NocTopology; the resolution matches
-// NocTopology::neighbor by construction (same coordinate arithmetic).
+// $DST operands are resolved through the mapping's noc::NocTopology, the
+// same resolver the engine lowers against.
 #pragma once
 
 #include <array>
 #include <vector>
 
 #include "mapper/program.h"
+#include "noc/fabric.h"
 
 namespace sj::map::opt {
 
-/// Register files of one tile, per plane. The first eleven mirror noc::Reg
-/// (same order); the last two are the neuron-core registers.
+/// Register files of one tile, per plane. The first eleven are the router
+/// registers (PS block, then spike block); the last two are the neuron-core
+/// registers.
 enum class RegFile : u8 {
-  PsInN = 0, PsInS, PsInE, PsInW,
-  PsSumBuf, PsEject,
-  SpkInN, SpkInS, SpkInE, SpkInW,
-  SpikeOut,
+  PsInN = 0, PsInS, PsInE, PsInW,  // PS router port inputs
+  PsSumBuf, PsEject,               // PS router accumulation / ejection
+  SpkInN, SpkInS, SpkInE, SpkInW,  // spike router port inputs
+  SpikeOut,                        // spike router injection register
   LocalPs,    // neuron-core partial-sum file (ACC writes, PS router reads)
   Potential,  // membrane potential (SPIKE read-modify-write)
   kRegFiles,
 };
 
 inline constexpr u32 kNumRegFiles = static_cast<u32>(RegFile::kRegFiles);
+
+/// Port input registers: written by a neighbour's two-phase staged send, so
+/// a write at cycle t is readable from t+1.
+inline bool is_port(RegFile r) {
+  return (r >= RegFile::PsInN && r <= RegFile::PsInW) ||
+         (r >= RegFile::SpkInN && r <= RegFile::SpkInW);
+}
 
 /// One register access: `mask` planes of `reg` on tile `core`.
 struct Access {
@@ -57,30 +67,18 @@ struct OpModel {
   int num_writes = 0;
 };
 
-/// Coord -> core lookup over a mapped grid, for $DST resolution without a
-/// NocTopology. Throws InternalError on an off-grid hop (the condition
-/// check_routes() reports as a Status).
-class GridIndex {
- public:
-  explicit GridIndex(const MappedNetwork& m);
-  u32 neighbor(u32 core, Dir d) const;
-
- private:
-  i32 rows_ = 0, cols_ = 0;
-  std::vector<Coord> pos_;  // core -> coordinate
-  std::vector<u32> at_;     // row-major coord -> core index
-};
-
-/// The dataflow model of `t` (reads/writes with $DST pre-resolved).
-OpModel op_model(const MappedNetwork& m, const GridIndex& grid, const TimedOp& t);
+/// The dataflow model of `t` (reads/writes with $DST resolved through
+/// `topo`). Throws InvalidArgument on an off-grid hop, the condition
+/// check_routes() reports as a Status.
+OpModel op_model(const noc::NocTopology& topo, const TimedOp& t);
 
 /// Packed (core, register-file) key for per-register tables.
 inline u64 reg_key(u32 core, RegFile reg) {
   return (static_cast<u64>(core) << 8) | static_cast<u64>(reg);
 }
 
-/// Packed (cycle, core, slot) key for per-cycle occupancy tables — same
-/// shape as the dry run's conflict keys.
+/// Packed (cycle, core, slot) key for per-cycle occupancy tables, e.g. the
+/// issue planes of one (cycle, core, block).
 inline u64 cell_key(u32 cycle, u32 core, u8 slot) {
   return (static_cast<u64>(cycle) << 40) | (static_cast<u64>(core) << 8) | slot;
 }

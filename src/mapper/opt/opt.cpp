@@ -1,6 +1,6 @@
 // Pass driver: runs the schedule passes in order, measures each, and
-// re-validates the schedule with the NoC dry run after every pass so any
-// pass bug surfaces at compile time (of the model), not as a wrong frame.
+// re-validates the schedule with check_routes after every pass so any pass
+// bug surfaces at compile time (of the model), not as a wrong frame.
 #include "mapper/opt/opt.h"
 
 #include <chrono>
@@ -61,10 +61,12 @@ void optimize_schedule(MappedNetwork& m, i32 level) {
       {"coalesce", &coalesce_sends},
       {"repack", &repack_cycles},
   };
+  // Each schedule is measured once: a pass's "after" is the next pass's
+  // "before" (check_routes leaves the schedule untouched).
+  ProgramMetrics before = measure(m);
   for (const Pass& pass : passes) {
     OptPassStat stat;
     stat.pass = pass.name;
-    const ProgramMetrics before = measure(m);
     const auto t0 = std::chrono::steady_clock::now();
     const i64 delta = pass.run(m);
     stat.wall_ms =
@@ -80,7 +82,7 @@ void optimize_schedule(MappedNetwork& m, i32 level) {
     stat.phases_before = before.shard_phases;
     stat.phases_after = after.shard_phases;
     m.opt_passes.push_back(std::move(stat));
-    // Independent provability: every pass leaves a schedule the NoC dry run
+    // Independent provability: every pass leaves a schedule check_routes
     // accepts, or the toolchain fails loudly right here.
     const Status s = check_routes(m);
     SJ_REQUIRE(s.is_ok(), std::string("optimizer pass '") + pass.name +
@@ -91,6 +93,7 @@ void optimize_schedule(MappedNetwork& m, i32 level) {
                           << after.cycles_per_timestep << " cycles, " << before.ops
                           << " -> " << after.ops << " ops)");
     }
+    before = after;
   }
 }
 

@@ -17,10 +17,12 @@
 //                destination port untouched in between) — fewer staged
 //                writes, identical per-wire value sequences.
 //   repack     — Kahn-with-priorities list scheduler (critical-path-length
-//                priority) over the register dependence DAG, mirroring the
-//                dry-run's issue/write conflict rules as resource
-//                constraints; compacts `cycles_per_timestep`.
+//                priority) over the register dependence DAG, with
+//                check_routes' issue rule (one op per plane per (core,
+//                block) per cycle) as its resource constraint; compacts
+//                `cycles_per_timestep`.
 //
+// All three read one register model, opt::op_model (opt/dataflow.h).
 // Passes are bit-exactness-preserving by construction *and* re-validated
 // after every pass with check_routes() (mapper/validate.cpp's NoC rules), so
 // each pass is independently provable on any program it is given.
@@ -83,8 +85,9 @@ i64 repack_cycles(MappedNetwork& m);
 
 /// Runs the schedule passes for `level` (>= 1: dead-ops, coalesce, repack)
 /// in order, validating the schedule with check_routes() after every pass
-/// and appending one OptPassStat per pass to `m.opt_passes`. Also stamps
-/// `m.opt_level = level`. A level <= 0 only stamps.
+/// and appending one OptPassStat per pass to `m.opt_passes` (each schedule
+/// is measured once, so a pass's *_before equals the previous pass's
+/// *_after). Also stamps `m.opt_level = level`. A level <= 0 only stamps.
 void optimize_schedule(MappedNetwork& m, i32 level);
 
 // --- placement search (level 2, driven by map_network) ---------------------

@@ -9,9 +9,9 @@
 // placed become "ready", and ready vertices are inserted by priority, here
 // the critical-path length to the schedule's end (the classic
 // priority-driven topological scheduling move). Resource legality per cycle
-// mirrors the dry run's issue rule exactly (one op per plane per router
-// block per core per cycle), so the compacted schedule passes the same
-// validator the greedy one does.
+// is check_routes' issue rule exactly (one op per plane per router block
+// per core per cycle), so the compacted schedule passes the same validator
+// the greedy one does.
 //
 // Register visibility model (matches sim/engine.cpp exactly):
 //
@@ -51,12 +51,6 @@ namespace sj::map::opt {
 
 namespace {
 
-/// Port in-registers are written by staged (two-phase commit) sends.
-bool staged_reg(RegFile r) {
-  return (r >= RegFile::PsInN && r <= RegFile::PsInW) ||
-         (r >= RegFile::SpkInN && r <= RegFile::SpkInW);
-}
-
 /// Union-find over op indices, for fusing same-cycle lat-0 groups.
 class Dsu {
  public:
@@ -85,13 +79,13 @@ class Dsu {
 i64 repack_cycles(MappedNetwork& m) {
   const usize n = m.schedule.size();
   if (n == 0) return 0;
-  const GridIndex grid(m);
+  const noc::NocTopology topo = make_topology(m);
   const u32 acc_lat = static_cast<u32>(m.arch.acc_cycles);
 
   std::vector<OpModel> models(n);
   std::vector<u32> cyc(n);
   for (usize i = 0; i < n; ++i) {
-    models[i] = op_model(m, grid, m.schedule[i]);
+    models[i] = op_model(topo, m.schedule[i]);
     cyc[i] = m.schedule[i].cycle;
   }
 
@@ -113,7 +107,7 @@ i64 repack_cycles(MappedNetwork& m) {
     for (int w = 0; w < om.num_writes; ++w) {
       const Access& a = om.writes[static_cast<usize>(w)];
       streams[reg_key(a.core, a.reg)].push_back(
-          Ev{static_cast<u64>(cyc[i]) * 2 + (staged_reg(a.reg) ? 1 : 0),
+          Ev{static_cast<u64>(cyc[i]) * 2 + (is_port(a.reg) ? 1 : 0),
              static_cast<u32>(i), true, a.mask});
     }
   }
@@ -141,7 +135,7 @@ i64 repack_cycles(MappedNetwork& m) {
       auto& evs = streams[k];
       std::stable_sort(evs.begin(), evs.end(),
                        [](const Ev& a, const Ev& b) { return a.seq < b.seq; });
-      const bool staged = staged_reg(static_cast<RegFile>(k & 0xff));
+      const bool staged = is_port(static_cast<RegFile>(k & 0xff));
       RegTracker tracker;
       for (const Ev& e : evs) {
         if (e.write) {

@@ -20,11 +20,6 @@ constexpr u32 kAxCur = opt::kNumRegFiles + 0;
 constexpr u32 kAxN1 = opt::kNumRegFiles + 1;
 constexpr u32 kAxN2 = opt::kNumRegFiles + 2;
 
-bool is_port_file(u32 f) {
-  return f <= static_cast<u32>(RegFile::PsInW) ||
-         (f >= static_cast<u32>(RegFile::SpkInN) && f <= static_cast<u32>(RegFile::SpkInW));
-}
-
 u64 cell_of(u32 core, u32 file) { return (static_cast<u64>(core) << 8) | file; }
 
 struct Entry {
@@ -237,7 +232,7 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
     return serial_schedule(m, active, SerialReason::ShortFrame);
   }
 
-  const opt::GridIndex grid(m);
+  const noc::NocTopology topo = make_topology(m);
   Analysis an;
   an.n = n;
 
@@ -272,7 +267,7 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
   for (u32 i = 0; i < n; ++i) {
     const TimedOp& t = m.schedule[i];
     an.b[i] = static_cast<i32>(t.cycle);
-    const opt::OpModel om = opt::op_model(m, grid, t);
+    const opt::OpModel om = opt::op_model(topo, t);
     an.block[i] = static_cast<u8>(om.block);
     if (om.acc) an.cd[i] = m.arch.acc_cycles;
     for (int r = 0; r < om.num_reads; ++r) {
@@ -303,7 +298,7 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
     }
   }
   for (auto& [key, list] : cells) {
-    const bool port = is_port_file(static_cast<u32>(key & 0xff));
+    const bool port = opt::is_port(static_cast<RegFile>(key & 0xff));
     if (port) {
       // Two-phase semantics: a port read at cycle x sees state as of the end
       // of x-1, while a same-cycle staged write only commits at the end of

@@ -16,7 +16,6 @@
 #include "core/arch.h"
 #include "core/isa.h"
 #include "core/plane_mask.h"
-#include "noc/dryrun.h"
 #include "noc/fabric.h"
 #include "snn/network.h"
 
@@ -138,15 +137,16 @@ void validate(const MappedNetwork& mapped, const snn::SnnNetwork& net);
 /// The immutable NoC topology (directed links, neighbor wiring, chip
 /// geometry) matching this mapping's grid. This is the shared read-only
 /// artifact: the batch engine lowers against it and shares it across
-/// contexts; validation dry-runs it; power reads its link flags.
+/// contexts; the scheduler, the optimizer passes and check_routes resolve
+/// $DST hops through it; power reads its link flags.
 noc::NocTopology make_topology(const MappedNetwork& m);
 
-/// The schedule as NoC dry-run ops (see noc/dryrun.h).
-std::vector<noc::RouteOp> route_ops(const MappedNetwork& m);
-
-/// NoC-only validation of the schedule: off-grid routes, same-cycle issue
-/// conflicts, same-cycle writes to one router register. Cheap (one pass, no
-/// data movement); run by validate() and usable standalone by tools.
+/// NoC-only validation of the schedule: every op's core is on the grid,
+/// every op that sends (core::needs_link) has a link toward its $DST, and
+/// no two same-cycle ops touch one plane of one (core, block). Register
+/// write conflicts follow from the last rule (see mapper/validate.cpp).
+/// Cheap (one pass, no data movement); run by validate() after mapping and
+/// by the optimizer after every pass.
 Status check_routes(const MappedNetwork& m);
 
 }  // namespace sj::map

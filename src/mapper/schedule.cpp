@@ -28,16 +28,14 @@ std::vector<Dir> xy_route(Coord from, Coord to) {
 }
 
 Scheduler::Scheduler(MappedNetwork& out, const ArchParams& arch)
-    : out_(out), arch_(arch), acc_done_(static_cast<u32>(arch.acc_cycles)) {
+    : out_(out),
+      arch_(arch),
+      topo_(make_topology(out)),
+      acc_done_(static_cast<u32>(arch.acc_cycles)) {
   const usize n = out.cores.size();
   ps_ready_.assign(n, std::vector<u32>(core::PlaneMask::kPlanes, acc_done_));
   summed_.assign(n, PlaneMask::none());
   spike_ready_.assign(n, 0);
-  for (usize i = 0; i < n; ++i) {
-    const Coord p = out.cores[i].pos;
-    coord_to_core_[(static_cast<u64>(static_cast<u32>(p.row)) << 32) |
-                   static_cast<u32>(p.col)] = static_cast<u32>(i);
-  }
 }
 
 u64 Scheduler::router_key(Net net, u32 c, u32 cycle) const {
@@ -73,19 +71,12 @@ void Scheduler::emit(u32 cycle, u32 c, const PlaneMask& m, const AtomicOp& op) {
 }
 
 u32 Scheduler::neighbor(u32 c, Dir d) const {
-  Coord p = out_.cores[c].pos;
-  switch (d) {
-    case Dir::North: --p.row; break;
-    case Dir::South: ++p.row; break;
-    case Dir::East: ++p.col; break;
-    case Dir::West: --p.col; break;
-  }
-  const auto it = coord_to_core_.find((static_cast<u64>(static_cast<u32>(p.row)) << 32) |
-                                      static_cast<u32>(p.col));
-  SJ_ASSERT(it != coord_to_core_.end(),
-            "schedule: route passes through unmapped tile " + to_string(p) +
+  const u32 nb = topo_.neighbor(c, d);
+  SJ_ASSERT(nb != noc::kInvalidCore,
+            "schedule: route passes through unmapped tile " + std::string(dir_name(d)) +
+                " of " + to_string(out_.cores[c].pos) +
                 " (placement must leave no holes along routes)");
-  return it->second;
+  return nb;
 }
 
 void Scheduler::emit_acc_all() {

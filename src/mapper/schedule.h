@@ -24,7 +24,8 @@ namespace sj::map {
 std::vector<Dir> xy_route(Coord from, Coord to);
 
 /// Builds the per-timestep operation schedule for a MappedNetwork whose
-/// cores are already placed.
+/// cores are already placed on its full grid (route hops resolve through
+/// make_topology of it).
 class Scheduler {
  public:
   Scheduler(MappedNetwork& out, const ArchParams& arch);
@@ -68,6 +69,7 @@ class Scheduler {
 
   MappedNetwork& out_;
   const ArchParams& arch_;
+  const noc::NocTopology topo_;  // $DST resolution over out_'s grid
   u32 acc_done_;  // cycle at which local partial sums become valid
   u32 horizon_ = 0;
 
@@ -76,7 +78,6 @@ class Scheduler {
   std::vector<std::vector<u32>> ps_ready_;  // [core][plane] cycle PS final-so-far
   std::vector<PlaneMask> summed_;
   std::vector<u32> spike_ready_;
-  std::unordered_map<u64, u32> coord_to_core_;
 };
 
 }  // namespace sj::map

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/simd.h"
-#include "common/string_util.h"
 
 namespace sj::noc {
 
@@ -61,17 +60,6 @@ NocTopology::NocTopology(const core::ArchParams& arch, i32 grid_rows, i32 grid_c
     try_link(Dir::East, p.row, p.col + 1);
     try_link(Dir::West, p.row, p.col - 1);
   }
-}
-
-Status NocTopology::neighbor(u32 core, Dir d, u32* out) const {
-  const u32 nb = neighbor(core, d);
-  if (nb == kInvalidCore) {
-    return Status::error(strprintf("no %s neighbor of core %u at %s (grid edge)",
-                                   dir_name(d), core,
-                                   to_string(positions_[core]).c_str()));
-  }
-  *out = nb;
-  return Status::ok();
 }
 
 NocState::NocState(const NocTopology& topo)

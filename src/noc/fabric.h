@@ -62,8 +62,6 @@ class NocTopology {
   u32 neighbor(u32 core, Dir d) const {
     return neighbor_[static_cast<usize>(d)][core];
   }
-  /// Testable form: OK + *out on success, error Status at a grid edge.
-  Status neighbor(u32 core, Dir d, u32* out) const;
 
   /// Outgoing link of `core` in direction `d`, or kInvalidLink off-grid.
   LinkId link_id(u32 core, Dir d) const {

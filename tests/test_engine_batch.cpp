@@ -229,7 +229,7 @@ TEST(EngineBatch, ThrowingFrameRestoresPriorTalliesAndDiscardsPartials) {
 
   // Wrong-size frames — too few pixels, or too many — are rejected at frame
   // entry, so neither can leave partial batch counts behind.
-  for (const usize pixels : {usize{4}, usize{301}}) {
+  for (const i32 pixels : {4, 301}) {
     SCOPED_TRACE("pixels " + std::to_string(pixels));
     std::vector<Tensor> bad = b.data.images;
     bad.push_back(Tensor({pixels}));
@@ -256,7 +256,7 @@ TEST(EngineBatch, WrongSizeFrameIsRejectedBeforeTouchingTheContext) {
   SimContext ctx = engine.make_context();
   engine.run_frame(ctx, b.data.images[0]);
   const SimStats before = ctx.stats();
-  for (const usize pixels : {usize{0}, usize{299}, usize{301}, usize{600}}) {
+  for (const i32 pixels : {0, 299, 301, 600}) {
     EXPECT_THROW(engine.run_frame(ctx, Tensor({pixels})), Error) << pixels;
   }
   expect_stats_eq(ctx.stats(), before);

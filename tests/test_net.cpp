@@ -25,7 +25,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -272,11 +274,34 @@ TEST(NetLoopback, FullQueueAnswersBusyWithoutBlockingTheLoop) {
   // nullopt on the loop thread) while every request still gets exactly one
   // answer.
   Loopback lb({.workers = 1, .max_pending = 1},
-              FrontendOptions{.conn_pending_limit = 1024});
+              FrontendOptions{.conn_pending_limit = 1024, .swap_fn = {}});
+  // Hold the one worker in a request the test controls, so the queue can
+  // only fill: the flood's first submit takes the one slot and the second
+  // is refused, however the threads are scheduled. The release also runs
+  // on every early exit, so a failed assertion cannot leave the worker
+  // blocked in the server's drain.
+  std::promise<void> entered, release;
+  struct ReleaseOnExit {
+    std::promise<void>& p;
+    bool done = false;
+    void now() {
+      if (!done) p.set_value();
+      done = true;
+    }
+    ~ReleaseOnExit() { now(); }
+  } release_guard{release};
+  std::shared_future<void> released = release.get_future().share();
+  std::optional<std::future<sim::FrameResult>> blocker =
+      lb.server.try_submit(lb.key, lb.fix.data.images[0], nullptr, [&entered, released] {
+        entered.set_value();
+        released.wait();
+      });
+  ASSERT_TRUE(blocker.has_value());
+  entered.get_future().wait();
+
   Client client(lb.frontend->port());
+  set_recv_timeout(client, 10);
   constexpr usize kFlood = 24;
-  // One write: the loop dispatches the whole flood back to back, faster
-  // than the worker drains the queue, however the threads are scheduled.
   const std::vector<std::pair<MsgType, std::vector<u8>>> flood(
       kFlood, {MsgType::kSubmit, encode_submit(lb.key, lb.fix.data.images[0])});
   write_pipelined(client, flood);
@@ -290,10 +315,14 @@ TEST(NetLoopback, FullQueueAnswersBusyWithoutBlockingTheLoop) {
       EXPECT_EQ(decode_error(f).code, ErrCode::kBusy);
       ++busy;
     }
+    // The first answer can only be a refusal while the worker is held;
+    // let the worker go once the loop has shown it does not block.
+    release_guard.now();
   }
   EXPECT_EQ(ok + busy, kFlood);
   EXPECT_GT(ok, 0u);    // some ran
   EXPECT_GT(busy, 0u);  // and the bound actually rejected some
+  blocker->get();
 }
 
 TEST(NetLoopback, DrainAnswersEverythingThenRefusesConnections) {

@@ -241,6 +241,30 @@ TEST(OptLevels, Level1KeepsPerLinkTrafficIdentical) {
   expect_same_traffic(c0.stats(), c1.stats());
 }
 
+TEST(OptLevels, EachPassStartsWhereThePreviousEnded) {
+  // optimize_schedule measures each schedule once: a pass's *_before is the
+  // previous pass's *_after, and the last *_after is the compiled program.
+  const Built b = build_mlp();
+  for (const i32 level : {1, 2}) {
+    const map::MappedNetwork m = map_at(b, level);
+    ASSERT_EQ(m.opt_passes.size(), level == 1 ? 3u : 4u) << "opt " << level;
+    for (usize i = 1; i < m.opt_passes.size(); ++i) {
+      const map::OptPassStat& prev = m.opt_passes[i - 1];
+      const map::OptPassStat& cur = m.opt_passes[i];
+      EXPECT_EQ(cur.cycles_before, prev.cycles_after) << cur.pass << " at opt " << level;
+      EXPECT_EQ(cur.ops_before, prev.ops_after) << cur.pass << " at opt " << level;
+      EXPECT_EQ(cur.crossings_before, prev.crossings_after) << cur.pass << " at opt " << level;
+      EXPECT_EQ(cur.phases_before, prev.phases_after) << cur.pass << " at opt " << level;
+    }
+    const map::opt::ProgramMetrics final_metrics = map::opt::measure(m);
+    const map::OptPassStat& last = m.opt_passes.back();
+    EXPECT_EQ(last.cycles_after, final_metrics.cycles_per_timestep);
+    EXPECT_EQ(last.ops_after, final_metrics.ops);
+    EXPECT_EQ(last.crossings_after, final_metrics.cross_chip_crossings);
+    EXPECT_EQ(last.phases_after, final_metrics.shard_phases);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pass 4: placement search (level 2).
 // ---------------------------------------------------------------------------

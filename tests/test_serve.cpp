@@ -572,7 +572,7 @@ TEST(Serve, BadFramePropagatesThroughTheFutureAndLeavesServerUsable) {
   Server server({.workers = 2});
   const ModelKey key = server.load_model(b.mapped, b.net);
   // Too few pixels and too many: both are rejected at frame entry.
-  for (const usize pixels : {usize{4}, usize{301}}) {
+  for (const i32 pixels : {4, 301}) {
     auto bad = server.submit(key, Tensor({pixels}));
     EXPECT_THROW(bad.get(), Error) << pixels;
     EXPECT_EQ(server.stats(key).frames, 0) << pixels;  // nothing partial leaked

@@ -308,7 +308,7 @@ TEST(ShardedFrame, WrongSizeFrameThrowsWithoutPartialStats) {
   Engine engine(b.mapped, b.net);
   SimContext ctx = engine.make_context();
   SimContext ref = engine.make_context();
-  for (const usize pixels : {usize{4}, usize{701}}) {
+  for (const i32 pixels : {4, 701}) {
     EXPECT_THROW(EngineTestPeer::run_frame_team(engine, ctx, Tensor({pixels}), nullptr, pool),
                  Error)
         << pixels;
