@@ -4,7 +4,7 @@
 // 12022 ms (ResNet) on an i7-8550U. This bench times our map_network() on
 // the same recipes AND measures what the mapping-time optimizer
 // (src/mapper/opt) buys over the greedy schedule: cycles per timestep,
-// cross-chip plane-crossings and shard phase barriers at SHENJING_OPT=0
+// cross-chip plane-crossings and shard phases at SHENJING_OPT=0
 // (greedy) versus 2 (schedule passes + placement search), plus per-pass
 // wall time.
 //
@@ -13,7 +13,7 @@
 //     count has an architectural floor — acc_cycles = 131 RAW latency
 //     behind the accumulate window dominates the 144-cycle timetable — so
 //     only ~2% is recoverable; reported for honesty, not gated.
-//   - MNIST MLP on 2x2-tile chips (the bench_micro_sim sharding fixture):
+//   - MNIST MLP on 2x2-tile chips (the repository benchmark's mlp-shard net):
 //     every hop is potentially cross-chip, so this is where placement
 //     search shows up. Gated: cross_chip_crossings (lower is better).
 //   - MNIST CNN: the multi-unit pipeline with real slack between waves —

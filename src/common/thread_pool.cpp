@@ -45,10 +45,9 @@ void ThreadPool::worker_loop() {
   t_worker_of = this;
   for (;;) {
     std::function<void()> task;
-    // Bounded spin before sleeping: fine-grained fan-outs (the sharded
-    // engine launches one parallel_for per phase, ~100 us apart) would
-    // otherwise pay a condvar wake-up per worker per phase — often more
-    // than the phase itself. A worker that just ran a task polls the queue
+    // Bounded spin before sleeping: back-to-back fan-outs (run_batch over
+    // sub-millisecond frames) would otherwise pay a condvar wake-up per
+    // worker per call. A worker that just ran a task polls the queue
     // for a short while before parking; an idle pool still sleeps. The
     // bound comes from spin_poll_bound(): SHENJING_SPIN override, 0 on
     // 1-CPU hosts where spinning only delays the producer.
@@ -73,15 +72,6 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    SJ_ASSERT(!stop_, "submit on stopped pool");
-    tasks_.emplace(std::move(task));
-  }
-  cv_.notify_one();
 }
 
 void ThreadPool::parallel_for(usize n, const std::function<void(usize)>& fn) {

@@ -52,14 +52,6 @@ class ThreadPool {
   /// comment), so idle workers participate in nested loops.
   void parallel_for(usize n, const std::function<void(usize)>& fn);
 
-  /// Enqueues one task with no completion handshake. The caller owns
-  /// lifetime and error handling: the task must not throw, and anything it
-  /// references must stay alive until it runs (the persistent shard team
-  /// passes a shared_ptr by value for exactly this reason). Tasks may run
-  /// after the submitting call returns; they are drained, not dropped, on
-  /// pool destruction.
-  void submit(std::function<void()> task);
-
   /// Process-wide default pool (lazily constructed). Honors the
   /// SHENJING_THREADS environment variable at first use (see
   /// parse_thread_count): a positive value fixes the worker count (for
@@ -91,10 +83,10 @@ usize parse_thread_count(const char* text);
 int parse_spin_bound(const char* text, int fallback);
 
 /// Iterations a pool worker polls the queue before parking on the condvar.
-/// Defaults to 64 — fine-grained fan-outs (the sharded engine synchronizes
-/// every ~100 us) would otherwise pay a condvar wake-up per worker per
-/// phase — but on a 1-CPU host spinning only steals the quantum from the
-/// thread that would produce the work, so the default drops to 0 there.
+/// Defaults to 64 — back-to-back fan-outs (run_batch over sub-millisecond
+/// frames) would otherwise pay a condvar wake-up per worker per call — but
+/// on a 1-CPU host spinning only steals the quantum from the thread that
+/// would produce the work, so the default drops to 0 there.
 /// SHENJING_SPIN overrides either default (read once, cached).
 int spin_poll_bound();
 

@@ -32,7 +32,7 @@
 //   1 — schedule passes: dead-ops, coalesce, repack.
 //   2 — level 1 plus placement search in map_network(): a deterministic
 //       hill-climb over unit anchor positions (opt/placement.cpp) that
-//       minimizes cross-chip crossings, shard phase barriers, and cycles —
+//       minimizes cross-chip crossings, shard phases, and cycles —
 //       this one changes routes (and therefore per-link counters), never
 //       results.
 #pragma once
@@ -48,8 +48,9 @@ namespace sj::map::opt {
 /// Schedule-wide cost summary, the currency every pass reports in.
 /// `crossings` is mask-popcount-weighted traffic over inter-chip links
 /// (the TrafficReport/SerDes cost driver), `shard_phases` ShardPlan's
-/// num_phases: the ranges a sharded frame runs per iteration on the serial
-/// II = C schedule.
+/// num_phases: how often per timestep a cross-chip write is read, the
+/// synchronization points a chip-parallel replay of the schedule would
+/// need.
 struct ProgramMetrics {
   u32 cycles_per_timestep = 0;
   i64 ops = 0;

@@ -4,7 +4,7 @@
 // which is fine for one chip but oblivious to chip boundaries on multi-chip
 // grids: a unit straddling a seam, or two chatty units on different chips,
 // pays popcount-weighted SerDes crossings on every timestep and can add
-// shard phase barriers. This is a deterministic greedy-refinement hill
+// shard phases (ShardPlan::num_phases). This is a deterministic greedy-refinement hill
 // climb seeded by the shelf result:
 //
 //   1. shelf re-packs under alternative unit orders (all permutations for

@@ -217,6 +217,19 @@ PipelineSchedule serial_schedule(const MappedNetwork& m, const std::vector<bool>
 
 }  // namespace
 
+const char* serial_reason_name(SerialReason r) {
+  switch (r) {
+    case SerialReason::None: return "None";
+    case SerialReason::FlagOff: return "FlagOff";
+    case SerialReason::ShortFrame: return "ShortFrame";
+    case SerialReason::PositiveCycle: return "PositiveCycle";
+    case SerialReason::WindowOverflow: return "WindowOverflow";
+    case SerialReason::CollisionRoundsExhausted: return "CollisionRoundsExhausted";
+    case SerialReason::OverlapLoses: return "OverlapLoses";
+  }
+  return "Unknown";
+}
+
 PipelineSchedule build_pipeline(const MappedNetwork& m) {
   const i32 C = static_cast<i32>(m.cycles_per_timestep);
   const usize n = m.schedule.size();

@@ -52,6 +52,9 @@ enum class SerialReason : u8 {
   OverlapLoses,              // feasible, but the overlapped frame is not shorter
 };
 
+/// The enumerator's name ("None", "FlagOff", ...), for metrics and reports.
+const char* serial_reason_name(SerialReason r);
+
 struct PipelineSchedule {
   i32 ii = 0;     // initiation interval; cycles_per_timestep when serial
   i32 span = 0;   // one iteration's local window [0, span); span <= 2*ii

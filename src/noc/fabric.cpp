@@ -134,36 +134,13 @@ void NocState::send_spike(const NocTopology& topo, u32 src, Dir d, u16 plane, bo
 
 void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
                               const i16* values, TrafficCounters& tc) {
-  stage_ps(topo, lid, mask, values, tc, ps_staged_);
-}
-
-void NocState::send_spike_masked(const NocTopology& topo, LinkId lid,
-                                 const Router::Words& mask, const Router::Words& bits,
-                                 TrafficCounters& tc) {
-  stage_spike(topo, lid, mask, bits, tc, spk_staged_);
-}
-
-void NocState::send_ps_masked(const NocTopology& topo, ShardLane& lane, bool cross,
-                              LinkId lid, const Router::Words& mask, const i16* values,
-                              TrafficCounters& tc) {
-  stage_ps(topo, lid, mask, values, tc, cross ? lane.ps_cross_ : lane.ps_local_);
-}
-
-void NocState::send_spike_masked(const NocTopology& topo, ShardLane& lane, bool cross,
-                                 LinkId lid, const Router::Words& mask,
-                                 const Router::Words& bits, TrafficCounters& tc) {
-  stage_spike(topo, lid, mask, bits, tc, cross ? lane.spk_cross_ : lane.spk_local_);
-}
-
-void NocState::stage_ps(const NocTopology& topo, LinkId lid, const Router::Words& mask,
-                        const i16* values, TrafficCounters& tc, std::vector<PsWrite>& out) {
   check_topology(topo);
   SJ_ASSERT(lid != kInvalidLink, "noc: PS send off grid edge");
   const int pop = popcount_words(mask);
   if (pop == 0) return;
   const Link& ln = topo.link(lid);
 
-  PsWrite& w = out.emplace_back();
+  PsWrite& w = ps_staged_.emplace_back();
   w.core = ln.dst;
   w.port = opposite(ln.dir);
   w.mask = mask;
@@ -199,16 +176,16 @@ void NocState::stage_ps(const NocTopology& topo, LinkId lid, const Router::Words
   t.ps_toggles += toggles;
 }
 
-void NocState::stage_spike(const NocTopology& topo, LinkId lid, const Router::Words& mask,
-                           const Router::Words& bits, TrafficCounters& tc,
-                           std::vector<SpkWrite>& out) {
+void NocState::send_spike_masked(const NocTopology& topo, LinkId lid,
+                                 const Router::Words& mask, const Router::Words& bits,
+                                 TrafficCounters& tc) {
   check_topology(topo);
   SJ_ASSERT(lid != kInvalidLink, "noc: spike send off grid edge");
   const int pop = popcount_words(mask);
   if (pop == 0) return;
   const Link& ln = topo.link(lid);
 
-  SpkWrite& w = out.emplace_back();
+  SpkWrite& w = spk_staged_.emplace_back();
   w.core = ln.dst;
   w.port = opposite(ln.dir);
   w.mask = mask;
@@ -234,12 +211,12 @@ void NocState::stage_spike(const NocTopology& topo, LinkId lid, const Router::Wo
   t.spike_toggles += toggles;
 }
 
-void NocState::apply_writes(std::vector<PsWrite>& ps, std::vector<SpkWrite>& spk) {
-  for (const PsWrite& w : ps) {
+void NocState::commit_cycle() {
+  for (const PsWrite& w : ps_staged_) {
     Router::masked_copy(w.mask, w.values.data(),
                         routers_[router_slot(w.core)].ps_in_data(w.port));
   }
-  for (const SpkWrite& w : spk) {
+  for (const SpkWrite& w : spk_staged_) {
     Router::Words& reg = routers_[router_slot(w.core)].spk_in_words(w.port);
     for (int wi = 0; wi < Router::kWords; ++wi) {
       const u64 m = w.mask[static_cast<usize>(wi)];
@@ -247,18 +224,8 @@ void NocState::apply_writes(std::vector<PsWrite>& ps, std::vector<SpkWrite>& spk
           (reg[static_cast<usize>(wi)] & ~m) | w.bits[static_cast<usize>(wi)];
     }
   }
-  ps.clear();
-  spk.clear();
-}
-
-void NocState::commit_cycle() { apply_writes(ps_staged_, spk_staged_); }
-
-void NocState::commit_lane_cycle(ShardLane& lane) {
-  apply_writes(lane.ps_local_, lane.spk_local_);
-}
-
-void NocState::commit_lane_cross(ShardLane& lane) {
-  apply_writes(lane.ps_cross_, lane.spk_cross_);
+  ps_staged_.clear();
+  spk_staged_.clear();
 }
 
 void NocState::reset() {

@@ -96,26 +96,6 @@ class NocTopology {
 /// table). Core and link ids stay the topology's ids at every public
 /// call; only the backing allocation shrinks.
 class NocState {
- private:
-  // Staged masked writes; scalar sends stage a single-plane mask. The
-  // user-provided empty constructors keep emplace_back from value-zeroing
-  // the 512-byte payload that masked_copy overwrites anyway. (Declared
-  // before the public section so ShardLane below can hold them.)
-  struct PsWrite {
-    PsWrite() {}
-    u32 core;
-    Dir port;
-    Router::Words mask;
-    std::array<i16, Router::kPlanes> values;  // masked planes valid
-  };
-  struct SpkWrite {
-    SpkWrite() {}
-    u32 core;
-    Dir port;
-    Router::Words mask;
-    Router::Words bits;  // pre-masked payload
-  };
-
  public:
   /// Full state: every router and every link's toggle history allocated.
   explicit NocState(const NocTopology& topo);
@@ -164,60 +144,6 @@ class NocState {
   /// Applies all staged writes in staging order (end of cycle).
   void commit_cycle();
 
-  // --- per-shard views for sharded execution ------------------------------
-  /// A chip shard's private staging lane over this state (map::ShardPlan).
-  /// Under sharded execution every shard sends through its own lane instead
-  /// of the state's shared staging queue: writes staying inside the shard
-  /// land at the shard's own cycle commits (commit_lane_cycle), writes
-  /// leaving it wait in the outbox for the phase barrier
-  /// (commit_lane_cross). Lanes touch pairwise-disjoint state — a link is
-  /// only ever sent on by its source tile's shard, and a lane's cycle
-  /// commits only write routers inside its own shard — so one NocState
-  /// serves any number of concurrently-executing lanes, provided outbox
-  /// commits happen at a barrier with no lane executing.
-  class ShardLane {
-   public:
-    bool idle() const {
-      return ps_local_.empty() && spk_local_.empty() && ps_cross_.empty() &&
-             spk_cross_.empty();
-    }
-    /// Drops anything still staged (exception recovery at a frame boundary).
-    void clear() {
-      ps_local_.clear();
-      spk_local_.clear();
-      ps_cross_.clear();
-      spk_cross_.clear();
-    }
-
-   private:
-    friend class NocState;
-    std::vector<PsWrite> ps_local_, ps_cross_;
-    std::vector<SpkWrite> spk_local_, spk_cross_;
-  };
-
-  /// Lane forms of the masked sends: identical payload, traffic and toggle
-  /// accounting to the shared-queue forms, but staged into `lane` — locally
-  /// when `cross` is false, into the lane's outbox otherwise. `cross` must
-  /// say whether `lid` leaves the sending shard; the shard plan precomputes
-  /// it as ExecOp::cross_shard. Distinct lanes may send concurrently.
-  void send_ps_masked(const NocTopology& topo, ShardLane& lane, bool cross, LinkId lid,
-                      const Router::Words& mask, const i16* values, TrafficCounters& tc);
-  void send_spike_masked(const NocTopology& topo, ShardLane& lane, bool cross, LinkId lid,
-                         const Router::Words& mask, const Router::Words& bits,
-                         TrafficCounters& tc);
-
-  /// Applies and clears `lane`'s intra-shard staged writes — the lane's own
-  /// end-of-cycle commit. Safe concurrently with other lanes' sends and
-  /// cycle commits (disjoint routers).
-  void commit_lane_cycle(ShardLane& lane);
-  /// Applies and clears `lane`'s cross-shard outbox — the inter-shard
-  /// exchange. Must run at a phase barrier (no lane executing). Distinct
-  /// lanes may drain concurrently and in any order: a link is sent on only
-  /// by its source shard's lane and (dst, port) identifies the link, so two
-  /// lanes never touch the same destination register; within one lane the
-  /// single draining thread preserves staging order.
-  void commit_lane_cross(ShardLane& lane);
-
   /// Zeroes router registers, staged writes, and toggle-tracking state
   /// (frame boundary). Does not touch any TrafficCounters.
   void reset();
@@ -234,15 +160,23 @@ class NocState {
   // movement call routes over.
   void check_topology(const NocTopology& topo) const;
 
-  // Shared staging/accounting core of the queue and lane sends: the write
-  // lands in `out`, traffic and toggle history charge as always.
-  void stage_ps(const NocTopology& topo, LinkId lid, const Router::Words& mask,
-                const i16* values, TrafficCounters& tc, std::vector<PsWrite>& out);
-  void stage_spike(const NocTopology& topo, LinkId lid, const Router::Words& mask,
-                   const Router::Words& bits, TrafficCounters& tc,
-                   std::vector<SpkWrite>& out);
-  // Applies a staged-write list in staging order, then clears it.
-  void apply_writes(std::vector<PsWrite>& ps, std::vector<SpkWrite>& spk);
+  // Staged masked writes; scalar sends stage a single-plane mask. The
+  // user-provided empty constructors keep emplace_back from value-zeroing
+  // the 512-byte payload that masked_copy overwrites anyway.
+  struct PsWrite {
+    PsWrite() {}
+    u32 core;
+    Dir port;
+    Router::Words mask;
+    std::array<i16, Router::kPlanes> values;  // masked planes valid
+  };
+  struct SpkWrite {
+    SpkWrite() {}
+    u32 core;
+    Dir port;
+    Router::Words mask;
+    Router::Words bits;  // pre-masked payload
+  };
 
   // Slot of a core's router / a link's toggle history in the dense backing
   // arrays; kNoSlot marks state the compaction left unallocated.

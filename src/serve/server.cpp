@@ -134,7 +134,6 @@ std::shared_ptr<const Server::Generation> Server::make_generation(
 
 Server::Server(ServerOptions options)
     : max_pending_(options.max_pending),
-      shard_below_depth_(options.shard_below_depth),
       profile_engine_(options.profile_engine) {
   submitted_ = &registry_.counter("serve.submitted");
   completed_ = &registry_.counter("serve.completed");
@@ -403,15 +402,13 @@ void Server::worker_loop() {
   std::unordered_map<ModelKey, std::unique_ptr<sim::SimContext>> contexts;
   for (;;) {
     Request req;
-    usize depth_after_claim = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ and drained
       req = std::move(queue_.front());
       queue_.pop_front();
-      depth_after_claim = queue_.size();
-      queue_depth_->set(static_cast<i64>(depth_after_claim));
+      queue_depth_->set(static_cast<i64>(queue_.size()));
     }
     const u64 t_claim = obs::now_ns();
     in_flight_->add(1);
@@ -420,13 +417,6 @@ void Server::worker_loop() {
     // a single wake-up could land on a waiter whose predicate still fails
     // and leave a satisfiable one asleep until the next claim.
     if (max_pending_ != 0) space_cv_.notify_all();
-    // Latency/throughput policy: a shallow queue means workers are about to
-    // idle — spend them on the claimed frame's chip shards instead. A deep
-    // queue keeps every worker on its own frame (run_frame_sharded is
-    // bit-identical to run_frame, so the policy never shows in results, and
-    // it runs a model whose shards do not pay whole anyway).
-    const bool sharded = shard_below_depth_ != 0 && depth_after_claim < shard_below_depth_;
-
     auto it = contexts.find(req.key);
     if (it == contexts.end()) {
       it = contexts
@@ -438,9 +428,7 @@ void Server::worker_loop() {
     ctx.set_profiling(profile_engine_);
     try {
       const u64 t_exec0 = obs::now_ns();
-      sim::FrameResult res = sharded
-                                 ? req.gen->engine->run_frame_sharded(ctx, req.frame)
-                                 : req.gen->engine->run_frame(ctx, req.frame);
+      sim::FrameResult res = req.gen->engine->run_frame(ctx, req.frame);
       const u64 t_exec1 = obs::now_ns();
       {
         const std::lock_guard<std::mutex> lock(mu_);
@@ -582,6 +570,9 @@ json::Value Server::metrics_json() const {
     m.set("spikes_fired", v.stats.spikes_fired);
     m.set("switching_activity", v.stats.switching_activity());
     if (v.gen != nullptr) {
+      const map::PipelineSchedule& pipe = v.gen->engine->model().pipeline();
+      m.set("pipeline_ii", static_cast<i64>(pipe.ii));
+      m.set("serial_reason", map::serial_reason_name(pipe.serial_reason));
       const noc::TrafficReport rep =
           noc::TrafficReport::build(v.gen->engine->model().topology(), v.stats.noc,
                                     v.stats.cycles, v.stats.iterations);

@@ -42,9 +42,12 @@
 // separately attributable — recorded into per-model histograms
 // (serve.{queue_wait,exec,e2e}_us.<key>) before the future becomes ready,
 // with queue-depth and in-flight gauges updated at the submit/claim/fulfil
-// transitions. metrics_json() adds per-model lifetime stats and a live
-// TrafficReport-derived per-link NoC utilization snapshot; pair it with
-// obs::MetricsDumper for the SHENJING_METRICS export loop.
+// transitions. metrics_json() adds per-model lifetime stats, the compiled
+// modulo schedule's II and serial reason, and a live TrafficReport-derived
+// per-link NoC utilization snapshot; pair it with obs::MetricsDumper for the
+// SHENJING_METRICS export loop. Every model, one chip or many, runs through
+// Engine::run_frame; multi-chip mappings pay their inter-chip links in the
+// NoC counters, not in a separate serving path.
 #pragma once
 
 #include <condition_variable>
@@ -106,21 +109,10 @@ struct ServerOptions {
   /// transactionally (and rejects batches larger than the bound outright).
   /// 0 = unbounded.
   usize max_pending = 0;
-  /// Latency/throughput policy for idle capacity: when the queue depth
-  /// observed at claim time is *below* this, the worker runs its frame
-  /// through Engine::run_frame_sharded, fanning the model's chip shards
-  /// over the global ThreadPool — idle workers speed up the one frame in
-  /// flight. At or above it, frames run whole so workers stay on
-  /// independent frames (throughput). Results are bit-identical either way
-  /// (the sharded path's contract). Models whose shards do not pay
-  /// (sim::CompiledModel::sharding_pays, false for every single-chip model)
-  /// always run whole, as does every model on a one-thread global pool.
-  /// 0 disables sharded serving.
-  usize shard_below_depth = 0;
   /// Enables engine phase profiling on every worker context
   /// (sim::SimContext::set_profiling): per-model obs::PhaseProfile tallies
   /// surface in metrics_json() under "engine_profile". Off by default —
-  /// profiled frames pay clock reads around every shard range.
+  /// profiled frames pay a few clock reads per range.
   bool profile_engine = false;
 };
 
@@ -217,7 +209,9 @@ class Server {
 
   /// One self-describing JSON document for dashboards and the
   /// SHENJING_METRICS dumper: the registry snapshot plus, per model, the
-  /// lifetime SimStats roll-up (monotone across take_stats) and a live
+  /// lifetime SimStats roll-up (monotone across take_stats), the compiled
+  /// schedule's `pipeline_ii` and `serial_reason` (map::serial_reason_name;
+  /// "None" when timesteps overlap) and a live
   /// noc::TrafficReport::utilization_json() per-link utilization snapshot;
   /// engine phase profiles appear when ServerOptions::profile_engine is on.
   json::Value metrics_json() const;
@@ -291,7 +285,6 @@ class Server {
   void worker_loop();
 
   const usize max_pending_;
-  const usize shard_below_depth_;
   const bool profile_engine_;
   // The metric store and the hot-path handles into it. Declared before
   // workers_ so it outlives the worker threads on destruction. Lock order:

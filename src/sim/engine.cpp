@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/barrier.h"
 #include "common/fixed.h"
 #include "common/simd.h"
 
@@ -215,13 +214,10 @@ CompiledModel::CompiledModel(const MappedNetwork& mapped, const snn::SnnNetwork&
       active_cores_(donor.active_cores_),
       touched_links_(donor.touched_links_),
       pipe_(donor.pipe_),
-      pipe_plain_(donor.pipe_plain_),
-      pipe_shards_(donor.pipe_shards_),
-      plain_ranges_(donor.plain_ranges_),
-      shard_ranges_(donor.shard_ranges_),
+      tables_(donor.tables_),
+      ranges_(donor.ranges_),
       pend_slot_(donor.pend_slot_),
-      pend_count_(donor.pend_count_),
-      sharding_pays_(donor.sharding_pays_) {
+      pend_count_(donor.pend_count_) {
   require_swap_compatible(donor.mapped(), mapped);
   // Touch sets and the shard plan depend only on the (identical) program,
   // chip geometry and input taps, so the donor's copies hold; dense rows
@@ -320,167 +316,105 @@ void CompiledModel::build_pipeline_exec() {
   const i32 acc = pipe_.acc_latency;
   const u32 n_inputs = static_cast<u32>(m.input_taps.size());
 
-  // One PipeTables per execution domain — the whole program (plain path) or
-  // one chip shard — from the ops, active cores and input taps whose core the
-  // domain keeps, filtered in schedule order. Ops are then stably sorted by
-  // pipelined issue cycle: within one cycle the engine runs [rotations,
-  // injections, ACC commits, ops in schedule order] — the exact order the
-  // analysis priced its w = 0 edges against. ACCs committed in place
-  // (acc == 0) get no commit entry.
-  const auto build_tables = [&](auto&& keep) {
-    PipeTables pt;
-    pt.rows.resize(static_cast<usize>(span));
-    std::vector<u32> perm;
-    for (u32 i = 0; i < prog_.ops.size(); ++i) {
-      if (keep(prog_.ops[i].core)) perm.push_back(i);
+  // Ops are stably sorted by pipelined issue cycle: within one cycle the
+  // engine runs [rotations, injections, ACC commits, ops in schedule order]
+  // — the exact order the analysis priced its w = 0 edges against. ACCs
+  // committed in place (acc == 0) get no commit entry.
+  PipeTables& pt = tables_;
+  pt.rows.resize(static_cast<usize>(span));
+  std::vector<u32> perm(prog_.ops.size());
+  for (u32 i = 0; i < perm.size(); ++i) perm[i] = i;
+  std::stable_sort(perm.begin(), perm.end(), [&](u32 a, u32 b) {
+    return pipe_.op_cycle[a] < pipe_.op_cycle[b];
+  });
+  pt.ops.reserve(perm.size());
+  std::vector<std::pair<i32, u32>> commit_at;  // (commit cycle, pt.ops index)
+  for (const u32 i : perm) {
+    if (prog_.ops[i].code == core::OpCode::Acc && acc > 0) {
+      commit_at.emplace_back(pipe_.op_cycle[i] + acc, static_cast<u32>(pt.ops.size()));
     }
-    std::stable_sort(perm.begin(), perm.end(), [&](u32 a, u32 b) {
-      return pipe_.op_cycle[a] < pipe_.op_cycle[b];
-    });
-    pt.ops.reserve(perm.size());
-    std::vector<std::pair<i32, u32>> commit_at;  // (commit cycle, pt.ops index)
-    for (const u32 i : perm) {
-      if (prog_.ops[i].code == core::OpCode::Acc && acc > 0) {
-        commit_at.emplace_back(pipe_.op_cycle[i] + acc, static_cast<u32>(pt.ops.size()));
-      }
-      pt.ops.push_back(prog_.ops[i]);
-    }
-    std::stable_sort(commit_at.begin(), commit_at.end());
-    for (const u32 c : active_cores_) {
-      if (keep(c)) pt.rot_cores.push_back(c);
-    }
-    std::stable_sort(pt.rot_cores.begin(), pt.rot_cores.end(), [&](u32 a, u32 b) {
-      return pipe_.rotate_cycle[a] < pipe_.rotate_cycle[b];
-    });
-    // Taps by (row, input bit); each row's injections become a CSR block
-    // over the inputs below.
-    std::vector<std::pair<u32, map::Slot>> by_row;
-    for (u32 g = 0; g < n_inputs; ++g) {
-      for (const map::Slot& s : m.input_taps[g]) {
-        if (keep(s.core)) by_row.emplace_back(g, s);
-      }
-    }
-    std::stable_sort(by_row.begin(), by_row.end(), [&](const auto& a, const auto& b) {
-      const i32 ra = pipe_.rotate_cycle[a.second.core];
-      const i32 rb = pipe_.rotate_cycle[b.second.core];
-      return ra != rb ? ra < rb : a.first < b.first;
-    });
-    pt.taps.reserve(by_row.size());
-    for (const auto& t : by_row) pt.taps.push_back(t.second);
-    pt.commits.reserve(commit_at.size());
-    for (const auto& [cy, idx] : commit_at) pt.commits.push_back(idx);
-    // Bucket each sorted list into contiguous per-row [b, e) slices.
-    const auto slice = [&](usize count, auto&& cycle_of, auto&& set) {
-      usize i = 0;
-      for (i32 r = 0; r < span; ++r) {
-        const u32 b = static_cast<u32>(i);
-        while (i < count && cycle_of(i) == r) ++i;
-        set(pt.rows[static_cast<usize>(r)], b, static_cast<u32>(i));
-      }
-      SJ_ASSERT(i == count, "pipeline: entry outside the schedule span");
-    };
-    slice(pt.rot_cores.size(),
-          [&](usize i) { return pipe_.rotate_cycle[pt.rot_cores[i]]; },
-          [](PipeTables::Row& row, u32 b, u32 e) { row.rot_b = b; row.rot_e = e; });
-    slice(pt.taps.size(), [&](usize i) { return pipe_.rotate_cycle[pt.taps[i].core]; },
-          [](PipeTables::Row& row, u32 b, u32 e) { row.tap_b = b; row.tap_e = e; });
-    for (PipeTables::Row& row : pt.rows) {
-      if (row.tap_b == row.tap_e) continue;
-      row.tap_off = static_cast<u32>(pt.tap_off.size());
-      u32 i = row.tap_b;
-      for (u32 g = 0; g <= n_inputs; ++g) {
-        while (i < row.tap_e && by_row[i].first < g) ++i;
-        pt.tap_off.push_back(i);
-      }
-    }
-    slice(pt.commits.size(), [&](usize i) { return commit_at[i].first; },
-          [](PipeTables::Row& row, u32 b, u32 e) { row.com_b = b; row.com_e = e; });
-    slice(perm.size(), [&](usize i) { return pipe_.op_cycle[perm[i]]; },
-          [](PipeTables::Row& row, u32 b, u32 e) { row.op_b = b; row.op_e = e; });
-    return pt;
-  };
-
-  pipe_plain_ = build_tables([](u32) { return true; });
-  pipe_shards_.clear();
-  for (u32 s = 0; s < plan_.num_shards(); ++s) {
-    pipe_shards_.push_back(build_tables([&](u32 c) { return plan_.shard_of_core[c] == s; }));
+    pt.ops.push_back(prog_.ops[i]);
   }
+  std::stable_sort(commit_at.begin(), commit_at.end());
+  pt.rot_cores = active_cores_;
+  std::stable_sort(pt.rot_cores.begin(), pt.rot_cores.end(), [&](u32 a, u32 b) {
+    return pipe_.rotate_cycle[a] < pipe_.rotate_cycle[b];
+  });
+  // Taps by (row, input bit); each row's injections become a CSR block over
+  // the inputs below.
+  std::vector<std::pair<u32, map::Slot>> by_row;
+  for (u32 g = 0; g < n_inputs; ++g) {
+    for (const map::Slot& s : m.input_taps[g]) by_row.emplace_back(g, s);
+  }
+  std::stable_sort(by_row.begin(), by_row.end(), [&](const auto& a, const auto& b) {
+    const i32 ra = pipe_.rotate_cycle[a.second.core];
+    const i32 rb = pipe_.rotate_cycle[b.second.core];
+    return ra != rb ? ra < rb : a.first < b.first;
+  });
+  pt.taps.reserve(by_row.size());
+  for (const auto& t : by_row) pt.taps.push_back(t.second);
+  pt.commits.reserve(commit_at.size());
+  for (const auto& [cy, idx] : commit_at) pt.commits.push_back(idx);
+  // Bucket each sorted list into contiguous per-row [b, e) slices.
+  const auto slice = [&](usize count, auto&& cycle_of, auto&& set) {
+    usize i = 0;
+    for (i32 r = 0; r < span; ++r) {
+      const u32 b = static_cast<u32>(i);
+      while (i < count && cycle_of(i) == r) ++i;
+      set(pt.rows[static_cast<usize>(r)], b, static_cast<u32>(i));
+    }
+    SJ_ASSERT(i == count, "pipeline: entry outside the schedule span");
+  };
+  slice(pt.rot_cores.size(),
+        [&](usize i) { return pipe_.rotate_cycle[pt.rot_cores[i]]; },
+        [](PipeTables::Row& row, u32 b, u32 e) { row.rot_b = b; row.rot_e = e; });
+  slice(pt.taps.size(), [&](usize i) { return pipe_.rotate_cycle[pt.taps[i].core]; },
+        [](PipeTables::Row& row, u32 b, u32 e) { row.tap_b = b; row.tap_e = e; });
+  for (PipeTables::Row& row : pt.rows) {
+    if (row.tap_b == row.tap_e) continue;
+    row.tap_off = static_cast<u32>(pt.tap_off.size());
+    u32 i = row.tap_b;
+    for (u32 g = 0; g <= n_inputs; ++g) {
+      while (i < row.tap_e && by_row[i].first < g) ++i;
+      pt.tap_off.push_back(i);
+    }
+  }
+  slice(pt.commits.size(), [&](usize i) { return commit_at[i].first; },
+        [](PipeTables::Row& row, u32 b, u32 e) { row.com_b = b; row.com_e = e; });
+  slice(perm.size(), [&](usize i) { return pipe_.op_cycle[perm[i]]; },
+        [](PipeTables::Row& row, u32 b, u32 e) { row.op_b = b; row.op_e = e; });
 
   // Frame ranges. Split points: every iteration boundary k*II (input
-  // staging), after every readout cycle, and — on the sharded path only —
-  // before the pipelined cycle of every ShardPlan hazard op (one that reads
-  // a port a cross-shard send can feed). Cross-shard outboxes drain at
-  // every boundary.
+  // staging) and after every readout cycle.
   const i32 T = m.timesteps;
   const i32 total = T + m.output_depth;
   const u64 ii = static_cast<u64>(pipe_.ii);
   const u64 A = static_cast<u64>(total - 1) * ii + static_cast<u64>(span);
   const u64 ro = static_cast<u64>(pipe_.readout_cycle) + 1;
-  const auto make_ranges = [&](const std::vector<bool>& hazard) {
-    std::vector<u64> pts;
-    for (u64 p = ii; p < A; p += ii) pts.push_back(p);
-    for (i32 k = 0; k < total; ++k) {
-      const u64 p = static_cast<u64>(k) * ii + ro;
-      if (p < A) pts.push_back(p);
-    }
-    for (i32 r = 0; r < span; ++r) {
-      if (!hazard[static_cast<usize>(r)]) continue;
-      for (i32 k = 0; k < total; ++k) {
-        const u64 p = static_cast<u64>(k) * ii + static_cast<u64>(r);
-        if (p > 0 && p < A) pts.push_back(p);
-      }
-    }
-    pts.push_back(A);
-    std::sort(pts.begin(), pts.end());
-    pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
-    std::vector<PipeRange> ranges;
-    ranges.reserve(pts.size());
-    u64 prev = 0;
-    for (const u64 e : pts) {
-      PipeRange rg;
-      rg.b = prev;
-      rg.e = e;
-      if (prev % ii == 0 && prev / ii < static_cast<u64>(T)) {
-        rg.stage_k = static_cast<i32>(prev / ii);
-      }
-      if (e >= ro && (e - ro) % ii == 0 && (e - ro) / ii < static_cast<u64>(total)) {
-        rg.readout_k = static_cast<i32>((e - ro) / ii);
-      }
-      ranges.push_back(rg);
-      prev = e;
-    }
-    return ranges;
-  };
-  std::vector<bool> hazard(static_cast<usize>(span), false);
-  plain_ranges_ = make_ranges(hazard);
-  for (const u32 i : plan_.hazard_ops) hazard[static_cast<usize>(pipe_.op_cycle[i])] = true;
-  shard_ranges_ = make_ranges(hazard);
-
-  // Shard-cost rule: a team frame's critical path is each sharded range's
-  // busiest shard plus a barrier that every shard pays into; a plain frame
-  // runs every op of every iteration back to back. A range's live
-  // iterations are the ones Engine::exec_range runs: kn - 1 and kn, clipped
-  // to the frame.
-  const auto range_ops = [&](const PipeTables& pt, const PipeRange& rg) {
-    const i64 kn = static_cast<i64>(rg.b / ii);
-    i64 n = 0;
-    for (i64 k = std::max<i64>(kn - 1, 0); k <= std::min<i64>(kn, total - 1); ++k) {
-      const u64 base = static_cast<u64>(k) * ii;
-      const u64 hi = std::min(rg.e, base + static_cast<u64>(span));
-      for (u64 a = std::max(rg.b, base); a < hi; ++a) {
-        const PipeTables::Row& row = pt.rows[a - base];
-        n += row.op_e - row.op_b;
-      }
-    }
-    return n;
-  };
-  i64 critical = 0;
-  for (const PipeRange& rg : shard_ranges_) {
-    i64 busiest = 0;
-    for (const PipeTables& pt : pipe_shards_) busiest = std::max(busiest, range_ops(pt, rg));
-    critical += busiest + kShardBarrierOps * static_cast<i64>(pipe_shards_.size());
+  std::vector<u64> pts;
+  for (u64 p = ii; p < A; p += ii) pts.push_back(p);
+  for (i32 k = 0; k < total; ++k) {
+    const u64 p = static_cast<u64>(k) * ii + ro;
+    if (p < A) pts.push_back(p);
   }
-  sharding_pays_ = critical < static_cast<i64>(total) * static_cast<i64>(prog_.ops.size());
+  pts.push_back(A);
+  std::sort(pts.begin(), pts.end());
+  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
+  ranges_.reserve(pts.size());
+  u64 prev = 0;
+  for (const u64 e : pts) {
+    PipeRange rg;
+    rg.b = prev;
+    rg.e = e;
+    if (prev % ii == 0 && prev / ii < static_cast<u64>(T)) {
+      rg.stage_k = static_cast<i32>(prev / ii);
+    }
+    if (e >= ro && (e - ro) % ii == 0 && (e - ro) / ii < static_cast<u64>(total)) {
+      rg.readout_k = static_cast<i32>((e - ro) / ii);
+    }
+    ranges_.push_back(rg);
+    prev = e;
+  }
 }
 
 i64 CompiledModel::ldwt_neurons() const {
@@ -544,44 +478,16 @@ void Engine::reset(SimContext& ctx) const {
   ctx.noc_.reset_subset(model_.touched_routers_, model_.touched_links_);
 }
 
-namespace {
-
-/// Send policy of the unsharded path: staged writes go to the NocState's
-/// shared queue, committed by commit_cycle after every program cycle.
-struct QueueSender {
-  noc::NocState& noc;
-  const noc::NocTopology& topo;
-  noc::TrafficCounters& tc;
-  void ps(const map::ExecOp& op, const i16* values) {
-    noc.send_ps_masked(topo, op.link, op.mask, values, tc);
-  }
-  void spike(const map::ExecOp& op, const noc::Router::Words& bits) {
-    noc.send_spike_masked(topo, op.link, op.mask, bits, tc);
-  }
-};
-
-/// Send policy of the sharded path: staged writes go to this shard's lane —
-/// locally for in-shard links, into the outbox for cross-shard ones — so
-/// concurrent shards never touch the shared staging queue.
-struct LaneSender {
-  noc::NocState& noc;
-  const noc::NocTopology& topo;
-  noc::NocState::ShardLane& lane;
-  noc::TrafficCounters& tc;
-  void ps(const map::ExecOp& op, const i16* values) {
-    noc.send_ps_masked(topo, lane, op.cross_shard, op.link, op.mask, values, tc);
-  }
-  void spike(const map::ExecOp& op, const noc::Router::Words& bits) {
-    noc.send_spike_masked(topo, lane, op.cross_shard, op.link, op.mask, bits, tc);
-  }
-};
-
-}  // namespace
-
-template <typename Sender>
-void Engine::exec_ops(SimContext& ctx, const map::ExecOp* ops, u32 begin, u32 end,
-                      SimStats& st, Sender&& send, i32 parity) const {
+// exec_ops and exec_pipe_cycle are forced inline into exec_range: left to
+// its heuristics, GCC keeps exec_ops out of line (its 512-byte row list
+// trips the stack-frame growth limit), one call per row and iteration.
+[[gnu::always_inline]] inline void Engine::exec_ops(SimContext& ctx, u32 begin, u32 end,
+                                                  i32 parity) const {
   const MappedNetwork& mapped = *model_.mapped_;
+  const map::ExecOp* ops = model_.tables_.ops.data();
+  const noc::NocTopology& topo = model_.topo_;
+  noc::NocState& noc = ctx.noc_;
+  SimStats& st = ctx.stats_;
   const auto& cores = mapped.cores;
   const i32 ps_bits = mapped.arch.noc_bits;
   const i32 pot_bits = mapped.arch.potential_bits;
@@ -601,7 +507,7 @@ void Engine::exec_ops(SimContext& ctx, const map::ExecOp* ops, u32 begin, u32 en
     const map::ExecOp& op = ops[oi];
     const u32 c = op.core;
     SimContext::CoreState& cs = ctx.cores_[c];
-    noc::Router& rt = ctx.noc_.router(c);
+    noc::Router& rt = noc.router(c);
     st.op_neurons[op.energy_op] += op.mask_pop;
     switch (op.code) {
       case core::OpCode::Acc: {
@@ -649,7 +555,7 @@ void Engine::exec_ops(SimContext& ctx, const map::ExecOp* ops, u32 begin, u32 en
             }
           }
         }
-        if (model_.pipe_.acc_latency == 0) acc_commit(ctx, op, parity, st);
+        if (model_.pipe_.acc_latency == 0) acc_commit(ctx, op, parity);
         break;
       }
       case core::OpCode::PsSum: {
@@ -677,12 +583,12 @@ void Engine::exec_ops(SimContext& ctx, const map::ExecOp* ops, u32 begin, u32 en
         if (op.eject) {
           rt.set_eject_masked(op.mask, src);
         } else {
-          send.ps(op, src);
+          noc.send_ps_masked(topo, op.link, op.mask, src, st.noc);
         }
         break;
       }
       case core::OpCode::PsBypass: {
-        send.ps(op, rt.ps_in_data(op.src));
+        noc.send_ps_masked(topo, op.link, op.mask, rt.ps_in_data(op.src), st.noc);
         break;
       }
       case core::OpCode::SpkSpike: {
@@ -728,11 +634,11 @@ void Engine::exec_ops(SimContext& ctx, const map::ExecOp* ops, u32 begin, u32 en
         break;
       }
       case core::OpCode::SpkSend: {
-        send.spike(op, rt.spike_out_words());
+        noc.send_spike_masked(topo, op.link, op.mask, rt.spike_out_words(), st.noc);
         break;
       }
       case core::OpCode::SpkBypass: {
-        send.spike(op, rt.spk_in_words(op.src));
+        noc.send_spike_masked(topo, op.link, op.mask, rt.spk_in_words(op.src), st.noc);
         break;
       }
       case core::OpCode::SpkRecv:
@@ -746,7 +652,7 @@ void Engine::exec_ops(SimContext& ctx, const map::ExecOp* ops, u32 begin, u32 en
               in[static_cast<usize>(wi)] & op.mask[static_cast<usize>(wi)];
         }
         if (op.code == core::OpCode::SpkRecvForward) {
-          send.spike(op, in);
+          noc.send_spike_masked(topo, op.link, op.mask, in, st.noc);
         }
         break;
       }
@@ -756,8 +662,7 @@ void Engine::exec_ops(SimContext& ctx, const map::ExecOp* ops, u32 begin, u32 en
   }
 }
 
-void Engine::acc_commit(SimContext& ctx, const map::ExecOp& op, i32 parity,
-                        SimStats& st) const {
+void Engine::acc_commit(SimContext& ctx, const map::ExecOp& op, i32 parity) const {
   // The write half of ACC: clear the local PS file and land the pending
   // gather's clamp.
   const map::MappedCore& mc = model_.mapped_->cores[op.core];
@@ -767,6 +672,7 @@ void Engine::acc_commit(SimContext& ctx, const map::ExecOp& op, i32 parity,
                     static_cast<usize>(parity)];
   const i32 lps_bits = model_.mapped_->arch.local_ps_bits;
   const i64 lps_lo = signed_min(lps_bits), lps_hi = signed_max(lps_bits);
+  SimStats& st = ctx.stats_;
   cs.local_ps.fill(0);
   if (lps_bits <= 16) {
     st.saturations += masked_clamp_store(mc.neuron_mask.w, acc.data(), cs.local_ps.data(),
@@ -782,9 +688,9 @@ void Engine::acc_commit(SimContext& ctx, const map::ExecOp& op, i32 parity,
   }
 }
 
-template <typename Sender>
-void Engine::exec_pipe_cycle(SimContext& ctx, const PipeTables& pt, u32 r, i32 k,
-                             SimStats& st, Sender&& send) const {
+[[gnu::always_inline]] inline void Engine::exec_pipe_cycle(SimContext& ctx, u32 r,
+                                                         i32 k) const {
+  const PipeTables& pt = model_.tables_;
   const PipeTables::Row& row = pt.rows[r];
   // In-cycle order matches the analysis' w = 0 pricing: rotations, then
   // injections, then ACC commits, then the issue slice in schedule order.
@@ -806,14 +712,12 @@ void Engine::exec_pipe_cycle(SimContext& ctx, const PipeTables& pt, u32 r, i32 k
   }
   const i32 parity = k & 1;
   for (u32 i = row.com_b; i < row.com_e; ++i) {
-    acc_commit(ctx, pt.ops[pt.commits[i]], parity, st);
+    acc_commit(ctx, pt.ops[pt.commits[i]], parity);
   }
-  exec_ops(ctx, pt.ops.data(), row.op_b, row.op_e, st, send, parity);
+  exec_ops(ctx, row.op_b, row.op_e, parity);
 }
 
-template <typename Sender, typename Commit>
-void Engine::exec_range(SimContext& ctx, const PipeTables& pt, u64 b, u64 e, SimStats& st,
-                        Sender&& send, Commit&& commit) const {
+void Engine::exec_range(SimContext& ctx, u64 b, u64 e) const {
   const u64 ii = static_cast<u64>(model_.pipe_.ii);
   const u64 span = static_cast<u64>(model_.pipe_.span);
   const i64 total = model_.mapped_->timesteps + model_.mapped_->output_depth;
@@ -826,132 +730,9 @@ void Engine::exec_range(SimContext& ctx, const PipeTables& pt, u64 b, u64 e, Sim
   for (u64 a = b; a < e; ++a) {
     for (i64 k = k0; k <= k1; ++k) {
       const u64 r = a - static_cast<u64>(k) * ii;
-      if (r < span) exec_pipe_cycle(ctx, pt, static_cast<u32>(r), static_cast<i32>(k), st, send);
+      if (r < span) exec_pipe_cycle(ctx, static_cast<u32>(r), static_cast<i32>(k));
     }
-    commit();
-  }
-}
-
-void Engine::exec_shard(SimContext& ctx, usize s, const PipeRange& rg) const {
-  SimStats& st = ctx.shard_stats_[s];
-  noc::NocState::ShardLane& lane = ctx.lanes_[s];
-  LaneSender send{ctx.noc_, model_.topo_, lane, st.noc};
-  const u64 t0 = ctx.profile_on_ ? obs::now_ns() : 0;
-  // Per-cycle local commit; cross-shard outboxes wait for the range drain.
-  exec_range(ctx, model_.pipe_shards_[s], rg.b, rg.e, st, send,
-             [&] { ctx.noc_.commit_lane_cycle(lane); });
-  if (ctx.profile_on_) ctx.profile_scratch_[s] = obs::now_ns() - t0;
-}
-
-/// Per-frame shared state of the persistent shard team. Heap-allocated and
-/// shared_ptr-held by every helper task: a helper the pool schedules late —
-/// even after the frame returned — only ever touches this block's atomics
-/// (its claims all fail once the work is done), never the context or engine
-/// behind the raw pointers.
-struct Engine::Team {
-  explicit Team(usize num_shards) : barrier(num_shards) {}
-
-  PhaseTeam barrier;
-  const Engine* eng = nullptr;
-  SimContext* ctx = nullptr;
-  // Epoch e runs the frame's range (*ranges)[e - 1].
-  const std::vector<PipeRange>* ranges = nullptr;
-  // Per-runner shard preference: own (ShardPlan::assign_workers) shards
-  // first, the rest as steal targets in index order.
-  std::vector<std::vector<u32>> order;
-  // First shard exception; later claims skip their work body (the frame is
-  // doomed) but still count, so the barrier always completes and the
-  // coordinator can rethrow at the range boundary.
-  std::atomic<bool> failed{false};
-  std::mutex err_mutex;
-  std::exception_ptr first_error;
-
-  void fail() noexcept {
-    const std::lock_guard<std::mutex> lock(err_mutex);
-    if (!first_error) first_error = std::current_exception();
-    failed.store(true, std::memory_order_release);
-  }
-};
-
-void Engine::team_exec_epoch(const Engine* eng, Team& w, u64 e, usize runner) {
-  for (const u32 s : w.order[runner]) {
-    if (!w.barrier.claim_exec(s, e)) continue;
-    // A successful claim implies the coordinator is still inside this
-    // frame's run_frame_team, so eng/ctx are alive.
-    if (!w.failed.load(std::memory_order_acquire)) {
-      try {
-        eng->exec_shard(*w.ctx, s, (*w.ranges)[static_cast<usize>(e - 1)]);
-      } catch (...) {
-        w.fail();
-      }
-    }
-    w.barrier.finish_exec(e);
-  }
-}
-
-void Engine::team_drain_epoch(Team& w, u64 e, usize runner) {
-  // Cooperative help-draining: whoever is idle commits the remaining
-  // outboxes. Lanes touch pairwise-disjoint destination registers (one link
-  // has one sending lane, and (dst, port) identifies the link), so
-  // concurrent unordered drains land the same registers as the old serial
-  // fixed-order loop.
-  for (const u32 s : w.order[runner]) {
-    if (!w.barrier.claim_drain(s, e)) continue;
-    if (!w.failed.load(std::memory_order_acquire)) {
-      try {
-        w.ctx->noc_.commit_lane_cross(w.ctx->lanes_[s]);
-      } catch (...) {
-        w.fail();
-      }
-    }
-    w.barrier.finish_drain(e);
-  }
-}
-
-void Engine::team_helper_loop(const std::shared_ptr<Team>& w, usize runner) {
-  u64 done = 0;
-  for (;;) {
-    const u64 e = w->barrier.wait_open(done);
-    if (e == 0) return;
-    team_exec_epoch(w->eng, *w, e, runner);
-    w->barrier.await_execs(e);
-    team_drain_epoch(*w, e, runner);
-    done = e;
-  }
-}
-
-void Engine::run_shard_range(SimContext& ctx, Team& team) const {
-  const bool prof = ctx.profile_on_;
-  const u64 p0 = prof ? obs::now_ns() : 0;
-  // This thread coordinates and participates as runner 0. Opening epoch e
-  // (the frame's range e - 1) wakes the helpers; everyone claims exec
-  // slots, the epoch's drains are gated on every exec finishing (a later op
-  // in the range may legally read a port value the commit would
-  // overwrite), and idle runners help drain.
-  const u64 e = team.barrier.open_phase();
-  team_exec_epoch(this, team, e, 0);
-  team.barrier.await_execs(e);
-  if (prof) {
-    // phase_wall is the exec-stage wall on the coordinator; shard wait is
-    // its slack against the shard's own exec time.
-    const u64 wall = obs::now_ns() - p0;
-    ctx.profile_.phase_wall_ns += wall;
-    for (usize s = 0; s < model_.plan_.num_shards(); ++s) {
-      const u64 exec = ctx.profile_scratch_[s];
-      ctx.profile_.shard_exec_ns[s] += exec;
-      ctx.profile_.shard_wait_ns[s] += wall > exec ? wall - exec : 0;
-    }
-  }
-  const u64 b0 = prof ? obs::now_ns() : 0;
-  team_drain_epoch(team, e, 0);
-  team.barrier.await_drains(e);
-  if (prof) {
-    ctx.profile_.barrier_commit_ns += obs::now_ns() - b0;
-    ++ctx.profile_.shard_ranges;
-  }
-  if (team.failed.load(std::memory_order_acquire)) {
-    const std::lock_guard<std::mutex> lock(team.err_mutex);
-    std::rethrow_exception(team.first_error);
+    ctx.noc_.commit_cycle();
   }
 }
 
@@ -983,12 +764,20 @@ void Engine::pipe_sample(SimContext& ctx, i32 k, FrameResult& res,
   }
 }
 
-template <typename ExecRange>
-FrameResult Engine::run_ranges(SimContext& ctx, const Tensor& image, HardwareTrace* trace,
-                               const std::vector<PipeRange>& ranges, ExecRange&& exec) const {
+FrameResult Engine::run_frame(SimContext& ctx, const Tensor& image,
+                              HardwareTrace* trace) const {
   const MappedNetwork& mapped = *model_.mapped_;
   const snn::SnnNetwork& net = *model_.net_;
+  // Checked before any context state or tally changes.
+  const usize want = mapped.input_taps.size();
+  SJ_REQUIRE(image.numel() == want,
+             "Engine: input has " + std::to_string(image.numel()) +
+                 " values, the model expects " + std::to_string(want));
   const bool prof = ctx.profile_on_;
+  const u64 f0 = prof ? obs::now_ns() : 0;
+  reset(ctx);
+  if (prof) ctx.profile_.reset_ns += obs::now_ns() - f0;
+
   const i32 T = mapped.timesteps;
   const i32 total = T + mapped.output_depth;
   const u64 c0 = prof ? obs::now_ns() : 0;
@@ -1012,17 +801,16 @@ FrameResult Engine::run_ranges(SimContext& ctx, const Tensor& image, HardwareTra
   ctx.stats_.frames += 1;
   const u64 e0 = prof ? obs::now_ns() : 0;
   u64 enc_ns = 0;
-  for (const PipeRange& rg : ranges) {
-    // Stage iteration k's input before its first range runs (on the sharded
-    // path the epoch open's release store publishes it to the team). Its
-    // earliest reader is its own injection; the buffer it replaces belonged
-    // to k - 2, whose injections retired before (k - 1)*II + span.
+  for (const PipeRange& rg : model_.ranges_) {
+    // Stage iteration k's input before its first range runs. Its earliest
+    // reader is its own injection; the buffer it replaces belonged to
+    // k - 2, whose injections retired before (k - 1)*II + span.
     if (rg.stage_k >= 0) {
       const u64 s0 = prof ? obs::now_ns() : 0;
       enc.step(ctx.pipe_input_[static_cast<usize>(rg.stage_k) & 1]);
       if (prof) enc_ns += obs::now_ns() - s0;
     }
-    exec(rg);
+    exec_range(ctx, rg.b, rg.e);
     if (rg.readout_k >= 0) pipe_sample(ctx, rg.readout_k, res, trace);
   }
   // Iteration and schedule-cycle counters are the same for every schedule
@@ -1041,128 +829,16 @@ FrameResult Engine::run_ranges(SimContext& ctx, const Tensor& image, HardwareTra
     res.final_potentials[j] = ctx.cores_[out_slots[j].core].potential[out_slots[j].plane];
   }
   res.predicted = snn::EvalResult::decide(res.spike_counts, res.final_potentials);
-  return res;
-}
-
-u64 Engine::begin_frame(SimContext& ctx, const Tensor& image) const {
-  const usize want = model_.mapped_->input_taps.size();
-  SJ_REQUIRE(image.numel() == want,
-             "Engine: input has " + std::to_string(image.numel()) +
-                 " values, the model expects " + std::to_string(want));
-  const u64 f0 = ctx.profile_on_ ? obs::now_ns() : 0;
-  reset(ctx);
-  if (ctx.profile_on_) ctx.profile_.reset_ns += obs::now_ns() - f0;
-  return f0;
-}
-
-FrameResult Engine::run_frame(SimContext& ctx, const Tensor& image,
-                              HardwareTrace* trace) const {
-  const u64 f0 = begin_frame(ctx, image);
-  QueueSender send{ctx.noc_, model_.topo_, ctx.stats_.noc};
-  FrameResult res =
-      run_ranges(ctx, image, trace, model_.plain_ranges_, [&](const PipeRange& rg) {
-        exec_range(ctx, model_.pipe_plain_, rg.b, rg.e, ctx.stats_, send,
-                   [&] { ctx.noc_.commit_cycle(); });
-      });
-  if (ctx.profile_on_) {
+  if (prof) {
     ++ctx.profile_.frames;
     ctx.profile_.frame_ns += obs::now_ns() - f0;
   }
   return res;
 }
 
-void Engine::drain_shard_stats(SimContext& ctx) const {
-  // Deterministic reduction: shard tallies merge in shard order regardless
-  // of which threads ran the shards. Scalars zero, per-link tables keep
-  // their allocation for the next frame (same trick as drain_stats).
-  for (SimStats& st : ctx.shard_stats_) {
-    ctx.stats_.merge(st);
-    noc::TrafficCounters tc = std::move(st.noc);
-    tc.clear();
-    st = SimStats{};
-    st.noc = std::move(tc);
-  }
-}
-
 FrameResult Engine::run_frame_sharded(SimContext& ctx, const Tensor& image,
-                                      HardwareTrace* trace, ThreadPool* pool) const {
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
-  if (!model_.sharding_pays_ || std::min(model_.plan_.num_shards(), p.num_threads()) <= 1) {
-    return run_frame(ctx, image, trace);
-  }
-  return run_frame_team(ctx, image, trace, p);
-}
-
-FrameResult Engine::run_frame_team(SimContext& ctx, const Tensor& image, HardwareTrace* trace,
-                                   ThreadPool& p) const {
-  const u64 f0 = begin_frame(ctx, image);
-  const bool prof = ctx.profile_on_;
-  const usize shards = model_.plan_.num_shards();
-  if (ctx.lanes_.size() < shards) ctx.lanes_.resize(shards);
-  if (ctx.shard_stats_.size() < shards) ctx.shard_stats_.resize(shards);
-  if (prof) {
-    if (ctx.profile_.shard_exec_ns.size() < shards) {
-      ctx.profile_.shard_exec_ns.resize(shards, 0);
-      ctx.profile_.shard_wait_ns.resize(shards, 0);
-    }
-    if (ctx.profile_scratch_.size() < shards) ctx.profile_scratch_.resize(shards, 0);
-  }
-  // A prior frame that threw mid-range may have left writes staged.
-  for (auto& lane : ctx.lanes_) lane.clear();
-
-  // Persistent shard team: one coordinator (this thread) plus up to
-  // runners-1 pool helpers, pinned to the frame. Helpers are plain
-  // submitted tasks parked on the team barrier between epochs; the barrier
-  // is work-counted, so a helper the pool never schedules costs nothing —
-  // the coordinator finishes every slot alone, as it does when the team is
-  // the coordinator only (a one-thread pool).
-  const auto team = std::make_shared<Team>(shards);
-  const usize runners = std::max<usize>(std::min(shards, p.num_threads()), 1);
-  team->eng = this;
-  team->ctx = &ctx;
-  team->ranges = &model_.shard_ranges_;
-  // Shard -> runner locality from the plan's static weights; every runner
-  // prefers its own shards and steals the rest in index order.
-  const std::vector<u32> owner = model_.plan_.assign_workers(runners);
-  team->order.assign(runners, {});
-  for (usize r = 0; r < runners; ++r) {
-    team->order[r].reserve(shards);
-    for (u32 s = 0; s < shards; ++s) {
-      if (owner[s] == r) team->order[r].push_back(s);
-    }
-    for (u32 s = 0; s < shards; ++s) {
-      if (owner[s] != r) team->order[r].push_back(s);
-    }
-  }
-  for (usize r = 1; r < runners; ++r) {
-    p.submit([team, r] { team_helper_loop(team, r); });
-  }
-
-  try {
-    FrameResult res =
-        run_ranges(ctx, image, trace, model_.shard_ranges_,
-                   [&](const PipeRange&) { run_shard_range(ctx, *team); });
-    // Every epoch is fully drained here (run_shard_range awaits each drain),
-    // so releasing the helpers is safe.
-    team->barrier.finish_team();
-    drain_shard_stats(ctx);
-    if (prof) {
-      ++ctx.profile_.sharded_frames;
-      ctx.profile_.frame_ns += obs::now_ns() - f0;
-    }
-    return res;
-  } catch (...) {
-    // Keep the run_frame contract: partial tallies stay visible in
-    // ctx.stats() (callers drain or discard them), nothing hides in the
-    // per-shard scratch, and no staged writes leak into the next frame.
-    // Coordinator-side throws only happen at range boundaries (shard
-    // exceptions are captured and rethrown after the awaited drain), so
-    // the helpers are idle and finish_team is safe here too.
-    team->barrier.finish_team();
-    drain_shard_stats(ctx);
-    for (auto& lane : ctx.lanes_) lane.clear();
-    throw;
-  }
+                                      HardwareTrace* trace, ThreadPool*) const {
+  return run_frame(ctx, image, trace);
 }
 
 std::vector<FrameResult> Engine::run_batch(std::span<const Tensor> images,

@@ -217,35 +217,29 @@ TEST(Registry, ConcurrentRegistrationRecordingAndSnapshots) {
   EXPECT_EQ(h0->count + h1->count, static_cast<i64>(kWriters) * kIters);
 }
 
-TEST(PhaseProfile, MergeGrowsShardVectorsAndJsonShape) {
+TEST(PhaseProfile, MergeAddsAndJsonShape) {
   PhaseProfile a;
   a.frames = 2;
   a.exec_ns = 100;
   PhaseProfile b;
-  b.sharded_frames = 1;
+  b.frames = 1;
   b.encode_ns = 12;
-  b.phase_wall_ns = 70;
-  b.shard_ranges = 9;
-  b.shard_exec_ns = {30, 40};
-  b.shard_wait_ns = {40, 30};
+  b.exec_ns = 30;
   EXPECT_TRUE(PhaseProfile{}.empty());
   EXPECT_FALSE(a.empty());
   a.merge(b);
-  EXPECT_EQ(a.frames, 2);
-  EXPECT_EQ(a.sharded_frames, 1);
-  ASSERT_EQ(a.shard_exec_ns.size(), 2u);
-  EXPECT_EQ(a.shard_exec_ns[1], 40u);
+  EXPECT_EQ(a.frames, 3);
+  EXPECT_EQ(a.exec_ns, 130u);
   const json::Value j = a.to_json();
-  EXPECT_EQ(j.at("frames").as_int(), 2);
-  EXPECT_EQ(j.at("shard_exec_ns").as_array().size(), 2u);
+  EXPECT_EQ(j.at("frames").as_int(), 3);
   EXPECT_EQ(j.at("encode_ns").as_int(), 12);
-  EXPECT_EQ(j.at("shard_ranges").as_int(), 9);
+  EXPECT_EQ(j.at("exec_ns").as_int(), 130);
+  EXPECT_EQ(j.at("reset_ns").as_int(), 0);
+  EXPECT_EQ(j.at("frame_ns").as_int(), 0);
   a.clear();
   EXPECT_TRUE(a.empty());
   EXPECT_EQ(a.encode_ns, 0u);
-  EXPECT_EQ(a.shard_ranges, 0);
-  EXPECT_EQ(a.shard_exec_ns.size(), 2u);  // allocation kept, values zeroed
-  EXPECT_EQ(a.shard_exec_ns[0], 0u);
+  EXPECT_EQ(a.exec_ns, 0u);
 }
 
 TEST(MetricsDumper, WritesParseableFileAndFinalDump) {

@@ -39,7 +39,7 @@ struct Built {
 };
 
 /// `chip` below a unit's extent maps the net across several chips — the
-/// fixture for the sharded-serving policy (cf. tests/test_shard.cpp).
+/// fixture for multi-chip serving (cf. tests/test_shard.cpp).
 Built build_fc(u64 seed, i32 T, usize frames, i32 chip = 28, i32 in = 300,
                i32 hidden = 80) {
   nn::Model m({in}, "serve-fc");
@@ -515,43 +515,30 @@ TEST(Serve, ServingAccuracyChunksToTheQueueBound) {
   EXPECT_EQ(st.frames, static_cast<i64>(b.data.size()));
 }
 
-TEST(Serve, ShardedServingPolicyIsInvisibleInTheNumbers) {
-  // A multi-chip model served with the latency policy fully on (every claim
-  // sees the queue below the threshold) must be bit-identical to the plain
-  // serial path — the knob only decides where idle cycles go.
-  const Built b = build_fc(157, 6, 5, /*chip=*/3, /*in=*/900, /*hidden=*/300);
-  ASSERT_GT(b.mapped.chips_used, 1);
-  const auto [want, want_stats] = serial_reference(b);
+TEST(Serve, MultiChipServingMatchesTheSerialPath) {
+  // Models that span several chips serve through the same frame loop as
+  // any other: an FC stack on 3x3-tile chips and the Table-IV MLP on
+  // 2x2-tile chips must be bit-identical to the serial path, inter-chip
+  // traffic included, and every frame shows up in the engine profile.
+  const Built fc = build_fc(157, 6, 5, /*chip=*/3, /*in=*/900, /*hidden=*/300);
+  const Built mlp = build_zoo(harness::make_mnist_mlp(), 20, 4, /*chip=*/2);
+  for (const Built* b : {&fc, &mlp}) {
+    ASSERT_GT(b->mapped.chips_used, 1);
+    const auto [want, want_stats] = serial_reference(*b);
+    EXPECT_GT(want_stats.interchip_ps_bits() + want_stats.interchip_spike_bits(), 0);
 
-  Server server({.workers = 2, .shard_below_depth = ~usize{0}});
-  const ModelKey key = server.load_model(b.mapped, b.net);
-  std::vector<std::future<FrameResult>> futs = server.submit_batch(key, batch_of(b));
-  std::vector<FrameResult> got;
-  for (auto& f : futs) got.push_back(f.get());
-  expect_frames_eq(got, want);
-  expect_stats_eq(server.take_stats(key), want_stats);
-}
-
-TEST(Serve, ShardedServingRunsWholeWhereShardsDoNotPay) {
-  // The Table-IV MLP on 2x2-tile chips fails the shard-cost rule: with the
-  // latency policy fully on, every frame still runs whole (plain frames in
-  // the profile, none sharded) and the numbers match the serial path.
-  const Built b = build_zoo(harness::make_mnist_mlp(), 20, 4, /*chip=*/2);
-  ASSERT_GT(b.mapped.chips_used, 1);
-  const auto [want, want_stats] = serial_reference(b);
-
-  Server server({.workers = 2, .shard_below_depth = ~usize{0}, .profile_engine = true});
-  const ModelKey key = server.load_model(b.mapped, b.net);
-  std::vector<std::future<FrameResult>> futs = server.submit_batch(key, batch_of(b));
-  std::vector<FrameResult> got;
-  for (auto& f : futs) got.push_back(f.get());
-  expect_frames_eq(got, want);
-  expect_stats_eq(server.take_stats(key), want_stats);
-  const json::Value doc = server.metrics_json();
-  const json::Value& prof = doc.at("models").as_array()[0].at("engine_profile");
-  EXPECT_EQ(prof.at("frames").as_int(), static_cast<i64>(b.data.size()));
-  EXPECT_EQ(prof.at("sharded_frames").as_int(), 0);
-  server.shutdown();
+    Server server({.workers = 2, .profile_engine = true});
+    const ModelKey key = server.load_model(b->mapped, b->net);
+    std::vector<std::future<FrameResult>> futs = server.submit_batch(key, batch_of(*b));
+    std::vector<FrameResult> got;
+    for (auto& f : futs) got.push_back(f.get());
+    expect_frames_eq(got, want);
+    expect_stats_eq(server.take_stats(key), want_stats);
+    const json::Value doc = server.metrics_json();
+    const json::Value& prof = doc.at("models").as_array()[0].at("engine_profile");
+    EXPECT_EQ(prof.at("frames").as_int(), static_cast<i64>(b->data.size()));
+    server.shutdown();
+  }
 }
 
 TEST(Serve, ServingAccuracyMatchesHardwareAccuracy) {
@@ -686,19 +673,42 @@ TEST(ServeTelemetry, MetricsJsonStaysMonotoneAcrossTakeStats) {
   server.shutdown();
 }
 
-TEST(ServeTelemetry, EngineProfileCoversPlainAndShardedPaths) {
-  // profile_engine=true on a model whose shards pay (the MNIST CNN on
-  // 14x14-tile chips; compiled serial, the schedule its modulo analysis
-  // settles on after seconds) with the shard policy fully on: the per-model
-  // engine_profile must report sharded frames with per-shard exec/wait
-  // arrays — and stay bit-identical to serial. A one-thread global pool
-  // gives the frames one runner, so they run plain.
+TEST(ServeTelemetry, MetricsReportTheCompiledSchedule) {
+  // The Table-IV MNIST MLP overlaps adjacent timesteps: metrics_json names
+  // the modulo schedule's II and why it is (not) serial.
+  const Built b = build_zoo(harness::make_mnist_mlp(), 20, 2, /*chip=*/28);
+  Server server({.workers = 1});
+  const ModelKey key = server.load_model(b.mapped, b.net);
+  for (auto& f : server.submit_batch(key, batch_of(b))) f.get();
+  const json::Value doc = server.metrics_json();
+  const json::Value& m = doc.at("models").as_array()[0];
+  EXPECT_EQ(m.at("serial_reason").as_string(), "None");
+  EXPECT_GT(m.at("pipeline_ii").as_int(), 0);
+  EXPECT_LT(m.at("pipeline_ii").as_int(), static_cast<i64>(b.mapped.cycles_per_timestep));
+  server.shutdown();
+
+  // A serial compile reports II = C and the flag that made it serial.
+  Built serial = b;
+  serial.mapped.pipeline = 0;
+  Server s2({.workers = 1});
+  s2.load_model(serial.mapped, serial.net);
+  const json::Value d2 = s2.metrics_json();
+  const json::Value& m2 = d2.at("models").as_array()[0];
+  EXPECT_EQ(m2.at("serial_reason").as_string(), "FlagOff");
+  EXPECT_EQ(m2.at("pipeline_ii").as_int(), static_cast<i64>(b.mapped.cycles_per_timestep));
+  s2.shutdown();
+}
+
+TEST(ServeTelemetry, EngineProfileSplitsFramesIntoLayers) {
+  // profile_engine=true on a multi-chip model (the MNIST CNN on 14x14-tile
+  // chips, compiled serial): the per-model engine_profile counts every
+  // frame, splits it into reset, encoder and timestep layers that fit
+  // inside the frame — and profiling stays bit-identical to serial.
   const Built b = build_zoo(harness::make_mnist_cnn(), 4, 2, /*chip=*/14, /*pipeline=*/0);
   ASSERT_GT(b.mapped.chips_used, 1);
-  const bool team = ThreadPool::global().num_threads() > 1;
   const auto [want, want_stats] = serial_reference(b);
 
-  Server server({.workers = 2, .shard_below_depth = ~usize{0}, .profile_engine = true});
+  Server server({.workers = 2, .profile_engine = true});
   const ModelKey key = server.load_model(b.mapped, b.net);
   auto futs = server.submit_batch(key, batch_of(b));
   std::vector<FrameResult> got;
@@ -708,26 +718,16 @@ TEST(ServeTelemetry, EngineProfileCoversPlainAndShardedPaths) {
 
   const json::Value doc = server.metrics_json();
   const json::Value& prof = doc.at("models").as_array()[0].at("engine_profile");
-  EXPECT_EQ(prof.at(team ? "sharded_frames" : "frames").as_int(),
-            static_cast<i64>(b.data.size()));
+  EXPECT_EQ(prof.at("frames").as_int(), static_cast<i64>(b.data.size()));
   EXPECT_GT(prof.at("frame_ns").as_int(), 0);
-  if (team) {
-    const json::Array& shard_exec = prof.at("shard_exec_ns").as_array();
-    ASSERT_GT(shard_exec.size(), 1u);
-    i64 exec_total = 0;
-    for (const json::Value& ns : shard_exec) exec_total += ns.as_int();
-    EXPECT_GT(exec_total, 0);
-  }
   EXPECT_GT(prof.at("encode_ns").as_int(), 0);  // the encoder is its own layer
-  // Sharded frames accrue exec the same way plain ones do: the range loop
-  // without the encoder, so the layers fit inside the frame.
   EXPECT_GT(prof.at("exec_ns").as_int(), 0);
   EXPECT_LE(prof.at("reset_ns").as_int() + prof.at("encode_ns").as_int() +
                 prof.at("exec_ns").as_int(),
             prof.at("frame_ns").as_int());
   server.shutdown();
 
-  // Plain (unsharded) path: frames counted, no shard arrays.
+  // A single-chip model: the same layers.
   const Built p = build_fc(239, 5, 3);
   Server plain({.workers = 1, .profile_engine = true});
   const ModelKey pk = plain.load_model(p.mapped, p.net);

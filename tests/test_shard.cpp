@@ -1,45 +1,36 @@
-// Chip-level sharding tests: the shard plan, the shard-cost rule and the
-// team frame must be invisible in the numbers.
+// Multi-chip mapping tests: the shard plan's placement metrics, and the one
+// frame loop against the abstract SNN on mappings that span several chips.
 //
-//  1. Plan invariants: shards and cross_shard flags agree with the chip
-//     geometry, the per-shard op counts cover the lowered program, and a
-//     team frame on the serial II = C schedule runs exactly
-//     (T + output_depth) * num_phases ranges.
-//  2. Fuzz equivalence over multi-chip mappings: the team frame is
-//     bit-identical to run_frame — FrameResults, HardwareTraces, merged
-//     SimStats and the entire per-link TrafficCounters table — under a
-//     1-thread and an N-thread pool, on both the overlapped and the serial
-//     II = C schedule, across random networks and random chip geometries.
-//     These FC stacks mostly fail the shard-cost rule, so they reach the
-//     team through EngineTestPeer, the test seam onto the private
-//     Engine::run_frame_team.
+//  1. Plan invariants: shards agree with the chip geometry, the topology
+//     flags exactly the links that cross a chip boundary as `interchip`,
+//     and num_phases (the placement metric placement search minimizes)
+//     equals a brute-force count of the schedule cycles that read a port a
+//     cross-chip send feeds, at every opt level.
+//  2. Multi-chip equivalence: Engine::run_frame on a multi-chip mapping
+//     matches snn::AbstractEvaluator — spike counts, predictions and every
+//     unit's spike train (HardwareTrace against snn::Trace) — on the serial
+//     II = C and the overlapped schedule, whose stats agree down to the
+//     per-link counters. Inter-chip traffic is really charged: interchip
+//     bits are positive and equal the power model's static census per
+//     iteration. Covered on FC stacks over small chips (a fixed set and a
+//     random-geometry fuzz) and on the MNIST MLP and CNN zoo fixtures.
 //  3. Degenerate shapes keep working: a single-chip model collapses to one
-//     shard (and still runs), and team and plain frames interleave on one
-//     context.
-//  4. The shard-cost rule (CompiledModel::sharding_pays): the MNIST MLP on
-//     2x2-tile chips takes the plain path through public run_frame_sharded
-//     with identical numbers; the MNIST CNN on 14x14-tile chips shards.
+//     shard and charges no inter-chip bits; a wrong-size frame on a
+//     multi-chip model is rejected before the context changes.
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
+#include <set>
+
 #include "harness/zoo.h"
 #include "mapper/mapper.h"
+#include "mapper/opt/opt.h"
 #include "nn/dataset.h"
+#include "power/power.h"
 #include "sim/engine.h"
 #include "snn/convert.h"
+#include "snn/evaluate.h"
 
 namespace sj::sim {
-
-/// The test seam onto the team frame: runs Engine::run_frame_team whatever
-/// the shard-cost rule says, on a team of min(shards, pool threads) runners.
-class EngineTestPeer {
- public:
-  static FrameResult run_frame_team(const Engine& engine, SimContext& ctx, const Tensor& image,
-                                    HardwareTrace* trace, ThreadPool& pool) {
-    return engine.run_frame_team(ctx, image, trace, pool);
-  }
-};
-
 namespace {
 
 struct Built {
@@ -49,8 +40,7 @@ struct Built {
 };
 
 /// An FC stack mapped onto chips of `chip` x `chip` tiles — small chips force
-/// the paper's 28x28 geometry down until one unit spans several chips, which
-/// is exactly the regime the shard plan exists for.
+/// the paper's 28x28 geometry down until one unit spans several chips.
 Built build_fc(u64 seed, i32 T, usize frames, i32 chip, i32 in = 300, i32 hidden = 80,
                i32 opt_level = -1) {
   nn::Model m({in}, "shard-fc");
@@ -102,22 +92,8 @@ Built build_zoo(nn::Model m, i32 T, usize frames, i32 chip, i32 opt_level = -1,
   return b;
 }
 
-void expect_frames_eq(const FrameResult& a, const FrameResult& b, const char* what) {
-  EXPECT_EQ(a.spike_counts, b.spike_counts) << what;
-  EXPECT_EQ(a.final_potentials, b.final_potentials) << what;
-  EXPECT_EQ(a.predicted, b.predicted) << what;
-}
-
-void expect_traces_eq(const HardwareTrace& a, const HardwareTrace& b) {
-  ASSERT_EQ(a.units.size(), b.units.size());
-  for (usize u = 0; u < a.units.size(); ++u) {
-    ASSERT_EQ(a.units[u].size(), b.units[u].size()) << "unit " << u;
-    for (usize t = 0; t < a.units[u].size(); ++t) {
-      EXPECT_EQ(a.units[u][t], b.units[u][t]) << "unit " << u << " t " << t;
-    }
-  }
-}
-
+/// Everything but effective_cycles, which is the one counter the schedule
+/// is allowed to move.
 void expect_stats_eq(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.frames, b.frames);
   EXPECT_EQ(a.iterations, b.iterations);
@@ -141,31 +117,63 @@ void expect_stats_eq(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.noc.interchip_spike_bits, b.noc.interchip_spike_bits);
 }
 
-/// Runs every frame through run_frame and the team frame on fresh contexts
-/// and compares everything observable, sharding over `threads` workers.
-/// Covers both schedules: the mapping is run as compiled with
-/// MapperConfig::pipeline 0 (the serial II = C schedule) and 1 (overlapped
-/// where feasible) — the flag only stamps MappedNetwork::pipeline, so
-/// re-stamping a copy is the same compile.
-void expect_sharded_equivalence(const Built& b, usize threads) {
-  ThreadPool pool(threads);
+/// Runs every frame through run_frame and the abstract evaluator and
+/// compares spike counts, predictions and every unit's spike train, on the
+/// serial (MapperConfig::pipeline 0) and overlapped (1) schedule — the flag
+/// only stamps MappedNetwork::pipeline, so re-stamping a copy is the same
+/// compile. The two schedules' stats must agree except in effective_cycles.
+/// Inter-chip bits are positive exactly when the mapping spans chips, and
+/// equal the power model's per-timestep census on every iteration.
+void expect_matches_reference(const Built& b) {
+  const snn::AbstractEvaluator ev(b.net);
+  const power::OpCensus census = power::OpCensus::from(b.mapped);
+  SimStats stats[2];
   for (const i32 pipe : {0, 1}) {
     SCOPED_TRACE("pipeline " + std::to_string(pipe));
     map::MappedNetwork mapped = b.mapped;
     mapped.pipeline = pipe;
-    Engine engine(mapped, b.net);
-    SimContext plain = engine.make_context();
-    SimContext sharded = engine.make_context();
+    const Engine engine(mapped, b.net);
+    SimContext ctx = engine.make_context();
     for (usize i = 0; i < b.data.size(); ++i) {
-      HardwareTrace t1, t2;
-      const FrameResult r1 = engine.run_frame(plain, b.data.images[i], &t1);
-      const FrameResult r2 =
-          EngineTestPeer::run_frame_team(engine, sharded, b.data.images[i], &t2, pool);
-      expect_frames_eq(r2, r1, ("frame " + std::to_string(i)).c_str());
-      expect_traces_eq(t2, t1);
+      SCOPED_TRACE("frame " + std::to_string(i));
+      snn::Trace tr;
+      const snn::EvalResult want = ev.run(b.data.images[i], nullptr, &tr);
+      HardwareTrace ht;
+      const FrameResult got = engine.run_frame(ctx, b.data.images[i], &ht);
+      EXPECT_EQ(got.spike_counts, want.spike_counts);
+      EXPECT_EQ(got.predicted, want.predicted);
+      ASSERT_EQ(ht.units.size(), tr.units.size());
+      for (usize u = 0; u < ht.units.size(); ++u) {
+        ASSERT_EQ(ht.units[u].size(), tr.units[u].size()) << "unit " << u;
+        for (usize t = 0; t < ht.units[u].size(); ++t) {
+          ASSERT_EQ(ht.units[u][t], tr.units[u][t]) << "unit " << u << " t " << t;
+        }
+      }
     }
-    expect_stats_eq(sharded.take_stats(), plain.take_stats());
+    stats[pipe] = ctx.take_stats();
+    const SimStats& st = stats[pipe];
+    EXPECT_EQ(st.saturations, 0);
+    EXPECT_EQ(st.noc.interchip_ps_bits, census.interchip_ps_bits * st.iterations);
+    EXPECT_EQ(st.noc.interchip_spike_bits, census.interchip_spike_bits * st.iterations);
+    if (b.mapped.chips_used > 1) {
+      EXPECT_GT(st.noc.interchip_ps_bits + st.noc.interchip_spike_bits, 0)
+          << "a multi-chip mapping charged no inter-chip link";
+    } else {
+      EXPECT_EQ(st.noc.interchip_ps_bits + st.noc.interchip_spike_bits, 0);
+    }
   }
+  SCOPED_TRACE("pipeline 0 vs 1");
+  expect_stats_eq(stats[1], stats[0]);
+  EXPECT_EQ(stats[0].effective_cycles, stats[0].cycles);
+  EXPECT_LE(stats[1].effective_cycles, stats[1].cycles);
+}
+
+/// Linear chip cell of `core` on `m`'s grid.
+u32 chip_cell(const map::MappedNetwork& m, const noc::NocTopology& topo, u32 core) {
+  const i32 chips_across = (m.grid_cols + m.arch.chip_cols - 1) / m.arch.chip_cols;
+  const Coord pos = topo.position(core);
+  return static_cast<u32>((pos.row / m.arch.chip_rows) * chips_across +
+                          pos.col / m.arch.chip_cols);
 }
 
 TEST(ShardPlan, MultiChipPlanPartitionsTheProgram) {
@@ -174,63 +182,70 @@ TEST(ShardPlan, MultiChipPlanPartitionsTheProgram) {
   Engine engine(b.mapped, b.net);
   const CompiledModel& model = engine.model();
   const map::ShardPlan& plan = model.shard_plan();
-  const map::ExecProgram& prog = model.program();
   const noc::NocTopology& topo = model.topology();
   ASSERT_GT(plan.num_shards(), 1u);
 
-  const i32 chips_across =
-      (b.mapped.grid_cols + b.mapped.arch.chip_cols - 1) / b.mapped.arch.chip_cols;
-  const auto chip_cell = [&](u32 core) {
-    const Coord pos = topo.position(core);
-    return static_cast<u32>((pos.row / b.mapped.arch.chip_rows) * chips_across +
-                            pos.col / b.mapped.arch.chip_cols);
-  };
   // Every active core belongs to the shard of its chip.
   for (const u32 c : model.active_cores()) {
     const u32 s = plan.shard_of_core[c];
     ASSERT_LT(s, plan.num_shards()) << "core " << c;
-    EXPECT_EQ(plan.shards[s].chip, chip_cell(c)) << "core " << c;
+    EXPECT_EQ(plan.shards[s].chip, chip_cell(b.mapped, topo, c)) << "core " << c;
   }
-  // cross_shard marks exactly the program's sends that leave their chip.
-  i64 cross_ops = 0;
-  for (const map::ExecOp& op : prog.ops) {
-    if (op.link != noc::kInvalidLink) {
-      EXPECT_EQ(op.cross_shard, chip_cell(topo.link(op.link).dst) != chip_cell(op.core));
-    } else {
-      EXPECT_FALSE(op.cross_shard);
-    }
-    cross_ops += op.cross_shard ? 1 : 0;
+  // The topology flags exactly the program's sends that leave their chip,
+  // and a multi-chip mapping has some.
+  i64 cross = 0;
+  for (const map::ExecOp& op : model.program().ops) {
+    if (op.link == noc::kInvalidLink) continue;
+    const bool leaves = chip_cell(b.mapped, topo, topo.link(op.link).dst) !=
+                        chip_cell(b.mapped, topo, op.core);
+    EXPECT_EQ(topo.link(op.link).interchip, leaves) << "link " << op.link;
+    cross += leaves ? 1 : 0;
   }
-  // The per-shard counts cover the program, exchange actually happens on a
-  // multi-chip mapping, and barriers were inserted for it.
-  i64 total_ops = 0, cross = 0;
-  for (const auto& sh : plan.shards) {
-    total_ops += sh.num_ops;
-    cross += sh.cross_sends;
-  }
-  EXPECT_EQ(total_ops, static_cast<i64>(prog.ops.size()));
-  EXPECT_EQ(cross, cross_ops);
   EXPECT_GT(cross, 0);
   EXPECT_GT(plan.num_phases, 1u);
 }
 
-TEST(ShardPlan, SerialShardedFrameRunsNumPhasesRangesPerIteration) {
-  // num_phases is the engine's barrier count: on the serial II = C schedule
-  // a profiled team frame runs exactly (T + output_depth) * num_phases
-  // ranges, at every opt level (placement search minimizes this count).
+TEST(ShardPlan, NumPhasesCountsCyclesThatReadACrossChipWrite) {
+  // Brute force: a cycle opens a phase when an op in it reads ($SRC) an
+  // input port that some op on another chip writes. num_phases is one plus
+  // the number of such non-zero cycles, at every opt level (placement
+  // search minimizes this count).
   for (const i32 level : {0, 1, 2}) {
     SCOPED_TRACE("opt level " + std::to_string(level));
-    Built b = build_fc(11, 6, 1, 3, 900, 300, level);
-    b.mapped.pipeline = 0;
+    const Built b = build_fc(11, 6, 1, 3, 900, 300, level);
     Engine engine(b.mapped, b.net);
-    const map::ShardPlan& plan = engine.model().shard_plan();
-    ASSERT_GT(plan.num_phases, 1u);
-    ThreadPool pool(3);
-    SimContext ctx = engine.make_context();
-    ctx.set_profiling(true);
-    EngineTestPeer::run_frame_team(engine, ctx, b.data.images[0], nullptr, pool);
-    const i64 iterations = b.mapped.timesteps + b.mapped.output_depth;
-    EXPECT_EQ(ctx.profile().shard_ranges, iterations * static_cast<i64>(plan.num_phases));
+    const CompiledModel& model = engine.model();
+    const noc::NocTopology& topo = model.topology();
+    const auto& ops = model.program().ops;
+    std::set<std::pair<u32, Dir>> cross_written;  // (dst core, in-port)
+    for (const map::ExecOp& op : ops) {
+      if (op.link == noc::kInvalidLink) continue;
+      const noc::Link& ln = topo.link(op.link);
+      if (chip_cell(b.mapped, topo, ln.dst) != chip_cell(b.mapped, topo, op.core)) {
+        cross_written.emplace(ln.dst, opposite(ln.dir));
+      }
+    }
+    std::set<u32> cut_cycles;
+    for (usize i = 0; i < ops.size(); ++i) {
+      switch (ops[i].code) {
+        case core::OpCode::PsSum:
+        case core::OpCode::PsBypass:
+        case core::OpCode::SpkBypass:
+        case core::OpCode::SpkRecv:
+        case core::OpCode::SpkRecvForward:
+          break;
+        default:
+          continue;
+      }
+      const u32 cycle = b.mapped.schedule[i].cycle;
+      if (cycle != 0 && cross_written.count({ops[i].core, ops[i].src}) != 0) {
+        cut_cycles.insert(cycle);
+      }
+    }
+    ASSERT_FALSE(cut_cycles.empty());
+    EXPECT_EQ(model.shard_plan().num_phases, 1 + cut_cycles.size());
+    // The mapper reports the same count it optimized.
+    EXPECT_EQ(map::opt::measure(b.mapped).shard_phases, model.shard_plan().num_phases);
   }
 }
 
@@ -239,161 +254,66 @@ TEST(ShardPlan, SingleChipCollapsesToOneShardAndStillRuns) {
   Engine engine(b.mapped, b.net);
   EXPECT_EQ(engine.model().shard_plan().num_shards(), 1u);
   EXPECT_EQ(engine.model().shard_plan().num_phases, 1u);
-  expect_sharded_equivalence(b, 4);
+  expect_matches_reference(b);
 }
 
-TEST(ShardedFrame, BitIdenticalToUnshardedOnMultiChipMapping) {
-  const Built b = build_fc(17, 8, 4, 3, 900, 300);
+TEST(MultiChipFrame, FcStackOnSmallChipsMatchesTheAbstractSnn) {
+  for (const i32 chip : {2, 3}) {
+    SCOPED_TRACE("chip " + std::to_string(chip));
+    const Built b = build_fc(17 + static_cast<u64>(chip), 8, 3, chip, 900, 300);
+    ASSERT_GT(b.mapped.chips_used, 1);
+    expect_matches_reference(b);
+  }
+}
+
+TEST(MultiChipFrame, MnistMlpOnTwoByTwoChipsMatchesTheAbstractSnn) {
+  // The Table-IV MLP on 2x2-tile chips (three chip shards), at every opt
+  // level: level 2 re-places units to cut crossings and phases.
+  for (const i32 level : {0, 1, 2}) {
+    SCOPED_TRACE("opt level " + std::to_string(level));
+    const Built b = build_zoo(harness::make_mnist_mlp(), 20, 3, 2, level);
+    ASSERT_GT(b.mapped.chips_used, 1);
+    expect_matches_reference(b);
+  }
+}
+
+TEST(MultiChipFrame, MnistCnnOnMidSizeChipsMatchesTheAbstractSnn) {
+  // The MNIST CNN on 14x14-tile chips: the conv layers straddle chip seams.
+  const Built b = build_zoo(harness::make_mnist_cnn(), 4, 2, 14);
   ASSERT_GT(b.mapped.chips_used, 1);
-  expect_sharded_equivalence(b, 4);
+  expect_matches_reference(b);
 }
 
-TEST(ShardedFrame, ThreadCountDoesNotChangeAnything) {
-  const Built b = build_fc(19, 6, 3, 3, 900, 300);
-  expect_sharded_equivalence(b, 1);
-  expect_sharded_equivalence(b, 4);
-  expect_sharded_equivalence(b, 7);
-}
-
-TEST(ShardedFrame, InterleavesWithUnshardedFramesOnOneContext) {
-  // The frame-boundary reset must erase the mode as thoroughly as it erases
-  // history: team and plain frames alternate on one context and each
-  // frame's numbers match a fresh single-mode run.
-  const Built b = build_fc(23, 6, 4, 2, 700, 280);
-  ThreadPool pool(3);
-  Engine engine(b.mapped, b.net);
-  SimContext mixed = engine.make_context();
-  SimContext plain = engine.make_context();
-  for (usize i = 0; i < b.data.size(); ++i) {
-    const FrameResult want = engine.run_frame(plain, b.data.images[i]);
-    const FrameResult got = (i % 2 == 0)
-                                ? EngineTestPeer::run_frame_team(engine, mixed, b.data.images[i],
-                                                                 nullptr, pool)
-                                : engine.run_frame(mixed, b.data.images[i]);
-    expect_frames_eq(got, want, ("frame " + std::to_string(i)).c_str());
-  }
-  expect_stats_eq(mixed.take_stats(), plain.take_stats());
-}
-
-TEST(ShardedFrame, RunsInsideBatchWorkersWithoutDeadlock) {
-  // A team frame launched from a worker of the pool it shards over: the
-  // barrier is work-counted, so the coordinator finishes the slots of
-  // helpers the busy pool never schedules, and this must complete and match.
-  const Built b = build_fc(29, 5, 3, 2, 600, 280);
-  ThreadPool pool(3);
-  Engine engine(b.mapped, b.net);
-  SimContext ref = engine.make_context();
-  std::vector<FrameResult> want;
-  for (const Tensor& img : b.data.images) want.push_back(engine.run_frame(ref, img));
-
-  std::vector<Engine> engines;
-  engines.reserve(b.data.size());
-  for (usize i = 0; i < b.data.size(); ++i) engines.emplace_back(b.mapped, b.net);
-  std::vector<FrameResult> got(b.data.size());
-  pool.parallel_for(b.data.size(), [&](usize i) {
-    SimContext ctx = engines[i].make_context();
-    got[i] = EngineTestPeer::run_frame_team(engines[i], ctx, b.data.images[i], nullptr, pool);
-  });
-  for (usize i = 0; i < got.size(); ++i) {
-    expect_frames_eq(got[i], want[i], ("frame " + std::to_string(i)).c_str());
-  }
-}
-
-TEST(ShardedFrame, WrongSizeFrameThrowsWithoutPartialStats) {
-  // Rejected at frame entry: no shard tally, staged write or frame count
-  // survives, and the context still runs clean frames bit-exactly.
+TEST(MultiChipFrame, WrongSizeFrameThrowsWithoutPartialStats) {
+  // Rejected at frame entry: no frame count or inter-chip bit survives, and
+  // the context still runs clean frames bit-exactly.
   const Built b = build_fc(31, 5, 2, 2, 700, 280);
   ASSERT_GT(b.mapped.chips_used, 1);
-  ThreadPool pool(3);
   Engine engine(b.mapped, b.net);
   SimContext ctx = engine.make_context();
   SimContext ref = engine.make_context();
   for (const i32 pixels : {4, 701}) {
-    EXPECT_THROW(EngineTestPeer::run_frame_team(engine, ctx, Tensor({pixels}), nullptr, pool),
-                 Error)
-        << pixels;
+    EXPECT_THROW(engine.run_frame(ctx, Tensor({pixels})), Error) << pixels;
     EXPECT_EQ(ctx.stats().frames, 0);
     EXPECT_EQ(ctx.stats().iterations, 0);
     EXPECT_EQ(ctx.stats().noc.interchip_ps_bits, 0);
   }
   for (const Tensor& img : b.data.images) {
-    const FrameResult got = EngineTestPeer::run_frame_team(engine, ctx, img, nullptr, pool);
+    const FrameResult got = engine.run_frame(ctx, img);
     const FrameResult want = engine.run_frame(ref, img);
-    expect_frames_eq(got, want, "after rejected frames");
+    EXPECT_EQ(got.spike_counts, want.spike_counts);
+    EXPECT_EQ(got.final_potentials, want.final_potentials);
   }
   expect_stats_eq(ctx.take_stats(), ref.take_stats());
 }
 
-TEST(ShardCostRule, MlpOnSmallChipsRunsPlainWithIdenticalNumbers) {
-  // The Table-IV MLP on 2x2-tile chips: its three shards cannot cover their
-  // barriers (at opt 2 the busiest-shard ops alone are 636 of the frame's
-  // 836), so public run_frame_sharded runs the plain path at every opt
-  // level, even with a runner per shard — and shows it only in the profile.
-  for (const i32 level : {0, 1, 2}) {
-    SCOPED_TRACE("opt level " + std::to_string(level));
-    const Built b = build_zoo(harness::make_mnist_mlp(), 20, 3, 2, level);
-    Engine engine(b.mapped, b.net);
-    ASSERT_EQ(engine.model().shard_plan().num_shards(), 3u);
-    EXPECT_FALSE(engine.model().sharding_pays());
-    ThreadPool pool(4);
-    SimContext via_sharded = engine.make_context();
-    SimContext plain = engine.make_context();
-    via_sharded.set_profiling(true);
-    for (usize i = 0; i < b.data.size(); ++i) {
-      HardwareTrace t1, t2;
-      const FrameResult r1 = engine.run_frame(plain, b.data.images[i], &t1);
-      const FrameResult r2 = engine.run_frame_sharded(via_sharded, b.data.images[i], &t2, &pool);
-      expect_frames_eq(r2, r1, ("frame " + std::to_string(i)).c_str());
-      expect_traces_eq(t2, t1);
-    }
-    EXPECT_EQ(via_sharded.profile().frames, static_cast<i64>(b.data.size()));
-    EXPECT_EQ(via_sharded.profile().sharded_frames, 0);
-    EXPECT_EQ(via_sharded.profile().shard_ranges, 0);
-    expect_stats_eq(via_sharded.take_stats(), plain.take_stats());
-  }
-}
-
-TEST(ShardCostRule, CnnOnMidSizeChipsShardsWhenThePoolHasRunners) {
-  // The MNIST CNN on 14x14-tile chips: eight or nine shards whose per-range
-  // work dwarfs the barrier (busiest-shard ops 172,120 of 384,618 at
-  // T = 20), so run_frame_sharded runs the team — unless the pool gives it
-  // one runner. Compiled with pipeline 0: the modulo analysis takes seconds
-  // on this net and settles on the serial II = C schedule for it anyway.
-  const Built b = build_zoo(harness::make_mnist_cnn(), 4, 2, 14, -1, 0);
-  Engine engine(b.mapped, b.net);
-  ASSERT_GT(engine.model().shard_plan().num_shards(), 1u);
-  EXPECT_TRUE(engine.model().sharding_pays());
-  ThreadPool pool(4), single(1);
-  SimContext team = engine.make_context();
-  SimContext lone = engine.make_context();
-  SimContext plain = engine.make_context();
-  team.set_profiling(true);
-  lone.set_profiling(true);
-  for (usize i = 0; i < b.data.size(); ++i) {
-    const FrameResult want = engine.run_frame(plain, b.data.images[i]);
-    const std::string what = "frame " + std::to_string(i);
-    expect_frames_eq(engine.run_frame_sharded(team, b.data.images[i], nullptr, &pool), want,
-                     what.c_str());
-    expect_frames_eq(engine.run_frame_sharded(lone, b.data.images[i], nullptr, &single), want,
-                     what.c_str());
-  }
-  const i64 n = static_cast<i64>(b.data.size());
-  EXPECT_EQ(team.profile().sharded_frames, n);
-  EXPECT_EQ(team.profile().frames, 0);
-  EXPECT_EQ(lone.profile().frames, n);
-  EXPECT_EQ(lone.profile().sharded_frames, 0);
-  const SimStats want_stats = plain.take_stats();
-  expect_stats_eq(team.take_stats(), want_stats);
-  expect_stats_eq(lone.take_stats(), want_stats);
-}
-
 /// Randomized equivalence over architectures and chip geometries: every
 /// seed draws an FC stack (dimensions wide enough to straddle chips) and a
-/// chip edge in [3, 8], then requires the team frame to be bit-identical
-/// under 1 and 4 threads.
+/// chip edge in [3, 8], then requires the multi-chip frame to match the
+/// abstract SNN on both schedules.
 class ShardFuzzTest : public ::testing::TestWithParam<u64> {};
 
-TEST_P(ShardFuzzTest, RandomMultiChipMappingIsBitExact) {
+TEST_P(ShardFuzzTest, RandomMultiChipMappingMatchesTheAbstractSnn) {
   Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 7);
   const i32 chip = static_cast<i32>(rng.uniform_int(3, 8));
   const i32 in = static_cast<i32>(rng.uniform_int(64, 1200));
@@ -403,8 +323,7 @@ TEST_P(ShardFuzzTest, RandomMultiChipMappingIsBitExact) {
   SCOPED_TRACE("chip=" + std::to_string(chip) + " in=" + std::to_string(in) +
                " hidden=" + std::to_string(hidden) + " T=" + std::to_string(T) +
                " chips_used=" + std::to_string(b.mapped.chips_used));
-  expect_sharded_equivalence(b, 1);
-  expect_sharded_equivalence(b, 4);
+  expect_matches_reference(b);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardFuzzTest, ::testing::Range<u64>(1, 13));

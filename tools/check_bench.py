@@ -7,7 +7,7 @@ Usage:
                  --current build/BENCH_sim.json \
                  [--metrics frames_per_sec,batch_frames_per_sec] \
                  [--lower-metrics open_loop_p99_ms] \
-                 [--parallel-metrics batch_speedup,sharded_speedup] \
+                 [--parallel-metrics batch_speedup] \
                  [--max-regress 0.20]
 
 Only named metrics are checked. --metrics are higher-is-better (throughput):

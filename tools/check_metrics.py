@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Smoke-check a SHENJING_METRICS dump (Server::metrics_json written by
 obs::MetricsDumper): assert it parses, that the server actually completed
-requests, and that at least one model carries per-link NoC utilization.
+requests, that every model names its compiled schedule (pipeline_ii and
+serial_reason), and that at least one model carries per-link NoC
+utilization.
 
 Usage:
   check_metrics.py build/metrics_soak.json
@@ -58,6 +60,13 @@ def main() -> int:
     active_links = 0
     utilized = 0
     for model in models:
+        key = model.get("key", "?")
+        ii = model.get("pipeline_ii")
+        if not isinstance(ii, int) or ii <= 0:
+            fail(f"model {key}: pipeline_ii is {ii!r}; expected a positive integer")
+        reason = model.get("serial_reason")
+        if not isinstance(reason, str) or not reason:
+            fail(f"model {key}: serial_reason is {reason!r}; expected an enum name")
         links = model.get("noc", {}).get("links", [])
         active_links += len(links)
         utilized += sum(1 for l in links if l.get("utilization", 0) > 0)
