@@ -101,11 +101,6 @@ void NocState::check_topology(const NocTopology& topo) const {
 
 namespace {
 
-inline int popcount_words(const Router::Words& w) {
-  return std::popcount(w[0]) + std::popcount(w[1]) + std::popcount(w[2]) +
-         std::popcount(w[3]);
-}
-
 inline Router::Words single_plane(u16 plane) {
   Router::Words m{};
   m[plane >> 6] = u64{1} << (plane & 63);
@@ -120,7 +115,7 @@ void NocState::send_ps(const NocTopology& topo, u32 src, Dir d, u16 plane, i16 v
   SJ_ASSERT(lid != kInvalidLink, "noc: PS send off grid edge");
   std::array<i16, Router::kPlanes> values;
   values[plane] = value;  // only the masked plane is read
-  send_ps_masked(topo, lid, single_plane(plane), values.data(), tc);
+  send_ps_masked(topo, lid, single_plane(plane), 1, values.data(), tc);
 }
 
 void NocState::send_spike(const NocTopology& topo, u32 src, Dir d, u16 plane, bool value,
@@ -129,14 +124,13 @@ void NocState::send_spike(const NocTopology& topo, u32 src, Dir d, u16 plane, bo
   SJ_ASSERT(lid != kInvalidLink, "noc: spike send off grid edge");
   Router::Words bits{};
   if (value) bits[plane >> 6] = u64{1} << (plane & 63);
-  send_spike_masked(topo, lid, single_plane(plane), bits, tc);
+  send_spike_masked(topo, lid, single_plane(plane), 1, bits, tc);
 }
 
 void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
-                              const i16* values, TrafficCounters& tc) {
+                              int pop, const i16* values, TrafficCounters& tc) {
   check_topology(topo);
   SJ_ASSERT(lid != kInvalidLink, "noc: PS send off grid edge");
-  const int pop = popcount_words(mask);
   if (pop == 0) return;
   const Link& ln = topo.link(lid);
 
@@ -177,11 +171,10 @@ void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router:
 }
 
 void NocState::send_spike_masked(const NocTopology& topo, LinkId lid,
-                                 const Router::Words& mask, const Router::Words& bits,
-                                 TrafficCounters& tc) {
+                                 const Router::Words& mask, int pop,
+                                 const Router::Words& bits, TrafficCounters& tc) {
   check_topology(topo);
   SJ_ASSERT(lid != kInvalidLink, "noc: spike send off grid edge");
-  const int pop = popcount_words(mask);
   if (pop == 0) return;
   const Link& ln = topo.link(lid);
 

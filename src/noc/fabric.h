@@ -24,8 +24,9 @@
 //
 // Movement has two granularities. The plane-parallel engine stages a whole
 // 256-plane mask per call (`send_ps_masked`/`send_spike_masked`, keyed by a
-// pre-resolved LinkId) and charges flit/bit counters with one popcount and
-// spike toggles with whole-word Hamming weights. The scalar per-plane
+// pre-resolved LinkId), charges flit/bit counters from the mask's plane
+// count that lowering precomputed, and charges spike toggles with
+// whole-word Hamming weights. The scalar per-plane
 // `send_ps`/`send_spike` wrappers stage a single-plane mask through the same
 // path, so staging order — and therefore commit order — is shared between
 // the two granularities.
@@ -130,16 +131,19 @@ class NocState {
 
   /// Bulk form: stages `values[p]` for every plane `p` in `mask` onto link
   /// `lid` in one call (the plane-parallel engine pre-resolves the LinkId at
-  /// program lowering). `values` must cover every masked strip; a snapshot
-  /// is taken, so the source register may change before commit_cycle().
-  /// Charges pop(mask) flits in one step. No-op for an empty mask.
+  /// program lowering). `pop` must equal popcount(mask): the engine passes
+  /// the count lowering stored (map::ExecOp::mask_pop) instead of
+  /// recounting it per send. `values` must cover every masked strip; a
+  /// snapshot is taken, so the source register may change before
+  /// commit_cycle(). Charges `pop` flits in one step. No-op for an empty
+  /// mask.
   void send_ps_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
-                      const i16* values, TrafficCounters& tc);
+                      int pop, const i16* values, TrafficCounters& tc);
   /// Bulk spike form: the payload is the bit-packed word group `bits`
   /// (masked down internally); toggle accounting is whole-word Hamming
   /// weight against the wire's previous word group.
   void send_spike_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
-                         const Router::Words& bits, TrafficCounters& tc);
+                         int pop, const Router::Words& bits, TrafficCounters& tc);
 
   /// Applies all staged writes in staging order (end of cycle).
   void commit_cycle();

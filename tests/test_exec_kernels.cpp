@@ -14,10 +14,12 @@
 //     entire per-link TrafficCounters table must match bit-exactly.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 #include <string>
 
 #include "common/simd.h"
+#include "harness/zoo.h"
 #include "mapper/exec_program.h"
 #include "mapper/mapper.h"
 #include "nn/dataset.h"
@@ -96,7 +98,7 @@ TEST(MaskedSendGolden, PsMaskedMatchesScalarPerPlane) {
       std::array<i16, 256> values;
       for (auto& v : values) v = static_cast<i16>(rng.uniform_int(-30000, 30000));
       mask.for_each([&](u16 p) { scalar.send_ps(topo, 0, Dir::East, p, values[p], tcs); });
-      masked.send_ps_masked(topo, east, mask.w, values.data(), tcm);
+      masked.send_ps_masked(topo, east, mask.w, mask.popcount(), values.data(), tcm);
       scalar.commit_cycle();
       masked.commit_cycle();
       for (int p = 0; p < 256; ++p) {
@@ -121,7 +123,7 @@ TEST(MaskedSendGolden, SpikeMaskedMatchesScalarPerPlane) {
       mask.for_each([&](u16 p) {
         scalar.send_spike(topo, 0, Dir::East, p, Router::bit_get(bits, p), tcs);
       });
-      masked.send_spike_masked(topo, east, mask.w, bits, tcm);
+      masked.send_spike_masked(topo, east, mask.w, mask.popcount(), bits, tcm);
       scalar.commit_cycle();
       masked.commit_cycle();
       for (int p = 0; p < 256; ++p) {
@@ -145,8 +147,9 @@ TEST(MaskedSendGolden, InterchipAggregatesMatch) {
   TrafficCounters tc = topo.make_counters();
   const PlaneMask mask = PlaneMask::first_n(100);
   std::array<i16, 256> values{};
-  st.send_ps_masked(topo, topo.link_id(0, Dir::East), mask.w, values.data(), tc);
-  st.send_spike_masked(topo, topo.link_id(0, Dir::East), mask.w, {~u64{0}, 0, 0, 0}, tc);
+  st.send_ps_masked(topo, topo.link_id(0, Dir::East), mask.w, 100, values.data(), tc);
+  st.send_spike_masked(topo, topo.link_id(0, Dir::East), mask.w, 100, {~u64{0}, 0, 0, 0},
+                       tc);
   EXPECT_EQ(tc.interchip_ps_bits, 100 * arch.noc_bits);
   EXPECT_EQ(tc.interchip_spike_bits, 100);  // flit-counted, independent of value
 }
@@ -156,8 +159,9 @@ TEST(MaskedSendGolden, EmptyMaskIsCompleteNoOp) {
   NocState st(topo);
   TrafficCounters tc = topo.make_counters();
   std::array<i16, 256> values{};
-  st.send_ps_masked(topo, topo.link_id(0, Dir::East), PlaneMask::none().w, values.data(), tc);
-  st.send_spike_masked(topo, topo.link_id(0, Dir::East), PlaneMask::none().w, {}, tc);
+  st.send_ps_masked(topo, topo.link_id(0, Dir::East), PlaneMask::none().w, 0, values.data(),
+                    tc);
+  st.send_spike_masked(topo, topo.link_id(0, Dir::East), PlaneMask::none().w, 0, {}, tc);
   st.commit_cycle();
   for (const auto& l : tc.links) EXPECT_TRUE(l.idle());
 }
@@ -402,7 +406,8 @@ struct Built {
   nn::Dataset data;
 };
 
-Built build(nn::Model& m, const Shape& in_shape, u64 seed, i32 T, i32 opt_level = -1) {
+Built build(nn::Model& m, const Shape& in_shape, u64 seed, i32 T, i32 opt_level = -1,
+            i32 chip = 0) {
   Rng rng(seed);
   m.init_weights(rng);
   nn::Dataset d;
@@ -419,6 +424,10 @@ Built build(nn::Model& m, const Shape& in_shape, u64 seed, i32 T, i32 opt_level 
   Built b{snn::convert(m, d, cc), {}, {}};
   map::MapperConfig mcfg;
   mcfg.opt_level = opt_level;
+  if (chip > 0) {
+    mcfg.arch.chip_rows = chip;
+    mcfg.arch.chip_cols = chip;
+  }
   b.mapped = map::map_network(b.net, mcfg);
   b.data = std::move(d);
   return b;
@@ -756,35 +765,63 @@ TEST(DenseRowFormat, WeightSwapFromNarrowToWideRowsMatchesFreshCompile) {
 // ---------------------------------------------------------------------------
 
 TEST(ExecProgramTest, LoweringIsDenseAndResolved) {
-  nn::Model m({300}, "lower");
-  m.dense(300, 80);
-  m.relu();
-  m.dense(80, 10);
-  const Built b = build(m, {300}, 5, 6);
-  const sim::Engine engine(b.mapped, b.net);
-  const map::ExecProgram& p = engine.model().program();
+  // Sends trust two lowered facts without rechecking them: ExecOp::mask_pop
+  // is the flit count of every masked send (and of its inter-chip charge),
+  // and ExecOp::link is the wire it stages onto. Hold the whole lowering on
+  // a small FC stack, the MNIST MLP, the MNIST CNN and an FC stack spread
+  // over 3x3-tile chips, at every mapper optimization level.
+  struct Fixture {
+    std::string name;
+    nn::Model model;
+    i32 chip;  // chip edge in tiles; 0 keeps the paper's chips
+  };
+  const auto fc = [](i32 in, i32 hidden, const char* name) {
+    nn::Model m({in}, name);
+    m.dense(in, hidden);
+    m.relu();
+    m.dense(hidden, 10);
+    return m;
+  };
+  for (const i32 level : {0, 1, 2}) {
+    std::vector<Fixture> fixtures;
+    fixtures.push_back({"fc", fc(300, 80, "lower"), 0});
+    fixtures.push_back({"mnist-mlp", harness::make_mnist_mlp(), 0});
+    fixtures.push_back({"mnist-cnn", harness::make_mnist_cnn(), 0});
+    fixtures.push_back({"multichip-fc", fc(900, 300, "lower-multichip"), 3});
+    for (Fixture& f : fixtures) {
+      SCOPED_TRACE(f.name + " at opt level " + std::to_string(level));
+      const Built b = build(f.model, f.model.input_shape(), 5, 6, level, f.chip);
+      if (f.chip > 0) {
+        ASSERT_GT(b.mapped.chips_used, 1) << "fixture no longer spans chips";
+      }
+      const noc::NocTopology topo = map::make_topology(b.mapped);
+      const map::ExecProgram p = map::lower_program(b.mapped, topo);
+      ASSERT_EQ(p.ops.size(), b.mapped.schedule.size());
 
-  ASSERT_EQ(p.ops.size(), b.mapped.schedule.size());
-
-  for (usize i = 0; i < p.ops.size(); ++i) {
-    const map::ExecOp& e = p.ops[i];
-    const map::TimedOp& t = b.mapped.schedule[i];
-    EXPECT_EQ(e.code, t.op.code);
-    EXPECT_EQ(e.core, t.core);
-    EXPECT_EQ(e.mask, t.mask.w);
-    EXPECT_EQ(e.mask_pop, t.mask.popcount());
-    EXPECT_EQ(e.energy_op, static_cast<u8>(core::energy_op_of(t.op.code)));
-    const bool sends = (t.op.code == OpCode::PsSend && !t.op.eject) ||
-                       t.op.code == OpCode::PsBypass ||
-                       t.op.code == OpCode::SpkSend ||
-                       t.op.code == OpCode::SpkBypass ||
-                       t.op.code == OpCode::SpkRecvForward;
-    if (sends) {
-      ASSERT_NE(e.link, noc::kInvalidLink) << "op " << i;
-      EXPECT_EQ(engine.model().topology().link(e.link).src, t.core);
-      EXPECT_EQ(engine.model().topology().link(e.link).dir, t.op.dst);
-    } else {
-      EXPECT_EQ(e.link, noc::kInvalidLink) << "op " << i;
+      for (usize i = 0; i < p.ops.size(); ++i) {
+        const map::ExecOp& e = p.ops[i];
+        const map::TimedOp& t = b.mapped.schedule[i];
+        EXPECT_EQ(e.code, t.op.code);
+        EXPECT_EQ(e.core, t.core);
+        EXPECT_EQ(e.mask, t.mask.w);
+        ASSERT_EQ(e.mask_pop, std::popcount(e.mask[0]) + std::popcount(e.mask[1]) +
+                                  std::popcount(e.mask[2]) + std::popcount(e.mask[3]))
+            << "op " << i;
+        EXPECT_EQ(e.energy_op, static_cast<u8>(core::energy_op_of(t.op.code)));
+        const bool sends = (t.op.code == OpCode::PsSend && !t.op.eject) ||
+                           t.op.code == OpCode::PsBypass ||
+                           t.op.code == OpCode::SpkSend ||
+                           t.op.code == OpCode::SpkBypass ||
+                           t.op.code == OpCode::SpkRecvForward;
+        EXPECT_EQ(core::needs_link(t.op), sends) << "op " << i;
+        if (sends) {
+          ASSERT_LT(e.link, topo.num_links()) << "op " << i;
+          EXPECT_EQ(topo.link(e.link).src, t.core);
+          EXPECT_EQ(topo.link(e.link).dir, t.op.dst);
+        } else {
+          EXPECT_EQ(e.link, noc::kInvalidLink) << "op " << i;
+        }
+      }
     }
   }
 }

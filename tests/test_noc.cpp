@@ -182,8 +182,8 @@ TEST(NocRouterTest, StateRejectsATopologyItWasNotSizedFor) {
           << e.what();
     }
   };
-  expect_mismatch([&] { st.send_ps_masked(wider, east, mask, values.data(), tc); });
-  expect_mismatch([&] { st.send_spike_masked(wider, east, mask, mask, tc); });
+  expect_mismatch([&] { st.send_ps_masked(wider, east, mask, 1, values.data(), tc); });
+  expect_mismatch([&] { st.send_spike_masked(wider, east, mask, 1, mask, tc); });
   EXPECT_TRUE(tc.links[east].idle());
 }
 

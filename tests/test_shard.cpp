@@ -13,7 +13,8 @@
 //     per-link counters. Inter-chip traffic is really charged: interchip
 //     bits are positive and equal the power model's static census per
 //     iteration. Covered on FC stacks over small chips (a fixed set and a
-//     random-geometry fuzz) and on the MNIST MLP and CNN zoo fixtures.
+//     random-geometry fuzz, some of whose seeds send spikes across a chip
+//     seam) and on the MNIST MLP and CNN zoo fixtures.
 //  3. Degenerate shapes keep working: a single-chip model collapses to one
 //     shard and charges no inter-chip bits; a wrong-size frame on a
 //     multi-chip model is rejected before the context changes.
@@ -40,13 +41,20 @@ struct Built {
 };
 
 /// An FC stack mapped onto chips of `chip` x `chip` tiles — small chips force
-/// the paper's 28x28 geometry down until one unit spans several chips.
+/// the paper's 28x28 geometry down until one unit spans several chips. A
+/// positive `hidden2` adds a second spiking hidden layer.
 Built build_fc(u64 seed, i32 T, usize frames, i32 chip, i32 in = 300, i32 hidden = 80,
-               i32 opt_level = -1) {
+               i32 opt_level = -1, i32 hidden2 = 0) {
   nn::Model m({in}, "shard-fc");
   m.dense(in, hidden);
   m.relu();
-  m.dense(hidden, 10);
+  if (hidden2 > 0) {
+    m.dense(hidden, hidden2);
+    m.relu();
+    m.dense(hidden2, 10);
+  } else {
+    m.dense(hidden, 10);
+  }
   Rng rng(seed);
   m.init_weights(rng);
   nn::Dataset d;
@@ -308,25 +316,63 @@ TEST(MultiChipFrame, WrongSizeFrameThrowsWithoutPartialStats) {
 }
 
 /// Randomized equivalence over architectures and chip geometries: every
-/// seed draws an FC stack (dimensions wide enough to straddle chips) and a
-/// chip edge in [3, 8], then requires the multi-chip frame to match the
-/// abstract SNN on both schedules.
+/// seed draws a three-layer FC stack (two spiking hidden layers, so spikes
+/// as well as partial sums travel between chips) and a chip edge in [2, 4],
+/// then requires the multi-chip frame to match the abstract SNN on both
+/// schedules.
+struct FuzzDraw {
+  i32 chip, in, hidden, hidden2, T;
+};
+
+FuzzDraw fuzz_draw(u64 seed) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 7);
+  FuzzDraw d{};
+  d.chip = static_cast<i32>(rng.uniform_int(2, 4));
+  d.in = static_cast<i32>(rng.uniform_int(64, 1200));
+  d.hidden = static_cast<i32>(rng.uniform_int(16, 500));
+  d.hidden2 = static_cast<i32>(rng.uniform_int(16, 300));
+  d.T = static_cast<i32>(rng.uniform_int(4, 10));
+  return d;
+}
+
+Built build_fuzz(u64 seed) {
+  const FuzzDraw d = fuzz_draw(seed);
+  return build_fc(seed * 131 + 5, d.T, 2, d.chip, d.in, d.hidden, -1, d.hidden2);
+}
+
+constexpr u64 kFuzzSeeds = 12;
+
 class ShardFuzzTest : public ::testing::TestWithParam<u64> {};
 
 TEST_P(ShardFuzzTest, RandomMultiChipMappingMatchesTheAbstractSnn) {
-  Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 7);
-  const i32 chip = static_cast<i32>(rng.uniform_int(3, 8));
-  const i32 in = static_cast<i32>(rng.uniform_int(64, 1200));
-  const i32 hidden = static_cast<i32>(rng.uniform_int(16, 500));
-  const i32 T = static_cast<i32>(rng.uniform_int(4, 10));
-  const Built b = build_fc(GetParam() * 131 + 5, T, 2, chip, in, hidden);
-  SCOPED_TRACE("chip=" + std::to_string(chip) + " in=" + std::to_string(in) +
-               " hidden=" + std::to_string(hidden) + " T=" + std::to_string(T) +
+  const FuzzDraw d = fuzz_draw(GetParam());
+  const Built b = build_fuzz(GetParam());
+  SCOPED_TRACE("chip=" + std::to_string(d.chip) + " in=" + std::to_string(d.in) +
+               " hidden=" + std::to_string(d.hidden) + "," + std::to_string(d.hidden2) +
+               " T=" + std::to_string(d.T) +
                " chips_used=" + std::to_string(b.mapped.chips_used));
   expect_matches_reference(b);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardFuzzTest, ::testing::Range<u64>(1, 13));
+TEST(ShardFuzzCoverage, SomeSeedsChargeSpikesAcrossAChipSeam) {
+  // The fuzz guards the inter-chip spike charge only if some of its seeds
+  // route spikes over a chip seam. Count those seeds from the static census
+  // and require each to charge the bits when it runs a frame.
+  int crossing = 0;
+  for (u64 seed = 1; seed <= kFuzzSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Built b = build_fuzz(seed);
+    if (power::OpCensus::from(b.mapped).interchip_spike_bits == 0) continue;
+    ++crossing;
+    const Engine engine(b.mapped, b.net);
+    SimContext ctx = engine.make_context();
+    engine.run_frame(ctx, b.data.images[0]);
+    EXPECT_GT(ctx.stats().noc.interchip_spike_bits, 0);
+  }
+  EXPECT_GE(crossing, 3) << "too few fuzz seeds send spikes across a chip seam";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShardFuzzTest, ::testing::Range<u64>(1, kFuzzSeeds + 1));
 
 }  // namespace
 }  // namespace sj::sim

@@ -80,6 +80,19 @@ TEST(SimdDispatchTest, ScalarAlwaysUsableAndBestIsUsable) {
   }
 }
 
+TEST(SimdDispatchTest, Avx2BackendImpliesHardwarePopcount) {
+  // The AVX2 kernels are compiled for avx2 and popcnt, so the backend may
+  // only be usable on a CPU that executes both.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (backend_usable(Backend::AVX2)) {
+    EXPECT_NE(__builtin_cpu_supports("avx2"), 0);
+    EXPECT_NE(__builtin_cpu_supports("popcnt"), 0);
+  }
+#else
+  EXPECT_FALSE(backend_usable(Backend::AVX2));
+#endif
+}
+
 TEST(SimdDispatchTest, SetBackendSticks) {
   const BackendGuard guard;
   for (const Backend b : usable_backends()) {
@@ -235,7 +248,10 @@ TEST(SimdKernelTest, IntegrateFireExactGate) {
 TEST(SimdKernelTest, ToggleUpdateMatchesScalar) {
   const BackendGuard guard;
   Rng rng(105);
-  for (const u16 wire_mask : {u16{0xFFFF}, u16{0x01FF}, u16{0x0001}, u16{0}}) {
+  // Full, low, high, split and single-bit wire masks: the AVX2 kernel counts
+  // the masked XOR nibble by nibble, so every nibble position must matter.
+  for (const u16 wire_mask : {u16{0xFFFF}, u16{0x01FF}, u16{0x00F0}, u16{0xFF00},
+                              u16{0x8001}, u16{0x5A5A}, u16{0x0001}, u16{0}}) {
     for (const int n : {16, 64, 256, 48 /* partial-word tail shapes */}) {
       const auto last0 = random_i16(rng, n, -32768, 32767);
       const auto vals = random_i16(rng, n, -32768, 32767);
