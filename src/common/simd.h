@@ -84,8 +84,9 @@ void accumulate_i16(i32* acc, const i16* row, int n);
 void gather_rows_i8(i32* acc, const i8* w, const u16* rows, int n);
 
 /// dst[i] = clamp(src[i], lo, hi) narrowed to i16; returns the number of
-/// clamped lanes. [lo, hi] must lie within i16 (the engine's local-PS and
-/// NoC widths are <= 16 bits). The ACC write-back kernel.
+/// clamped lanes. [lo, hi] must lie within i16 (core::ArchParams::validate
+/// caps the NoC at 16 bits, and local PS is narrower). The ACC write-back
+/// kernel.
 i64 clamp_store_i16(const i32* src, i16* dst, int n, i32 lo, i32 hi);
 
 /// dst[i] = clamp(a[i] + b[i], lo, hi) in i16 lanes, widened through i32 so

@@ -18,10 +18,9 @@ ProgramMetrics measure(const MappedNetwork& m) {
   pm.ops = static_cast<i64>(m.schedule.size());
   const noc::NocTopology topo = make_topology(m);
   const ExecProgram prog = lower_program(m, topo);
-  for (const ExecOp& op : prog.ops) {
-    if (op.link == noc::kInvalidLink) continue;
-    ++pm.sends;
-    if (topo.link(op.link).interchip) pm.cross_chip_crossings += op.mask_pop;
+  pm.sends = prog.census.sends;
+  for (const LinkCensus& l : prog.census.links) {
+    if (topo.link(l.link).interchip) pm.cross_chip_crossings += l.ps_flits + l.spike_flits;
   }
   pm.shard_phases = build_shard_plan(m, topo, prog).num_phases;
   return pm;

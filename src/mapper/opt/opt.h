@@ -59,9 +59,10 @@ struct ProgramMetrics {
   u32 shard_phases = 1;
 };
 
-/// Measures `m` by lowering it (make_topology + lower_program +
-/// build_shard_plan, the same plan the engine compiles). Deterministic;
-/// costs a few passes over the schedule.
+/// Measures `m` by lowering it (make_topology + lower_program, whose
+/// static census gives `sends` and the crossings, + build_shard_plan, the
+/// same plan the engine compiles). Deterministic; costs a few passes over
+/// the schedule.
 ProgramMetrics measure(const MappedNetwork& m);
 
 /// Resolves the effective opt level: `configured` >= 0 wins, otherwise the

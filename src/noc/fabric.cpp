@@ -107,6 +107,10 @@ inline Router::Words single_plane(u16 plane) {
   return m;
 }
 
+inline bool no_planes(const Router::Words& mask) {
+  return (mask[0] | mask[1] | mask[2] | mask[3]) == 0;
+}
+
 }  // namespace
 
 void NocState::send_ps(const NocTopology& topo, u32 src, Dir d, u16 plane, i16 value,
@@ -115,7 +119,7 @@ void NocState::send_ps(const NocTopology& topo, u32 src, Dir d, u16 plane, i16 v
   SJ_ASSERT(lid != kInvalidLink, "noc: PS send off grid edge");
   std::array<i16, Router::kPlanes> values;
   values[plane] = value;  // only the masked plane is read
-  send_ps_masked(topo, lid, single_plane(plane), 1, values.data(), tc);
+  send_ps_masked(topo, lid, single_plane(plane), values.data(), tc);
 }
 
 void NocState::send_spike(const NocTopology& topo, u32 src, Dir d, u16 plane, bool value,
@@ -124,14 +128,14 @@ void NocState::send_spike(const NocTopology& topo, u32 src, Dir d, u16 plane, bo
   SJ_ASSERT(lid != kInvalidLink, "noc: spike send off grid edge");
   Router::Words bits{};
   if (value) bits[plane >> 6] = u64{1} << (plane & 63);
-  send_spike_masked(topo, lid, single_plane(plane), 1, bits, tc);
+  send_spike_masked(topo, lid, single_plane(plane), bits, tc);
 }
 
 void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
-                              int pop, const i16* values, TrafficCounters& tc) {
+                              const i16* values, TrafficCounters& tc) {
   check_topology(topo);
   SJ_ASSERT(lid != kInvalidLink, "noc: PS send off grid edge");
-  if (pop == 0) return;
+  if (no_planes(mask)) return;
   const Link& ln = topo.link(lid);
 
   PsWrite& w = ps_staged_.emplace_back();
@@ -140,11 +144,6 @@ void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router:
   w.mask = mask;
   Router::masked_copy(mask, values, w.values.data());
 
-  tc.ensure(topo.num_links());
-  LinkTraffic& t = tc.links[lid];
-  t.ps_flits += pop;
-  t.ps_bits += static_cast<i64>(pop) * topo.noc_bits();
-  if (ln.interchip) tc.interchip_ps_bits += static_cast<i64>(pop) * topo.noc_bits();
   // Wire-toggle Hamming accounting: full mask words take the word-packed
   // SIMD kernel, partial words walk set bits. Identical counts either way.
   std::vector<i16>& last = ps_last_[link_slot(lid)];
@@ -167,15 +166,16 @@ void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router:
       }
     }
   }
-  t.ps_toggles += toggles;
+  tc.ensure(topo.num_links());
+  tc.links[lid].ps_toggles += toggles;
 }
 
 void NocState::send_spike_masked(const NocTopology& topo, LinkId lid,
-                                 const Router::Words& mask, int pop,
+                                 const Router::Words& mask,
                                  const Router::Words& bits, TrafficCounters& tc) {
   check_topology(topo);
   SJ_ASSERT(lid != kInvalidLink, "noc: spike send off grid edge");
-  if (pop == 0) return;
+  if (no_planes(mask)) return;
   const Link& ln = topo.link(lid);
 
   SpkWrite& w = spk_staged_.emplace_back();
@@ -187,10 +187,6 @@ void NocState::send_spike_masked(const NocTopology& topo, LinkId lid,
         bits[static_cast<usize>(wi)] & mask[static_cast<usize>(wi)];
   }
 
-  tc.ensure(topo.num_links());
-  LinkTraffic& t = tc.links[lid];
-  t.spike_flits += pop;
-  if (ln.interchip) tc.interchip_spike_bits += pop;
   Router::Words& last = spk_last_[link_slot(lid)];
   i64 toggles = 0;
   for (int wi = 0; wi < Router::kWords; ++wi) {
@@ -201,7 +197,8 @@ void NocState::send_spike_masked(const NocTopology& topo, LinkId lid,
     last[static_cast<usize>(wi)] =
         (last[static_cast<usize>(wi)] & ~m) | (bits[static_cast<usize>(wi)] & m);
   }
-  t.spike_toggles += toggles;
+  tc.ensure(topo.num_links());
+  tc.links[lid].spike_toggles += toggles;
 }
 
 void NocState::commit_cycle() {

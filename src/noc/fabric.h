@@ -18,18 +18,18 @@
 // commit_cycle(), reproducing the RTL's "every register reads old values,
 // writes become visible next cycle" rule.
 //
-// Traffic is charged to TrafficCounters at send time: payload bits, flits,
-// wire toggles (Hamming distance against the previous value on the same
-// plane-wire) and the inter-chip aggregates the power model consumes.
+// Sends charge TrafficCounters with what depends on the data: wire toggles
+// (Hamming distance against the previous value on the same plane-wire).
+// Flits, payload bits and the inter-chip aggregates the power model
+// consumes depend only on the op and its mask, so they are counted once per
+// program at lowering (map::StaticCensus) and added per frame by the engine.
 //
 // Movement has two granularities. The plane-parallel engine stages a whole
 // 256-plane mask per call (`send_ps_masked`/`send_spike_masked`, keyed by a
-// pre-resolved LinkId), charges flit/bit counters from the mask's plane
-// count that lowering precomputed, and charges spike toggles with
-// whole-word Hamming weights. The scalar per-plane
-// `send_ps`/`send_spike` wrappers stage a single-plane mask through the same
-// path, so staging order — and therefore commit order — is shared between
-// the two granularities.
+// pre-resolved LinkId) and charges spike toggles with whole-word Hamming
+// weights. The scalar per-plane `send_ps`/`send_spike` wrappers stage a
+// single-plane mask through the same path, so staging order — and
+// therefore commit order — is shared between the two granularities.
 #pragma once
 
 #include <vector>
@@ -119,10 +119,10 @@ class NocState {
   /// Links with toggle history allocated.
   usize allocated_toggle_links() const { return ps_last_.size(); }
 
-  // --- two-phase, traffic-accounted movement ------------------------------
+  // --- two-phase, toggle-accounted movement --------------------------------
   /// Stages a 16-bit partial sum onto the outgoing link of `src` in
   /// direction `d`; it lands in the neighbor's in[opposite(d)] register at
-  /// commit_cycle(). Charges the link in `tc`.
+  /// commit_cycle(). Charges the link's wire toggles in `tc`.
   void send_ps(const NocTopology& topo, u32 src, Dir d, u16 plane, i16 value,
                TrafficCounters& tc);
   /// Same for a 1-bit spike.
@@ -131,19 +131,16 @@ class NocState {
 
   /// Bulk form: stages `values[p]` for every plane `p` in `mask` onto link
   /// `lid` in one call (the plane-parallel engine pre-resolves the LinkId at
-  /// program lowering). `pop` must equal popcount(mask): the engine passes
-  /// the count lowering stored (map::ExecOp::mask_pop) instead of
-  /// recounting it per send. `values` must cover every masked strip; a
-  /// snapshot is taken, so the source register may change before
-  /// commit_cycle(). Charges `pop` flits in one step. No-op for an empty
-  /// mask.
+  /// program lowering). `values` must cover every masked strip; a snapshot
+  /// is taken, so the source register may change before commit_cycle().
+  /// No-op for an empty mask.
   void send_ps_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
-                      int pop, const i16* values, TrafficCounters& tc);
+                      const i16* values, TrafficCounters& tc);
   /// Bulk spike form: the payload is the bit-packed word group `bits`
   /// (masked down internally); toggle accounting is whole-word Hamming
   /// weight against the wire's previous word group.
   void send_spike_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
-                         int pop, const Router::Words& bits, TrafficCounters& tc);
+                         const Router::Words& bits, TrafficCounters& tc);
 
   /// Applies all staged writes in staging order (end of cycle).
   void commit_cycle();

@@ -39,27 +39,6 @@ class Router {
   using Words = std::array<u64, kWords>;       // one 1-bit register file
   using PsRegs = std::array<i16, kPlanes>;     // one 16-bit register file
 
-  /// Calls fn(plane) for each set plane of `mask`, strip-wise: an all-ones
-  /// word runs a contiguous 64-lane loop (the compiler vectorizes the
-  /// inlined body), a partial word walks its set bits. The shared skeleton
-  /// of every word-level kernel that needs per-plane values.
-  template <typename Fn>
-  static void for_each_masked_strip(const Words& mask, Fn&& fn) {
-    for (int wi = 0; wi < kWords; ++wi) {
-      u64 word = mask[static_cast<usize>(wi)];
-      if (word == 0) continue;
-      const int base = wi * 64;
-      if (word == ~u64{0}) {
-        for (int l = 0; l < 64; ++l) fn(base + l);
-      } else {
-        while (word != 0) {
-          fn(base + std::countr_zero(word));
-          word &= word - 1;
-        }
-      }
-    }
-  }
-
   // --- partial-sum plane ---------------------------------------------------
   i16 ps_in(Dir port, u16 plane) const {
     return ps_in_[static_cast<usize>(port)][plane];

@@ -31,38 +31,16 @@ double EnergyTable::active_power_at_ref(EnergyOp op) const {
 }
 
 OpCensus OpCensus::from(const map::MappedNetwork& m) {
+  // The lowered program's static census is the one the engine adds to its
+  // SimStats every frame, so static estimates and measured execution
+  // statistics cannot drift apart.
+  const map::StaticCensus s = map::lower_program(m, map::make_topology(m)).census;
   OpCensus c;
-  // The census walks the same lowered ExecProgram the plane-parallel
-  // simulator executes: per-op energy rows and plane popcounts come
-  // precomputed, and inter-chip crossings read the op's pre-resolved link —
-  // so the static estimate and the measured execution statistics are
-  // derived from one structure and cannot drift apart.
-  const noc::NocTopology topo = map::make_topology(m);
-  const map::ExecProgram prog = map::lower_program(m, topo);
-  for (const map::ExecOp& op : prog.ops) {
-    const i64 n = op.mask_pop;
-    c.op_neurons[op.energy_op] += n;
-    // Ops without a lowered link (compute, ejects, receives) move nothing
-    // between tiles; PS ops charge noc_bits wires per plane, spike ops one.
-    if (op.link == noc::kInvalidLink || !topo.link(op.link).interchip) continue;
-    switch (op.code) {
-      case core::OpCode::PsSend:
-      case core::OpCode::PsBypass:
-        c.interchip_ps_bits += n * m.arch.noc_bits;
-        break;
-      case core::OpCode::SpkSend:
-      case core::OpCode::SpkBypass:
-      case core::OpCode::SpkRecvForward:
-        c.interchip_spike_bits += n;
-        break;
-      default: break;
-    }
-  }
-  for (const auto& core : m.cores) {
-    if (core.filler) continue;
-    ++c.active_cores;
-    c.ldwt_neurons += core.neuron_mask.popcount();
-  }
+  c.op_neurons = s.op_neurons;
+  c.interchip_ps_bits = s.interchip_ps_bits;
+  c.interchip_spike_bits = s.interchip_spike_bits;
+  c.ldwt_neurons = s.ldwt_neurons;
+  for (const auto& core : m.cores) c.active_cores += core.filler ? 0 : 1;
   return c;
 }
 

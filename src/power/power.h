@@ -6,7 +6,9 @@
 // functional simulator and dividing the sum by running time." Because
 // Shenjing's schedules are fully software-defined, every timestep issues the
 // identical operation stream, so the per-timestep op census is a static
-// property of the compiled schedule. On top of the active energy we add
+// property of the compiled schedule: map::lower_program counts it once
+// (map::StaticCensus), the engine adds it to SimStats per frame and OpCensus
+// reads it here. On top of the active energy we add
 // per-tile leakage (the intercept of Fig. 5's linear power/frequency
 // relation) and 4.4 pJ/bit for inter-chip I/O [ISSCC'16 SerDes].
 #pragma once
@@ -61,7 +63,8 @@ struct PowerParams {
   double switching_activity = 0.0625;  // used when the fraction is enabled
 };
 
-/// Static per-timestep operation census of a compiled schedule.
+/// Static per-timestep operation census of a compiled schedule, read from
+/// its lowered program's map::StaticCensus.
 struct OpCensus {
   std::array<i64, 8> op_neurons{};  // indexed by core::EnergyOp
   i64 interchip_ps_bits = 0;        // bits crossing chip boundaries / timestep

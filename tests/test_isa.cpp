@@ -237,6 +237,18 @@ TEST(Arch, ValidateRejectsBadConfigs) {
   a = ArchParams::paper();
   a.weight_bits = 1;
   EXPECT_THROW(a.validate(), InvalidArgument);
+  // Router PS registers are i16 and potentials i32.
+  a = ArchParams::paper();
+  a.noc_bits = 17;
+  EXPECT_THROW(a.validate(), InvalidArgument);
+  a = ArchParams::paper();
+  a.potential_bits = 33;
+  EXPECT_THROW(a.validate(), InvalidArgument);
+  a = ArchParams::paper();
+  a.local_ps_bits = 15;
+  a.noc_bits = 16;
+  a.potential_bits = 32;
+  EXPECT_NO_THROW(a.validate());
 }
 
 }  // namespace
