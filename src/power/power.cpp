@@ -1,7 +1,6 @@
 #include "power/power.h"
 
 #include "mapper/exec_program.h"
-#include "mapper/pipeline.h"
 
 namespace sj::power {
 
@@ -46,19 +45,8 @@ OpCensus OpCensus::from(const map::MappedNetwork& m) {
 
 namespace {
 
-// Wall-clock cycles per frame under the engine's modulo schedule. The
-// schedule is fps-independent and costly to build, so each public entry
-// point computes it once.
-u64 effective_cycles_per_frame(const map::MappedNetwork& m) {
-  if (m.timesteps <= 0) return 0;
-  const map::PipelineSchedule ps = map::build_pipeline(m);
-  return static_cast<u64>(m.timesteps - 1) * static_cast<u64>(ps.ii) +
-         static_cast<u64>(ps.span);
-}
-
 PowerReport estimate_census(const map::MappedNetwork& m, double target_fps,
-                            const OpCensus& census, u64 effective_cycles,
-                            const PowerParams& params) {
+                            const OpCensus& census, const PowerParams& params) {
   SJ_REQUIRE(target_fps > 0.0, "estimate: fps must be positive");
   const EnergyTable& et = params.energy;
 
@@ -68,11 +56,6 @@ PowerReport estimate_census(const map::MappedNetwork& m, double target_fps,
   r.cycles_per_frame = static_cast<u64>(m.timesteps) * m.cycles_per_timestep;
   r.freq_hz = target_fps * static_cast<double>(r.cycles_per_frame);
   r.freq_feasible = r.freq_hz <= m.arch.max_freq_hz;
-  // Latency under the engine's modulo schedule: energy is census-driven and
-  // unchanged, only the wall clock shrinks when timesteps overlap (on the
-  // serial II = C schedule it equals cycles_per_frame).
-  r.effective_cycles_per_frame = effective_cycles;
-  r.effective_freq_hz = target_fps * static_cast<double>(r.effective_cycles_per_frame);
 
   // Dynamic energy per timestep from the static op census.
   double e_ts = 0.0;
@@ -102,8 +85,7 @@ PowerReport estimate_census(const map::MappedNetwork& m, double target_fps,
 
 PowerReport estimate(const map::MappedNetwork& m, double target_fps,
                      const PowerParams& params) {
-  return estimate_census(m, target_fps, OpCensus::from(m), effective_cycles_per_frame(m),
-                         params);
+  return estimate_census(m, target_fps, OpCensus::from(m), params);
 }
 
 PowerReport estimate_measured(const map::MappedNetwork& m, double target_fps,
@@ -116,7 +98,7 @@ PowerReport estimate_measured(const map::MappedNetwork& m, double target_fps,
   // every timestep, so the measured totals are exact multiples.
   census.interchip_ps_bits = traffic.interchip_ps_bits / iterations;
   census.interchip_spike_bits = traffic.interchip_spike_bits / iterations;
-  return estimate_census(m, target_fps, census, effective_cycles_per_frame(m), params);
+  return estimate_census(m, target_fps, census, params);
 }
 
 std::vector<TradeoffPoint> throughput_tradeoff(const map::MappedNetwork& m,
@@ -126,9 +108,8 @@ std::vector<TradeoffPoint> throughput_tradeoff(const map::MappedNetwork& m,
   pts.reserve(fps_list.size());
   // fps-independent: compute once
   const OpCensus census = OpCensus::from(m);
-  const u64 effective_cycles = effective_cycles_per_frame(m);
   for (const double fps : fps_list) {
-    const PowerReport r = estimate_census(m, fps, census, effective_cycles, params);
+    const PowerReport r = estimate_census(m, fps, census, params);
     TradeoffPoint p;
     p.fps = fps;
     p.freq_hz = r.freq_hz;

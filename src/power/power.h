@@ -80,12 +80,6 @@ struct PowerReport {
   double fps = 0.0;
   double freq_hz = 0.0;            // required clock: fps * T * cycles/timestep
   u64 cycles_per_frame = 0;        // steady-state (pipelined): T * L
-  // Wall-clock cycles per frame under the engine's modulo schedule
-  // ((T-1) * II + span, mapper/pipeline.h); equals cycles_per_frame on the
-  // serial II = C schedule. The clock that actually sustains `target_fps`
-  // is fps * this.
-  u64 effective_cycles_per_frame = 0;
-  double effective_freq_hz = 0.0;
   double dynamic_w = 0.0;
   double leakage_w = 0.0;
   double interchip_w = 0.0;

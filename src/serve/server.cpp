@@ -585,29 +585,4 @@ json::Value Server::metrics_json() const {
   return root;
 }
 
-double serving_accuracy(Server& server, ModelKey key, const nn::Dataset& data,
-                        usize max_frames, sim::SimStats* stats) {
-  const usize n = max_frames == 0 ? data.size() : std::min(max_frames, data.size());
-  SJ_REQUIRE(n > 0, "serving_accuracy: no frames");
-  // Bounded in-flight chunks, like sim::hardware_accuracy: only a chunk of
-  // futures is ever live, and chunking cannot affect the results (each
-  // request is independent and deterministic). A bounded server caps the
-  // chunk at its queue bound — submit_batch admits whole batches or rejects
-  // outright, so an oversized chunk would throw instead of trickling in.
-  constexpr usize kChunk = 1024;
-  const usize chunk =
-      server.max_pending() == 0 ? kChunk : std::min(kChunk, server.max_pending());
-  usize correct = 0;
-  for (usize base = 0; base < n; base += chunk) {
-    const usize len = std::min(chunk, n - base);
-    std::vector<std::future<sim::FrameResult>> futs = server.submit_batch(
-        key, std::span<const Tensor>(data.images.data() + base, len));
-    for (usize i = 0; i < len; ++i) {
-      if (futs[i].get().predicted == data.labels[base + i]) ++correct;
-    }
-  }
-  if (stats != nullptr) stats->merge(server.take_stats(key));
-  return static_cast<double>(correct) / static_cast<double>(n);
-}
-
 }  // namespace sj::serve

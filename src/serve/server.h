@@ -62,7 +62,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "nn/dataset.h"
 #include "obs/metrics.h"
 #include "sim/engine.h"
 
@@ -313,15 +312,5 @@ class Server {
   bool accepting_ = true;
   bool stop_ = false;
 };
-
-/// Accuracy of `key`'s model over (a prefix of) a dataset, evaluated
-/// through the serving path: every frame submitted as its own request, all
-/// futures awaited — the serving-side counterpart of
-/// sim::hardware_accuracy, used by evaluators to exercise the server.
-/// `stats`, when given, receives the model's tally drained after the run
-/// (take_stats): exactly this run's stats when no other client used the
-/// model concurrently.
-double serving_accuracy(Server& server, ModelKey key, const nn::Dataset& data,
-                        usize max_frames = 0, sim::SimStats* stats = nullptr);
 
 }  // namespace sj::serve

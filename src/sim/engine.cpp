@@ -217,7 +217,7 @@ CompiledModel::CompiledModel(const MappedNetwork& mapped, const snn::SnnNetwork&
       touched_links_(donor.touched_links_),
       pipe_(donor.pipe_),
       tables_(donor.tables_),
-      ranges_(donor.ranges_),
+      steps_(donor.steps_),
       pend_slot_(donor.pend_slot_),
       pend_count_(donor.pend_count_) {
   require_swap_compatible(donor.mapped(), mapped);
@@ -385,54 +385,56 @@ void CompiledModel::build_pipeline_exec() {
         [](PipeTables::Row& row, u32 b, u32 e) { row.com_b = b; row.com_e = e; });
   slice(perm.size(), [&](usize i) { return pipe_.op_cycle[perm[i]]; },
         [](PipeTables::Row& row, u32 b, u32 e) { row.op_b = b; row.op_e = e; });
-  // A row is busy when it rotates, injects, commits or issues anything; the
-  // frame loop jumps from busy row to busy row.
-  pt.next_busy.assign(static_cast<usize>(span) + 1, static_cast<u32>(span));
-  for (i32 r = span - 1; r >= 0; --r) {
+  // The frame's step list: every absolute cycle kn*II + r of the modulo
+  // schedule, [0, (total - 1)*II + span), walked once. Only rows that
+  // rotate, inject, commit or issue anything run, and only cycles that ran
+  // a row commit the NoC: an idle cycle stages no write, so its commit is a
+  // no-op.
+  const auto busy = [&](i64 r) {
     const PipeTables::Row& row = pt.rows[static_cast<usize>(r)];
-    const bool busy = row.rot_b != row.rot_e || row.tap_b != row.tap_e ||
-                      row.com_b != row.com_e || row.op_b != row.op_e;
-    pt.next_busy[static_cast<usize>(r)] =
-        busy ? static_cast<u32>(r) : pt.next_busy[static_cast<usize>(r) + 1];
-  }
-
-  // Frame ranges. Split points: every iteration boundary k*II (input
-  // staging) and after every readout cycle.
-  const i32 T = m.timesteps;
-  const i32 total = T + m.output_depth;
-  const u64 ii = static_cast<u64>(pipe_.ii);
-  const u64 A = static_cast<u64>(total - 1) * ii + static_cast<u64>(span);
-  const u64 ro = static_cast<u64>(pipe_.readout_cycle) + 1;
-  std::vector<u64> pts;
-  for (u64 p = ii; p < A; p += ii) pts.push_back(p);
-  for (i32 k = 0; k < total; ++k) {
-    const u64 p = static_cast<u64>(k) * ii + ro;
-    if (p < A) pts.push_back(p);
-  }
-  pts.push_back(A);
-  std::sort(pts.begin(), pts.end());
-  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
-  ranges_.reserve(pts.size());
-  u64 prev = 0;
-  for (const u64 e : pts) {
-    PipeRange rg;
-    rg.b = prev;
-    rg.e = e;
-    if (prev % ii == 0 && prev / ii < static_cast<u64>(T)) {
-      rg.stage_k = static_cast<i32>(prev / ii);
+    return row.rot_b != row.rot_e || row.tap_b != row.tap_e || row.com_b != row.com_e ||
+           row.op_b != row.op_e;
+  };
+  using Kind = FrameStep::Kind;
+  const i64 T = m.timesteps;
+  const i64 total = T + m.output_depth;
+  const i64 ii = pipe_.ii;
+  const i64 end = (total - 1) * ii + span;
+  const i64 rc = pipe_.readout_cycle;
+  // At most two iterations are live at once: the one started at kn*II and
+  // the one before it, still draining. The frame's double-buffered input
+  // relies on it too.
+  SJ_ASSERT(span <= 2 * ii, "pipeline: an iteration outlasts two initiation intervals");
+  for (i64 kn = 0; kn * ii < end; ++kn) {
+    // Iteration kn's input is staged before its first cycle. Its earliest
+    // reader is its own injection; the buffer it replaces belonged to
+    // kn - 2, whose injections retired before (kn - 1)*II + span.
+    if (kn < T) steps_.push_back({Kind::Stage, 0, static_cast<i32>(kn)});
+    for (i64 r = 0; r < ii && kn * ii + r < end; ++r) {
+      // The older iteration's row runs first, as the cross-edge weights
+      // require.
+      bool ran = false;
+      if (kn >= 1 && ii + r < span && busy(ii + r)) {
+        steps_.push_back({Kind::Exec, static_cast<u32>(ii + r), static_cast<i32>(kn - 1)});
+        ran = true;
+      }
+      if (kn < total && busy(r)) {
+        steps_.push_back({Kind::Exec, static_cast<u32>(r), static_cast<i32>(kn)});
+        ran = true;
+      }
+      if (ran) steps_.push_back({Kind::Commit, 0, 0});
+      const i64 k = kn - rc / ii;
+      if (r == rc % ii && k >= 0 && k < total) {
+        steps_.push_back({Kind::Readout, 0, static_cast<i32>(k)});
+      }
     }
-    if (e >= ro && (e - ro) % ii == 0 && (e - ro) / ii < static_cast<u64>(total)) {
-      rg.readout_k = static_cast<i32>((e - ro) / ii);
-    }
-    ranges_.push_back(rg);
-    prev = e;
   }
 }
 
 SimContext::SimContext(const CompiledModel& model)
-    : noc_(model.topology(), model.touched_routers(), model.touched_links()) {
-  cores_.resize(model.mapped().cores.size());
-}
+    : noc_(model.topology(), model.touched_routers(), model.touched_links()),
+      cores_(model.mapped().cores.size()),
+      acc_pend_(static_cast<usize>(model.pend_count_) * 2) {}
 
 SimStats SimContext::take_stats() {
   SimStats out = std::move(stats_);
@@ -458,18 +460,12 @@ void SimContext::drain_stats(SimStats& into) {
 Engine::Engine(const MappedNetwork& mapped, const snn::SnnNetwork& net)
     : model_(mapped, net) {}
 
-usize Engine::ensure_contexts(usize n) {
-  while (contexts_.size() < n) {
-    contexts_.push_back(std::make_unique<SimContext>(model_));
-  }
-  return contexts_.size();
-}
-
 void Engine::reset(SimContext& ctx) const {
   // Guard against a context built for a different model before any state
   // is indexed (the NoC layer's own topology check only fires later, at
   // the first masked send).
-  SJ_ASSERT(ctx.cores_.size() == model_.mapped().cores.size(),
+  SJ_ASSERT(ctx.cores_.size() == model_.mapped().cores.size() &&
+                ctx.acc_pend_.size() == static_cast<usize>(model_.pend_count_) * 2,
             "Engine: context was not built for this model");
   for (const u32 c : model_.active_cores_) {
     SimContext::CoreState& cs = ctx.cores_[c];
@@ -482,9 +478,9 @@ void Engine::reset(SimContext& ctx) const {
   ctx.noc_.reset_subset(model_.touched_routers_, model_.touched_links_);
 }
 
-// exec_ops and exec_pipe_cycle are forced inline into exec_range: left to
+// exec_ops and exec_pipe_cycle are forced inline into run_frame: left to
 // its heuristics, GCC keeps exec_ops out of line (its 512-byte row list
-// trips the stack-frame growth limit), one call per row and iteration.
+// trips the stack-frame growth limit), one call per Exec step.
 [[gnu::always_inline]] inline void Engine::exec_ops(SimContext& ctx, u32 begin, u32 end,
                                                   i32 parity) const {
   const MappedNetwork& mapped = *model_.mapped_;
@@ -699,38 +695,6 @@ void Engine::acc_commit(SimContext& ctx, const map::ExecOp& op, i32 parity) cons
   exec_ops(ctx, row.op_b, row.op_e, parity);
 }
 
-void Engine::exec_range(SimContext& ctx, u64 b, u64 e) const {
-  const u64 ii = static_cast<u64>(model_.pipe_.ii);
-  const u64 span = static_cast<u64>(model_.pipe_.span);
-  const i64 total = model_.mapped_->timesteps + model_.mapped_->output_depth;
-  // Ranges never straddle an iteration start k*II, so the live iterations
-  // are fixed for the whole range: kn - 1 (still draining) and kn. At most
-  // two are live (span <= 2*II); the older slice executes first, as the
-  // cross-edge weights require.
-  const i64 kn = static_cast<i64>(b / ii);
-  const i64 k0 = std::max<i64>(kn - 1, 0), k1 = std::min<i64>(kn, total - 1);
-  // Only cycles in which some live iteration's row is busy run, and only
-  // they commit: an idle cycle stages no write, so its commit is a no-op.
-  const std::vector<u32>& next_busy = model_.tables_.next_busy;
-  const auto next_cycle = [&](u64 a) {
-    u64 next = e;
-    for (i64 k = k0; k <= k1; ++k) {
-      const u64 start = static_cast<u64>(k) * ii;
-      if (a - start < span) next = std::min(next, start + next_busy[a - start]);
-    }
-    return next;
-  };
-  for (u64 a = next_cycle(b); a < e; a = next_cycle(a + 1)) {
-    for (i64 k = k0; k <= k1; ++k) {
-      const u64 r = a - static_cast<u64>(k) * ii;
-      if (r < span && next_busy[r] == r) {
-        exec_pipe_cycle(ctx, static_cast<u32>(r), static_cast<i32>(k));
-      }
-    }
-    ctx.noc_.commit_cycle();
-  }
-}
-
 void Engine::pipe_sample(SimContext& ctx, i32 k, FrameResult& res,
                          HardwareTrace* trace) const {
   const MappedNetwork& mapped = *model_.mapped_;
@@ -789,24 +753,28 @@ FrameResult Engine::run_frame(SimContext& ctx, const Tensor& image,
       trace->units[u].reserve(static_cast<usize>(T));
     }
   }
-  if (ctx.acc_pend_.size() < static_cast<usize>(model_.pend_count_) * 2) {
-    ctx.acc_pend_.resize(static_cast<usize>(model_.pend_count_) * 2);
-  }
 
   ctx.stats_.frames += 1;
   const u64 e0 = prof ? obs::now_ns() : 0;
   u64 enc_ns = 0;
-  for (const PipeRange& rg : model_.ranges_) {
-    // Stage iteration k's input before its first range runs. Its earliest
-    // reader is its own injection; the buffer it replaces belonged to
-    // k - 2, whose injections retired before (k - 1)*II + span.
-    if (rg.stage_k >= 0) {
-      const u64 s0 = prof ? obs::now_ns() : 0;
-      enc.step(ctx.pipe_input_[static_cast<usize>(rg.stage_k) & 1]);
-      if (prof) enc_ns += obs::now_ns() - s0;
+  for (const FrameStep& s : model_.steps_) {
+    switch (s.kind) {
+      case FrameStep::Kind::Stage: {
+        const u64 s0 = prof ? obs::now_ns() : 0;
+        enc.step(ctx.pipe_input_[static_cast<usize>(s.k) & 1]);
+        if (prof) enc_ns += obs::now_ns() - s0;
+        break;
+      }
+      case FrameStep::Kind::Exec:
+        exec_pipe_cycle(ctx, s.row, s.k);
+        break;
+      case FrameStep::Kind::Commit:
+        ctx.noc_.commit_cycle();
+        break;
+      case FrameStep::Kind::Readout:
+        pipe_sample(ctx, s.k, res, trace);
+        break;
     }
-    exec_range(ctx, rg.b, rg.e);
-    if (rg.readout_k >= 0) pipe_sample(ctx, rg.readout_k, res, trace);
   }
   // Iteration and schedule-cycle counters are the same for every schedule
   // (the same ops ran); effective_cycles records the overlapped wall clock.
@@ -866,21 +834,13 @@ std::vector<FrameResult> Engine::run_batch(std::span<const Tensor> images,
   // batch can genuinely run its shards concurrently.
   const usize threads = std::max<usize>(1, p.num_threads());
   const usize shards = std::min<usize>(n, threads);
-  ensure_contexts(shards);
-  // Pooled contexts may carry tallies from direct run_frame use; set those
-  // aside so the batch reports exactly its own frames, and restore them
-  // afterwards so a caller's own accounting is not silently stolen.
-  std::vector<SimStats> carry(shards);
-  for (usize s = 0; s < shards; ++s) carry[s] = contexts_[s]->take_stats();
-  // Drains each context's batch tally (merging into `out` when asked) and
-  // restores its pre-batch stats — also on the exception path, so a
-  // throwing frame can neither lose the caller's tally nor leave partial
-  // batch counts behind.
-  const auto drain_and_restore = [&](SimStats* out) {
-    for (usize s = 0; s < shards; ++s) {
-      SimStats part = contexts_[s]->take_stats();
+  while (contexts_.size() < shards) contexts_.push_back(std::make_unique<SimContext>(model_));
+  // Drains every pooled context's tally, merging into `out` in context
+  // order when asked.
+  const auto drain = [&](SimStats* out) {
+    for (const auto& ctx : contexts_) {
+      SimStats part = ctx->take_stats();
       if (out != nullptr) out->merge(part);
-      contexts_[s]->stats_ = std::move(carry[s]);
     }
   };
   try {
@@ -896,35 +856,13 @@ std::vector<FrameResult> Engine::run_batch(std::span<const Tensor> images,
       }
     });
   } catch (...) {
-    drain_and_restore(nullptr);  // discard partial batch tallies
+    drain(nullptr);  // discard partial batch tallies
     throw;
   }
   // Deterministic reduction: per-context tallies merge in context order, on
   // this thread, regardless of how many workers ran the batch.
-  drain_and_restore(stats);
+  drain(stats);
   return results;
-}
-
-double hardware_accuracy(const MappedNetwork& mapped, const snn::SnnNetwork& net,
-                         const nn::Dataset& data, usize max_frames, SimStats* stats) {
-  const usize n = max_frames == 0 ? data.size() : std::min(max_frames, data.size());
-  SJ_REQUIRE(n > 0, "hardware_accuracy: no frames");
-  Engine engine(mapped, net);
-  // Bounded batches: only a chunk of FrameResults is ever live, so a full
-  // dataset evaluation does not materialize n results to compute a scalar.
-  // Chunking does not affect determinism — per-frame results and stats
-  // contributions are independent of how the frames are grouped.
-  constexpr usize kChunk = 1024;
-  usize correct = 0;
-  for (usize base = 0; base < n; base += kChunk) {
-    const usize len = std::min(kChunk, n - base);
-    const std::vector<FrameResult> results =
-        engine.run_batch(std::span<const Tensor>(data.images.data() + base, len), stats);
-    for (usize i = 0; i < len; ++i) {
-      if (results[i].predicted == data.labels[base + i]) ++correct;
-    }
-  }
-  return static_cast<double>(correct) / static_cast<double>(n);
 }
 
 }  // namespace sj::sim

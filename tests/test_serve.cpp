@@ -499,22 +499,6 @@ TEST(Serve, WholeBatchIsNotStarvedBySingleSubmitters) {
   hammer.join();
 }
 
-TEST(Serve, ServingAccuracyChunksToTheQueueBound) {
-  // serving_accuracy submits in chunks; on a bounded server the chunk must
-  // shrink to the bound (an oversized submit_batch now rejects instead of
-  // trickling), and the result must not change.
-  const Built b = build_fc(155, 5, 5);
-  Server unbounded({.workers = 2});
-  const ModelKey k1 = unbounded.load_model(b.mapped, b.net);
-  const double want = serving_accuracy(unbounded, k1, b.data);
-
-  Server bounded({.workers = 2, .max_pending = 2});
-  const ModelKey k2 = bounded.load_model(b.mapped, b.net);
-  SimStats st;
-  EXPECT_DOUBLE_EQ(serving_accuracy(bounded, k2, b.data, 0, &st), want);
-  EXPECT_EQ(st.frames, static_cast<i64>(b.data.size()));
-}
-
 TEST(Serve, MultiChipServingMatchesTheSerialPath) {
   // Models that span several chips serve through the same frame loop as
   // any other: an FC stack on 3x3-tile chips and the Table-IV MLP on
@@ -541,17 +525,21 @@ TEST(Serve, MultiChipServingMatchesTheSerialPath) {
   }
 }
 
-TEST(Serve, ServingAccuracyMatchesHardwareAccuracy) {
+TEST(Serve, ServingMatchesTheEngineBatch) {
+  // One request per frame through the serving path gives the frames and the
+  // tally of one Engine::run_batch over the same images.
   const Built b = build_fc(157, 6, 5);
-  SimStats hw_stats;
-  const double hw = sim::hardware_accuracy(b.mapped, b.net, b.data, 0, &hw_stats);
+  sim::Engine engine(b.mapped, b.net);
+  SimStats batch_stats;
+  const std::vector<FrameResult> want = engine.run_batch(batch_of(b), &batch_stats);
 
   Server server({.workers = 2});
   const ModelKey key = server.load_model(b.mapped, b.net);
-  SimStats sv_stats;
-  const double sv = serving_accuracy(server, key, b.data, 0, &sv_stats);
-  EXPECT_DOUBLE_EQ(sv, hw);
-  expect_stats_eq(sv_stats, hw_stats);
+  std::vector<std::future<FrameResult>> futs = server.submit_batch(key, batch_of(b));
+  std::vector<FrameResult> got;
+  for (auto& f : futs) got.push_back(f.get());
+  expect_frames_eq(got, want);
+  expect_stats_eq(server.take_stats(key), batch_stats);
 }
 
 TEST(Serve, BadFramePropagatesThroughTheFutureAndLeavesServerUsable) {

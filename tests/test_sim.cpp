@@ -254,10 +254,15 @@ TEST(SimHardwareAccuracy, RunsAndBounds) {
   m.relu();
   m.dense(32, 10);
   const Built b = build(m, {64}, 10, 8);
+  Engine engine(b.mapped, b.net);
   SimStats st;
-  const double acc = hardware_accuracy(b.mapped, b.net, b.data, 4, &st);
-  EXPECT_GE(acc, 0.0);
-  EXPECT_LE(acc, 1.0);
+  const std::vector<FrameResult> res =
+      engine.run_batch(std::span<const Tensor>(b.data.images.data(), 4), &st);
+  ASSERT_EQ(res.size(), 4u);
+  for (const FrameResult& r : res) {
+    EXPECT_GE(r.predicted, 0);
+    EXPECT_LT(r.predicted, 10);
+  }
   EXPECT_EQ(st.frames, 4);
 }
 
