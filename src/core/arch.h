@@ -33,11 +33,10 @@ struct ArchParams {
   i32 chip_capacity() const { return chip_rows * chip_cols; }
 
   /// Every parameter that affects compiled-program semantics, as one
-  /// comparable/hashable tuple. The engine's weight-swap compatibility check
-  /// and serve::model_key both consume this — a new field added here is
-  /// automatically part of both, so the two can't silently drift apart.
-  /// max_freq_hz is deliberately absent: it scales timing reports, never the
-  /// simulated results.
+  /// comparable/hashable tuple. map::structure_words starts with it, so a
+  /// new field added here joins both the engine's weight-swap gate and
+  /// serve::model_key. max_freq_hz is deliberately absent: it scales timing
+  /// reports, never the simulated results.
   std::array<i32, 10> identity() const {
     return {core_axons, core_neurons, sram_banks, acc_cycles, weight_bits,
             local_ps_bits, noc_bits, potential_bits, chip_rows, chip_cols};

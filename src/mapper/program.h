@@ -105,16 +105,16 @@ struct MappedNetwork {
   // validation included.
   double mapping_seconds = 0.0;
 
-  // Optimizer provenance: the level the schedule was compiled at (part of
-  // the served-model identity — see serve::model_key and the engine's
-  // weight-swap compatibility check) and the per-pass before/after record.
+  // Optimizer provenance: the level the schedule was compiled at and the
+  // per-pass before/after record. Reports only; the schedule itself is
+  // what the engine runs, so the level is no part of structure_words.
   i32 opt_level = 0;
   std::vector<OptPassStat> opt_passes;
 
   // Cross-timestep pipelining flag (mapper/pipeline.h): 1 lets the engine
   // overlap adjacent timesteps' accumulate windows, 0 keeps the serial
-  // II = C schedule. Part of the served-model identity like opt_level. Raw
-  // (hand-built) networks default to 0; map_network stamps
+  // II = C schedule. It changes effective cycles, so structure_words holds
+  // it. Raw (hand-built) networks default to 0; map_network stamps
   // MapperConfig::pipeline.
   i32 pipeline = 0;
 
@@ -129,6 +129,17 @@ struct MappedNetwork {
     return {c.row / arch.chip_rows, c.col / arch.chip_cols};
   }
 };
+
+/// Everything the lowered program and the engine's frame loop are built
+/// from, as one comparable word list: the architecture identity, the grid,
+/// timesteps, output depth, cycles per timestep and the pipeline flag;
+/// every schedule op (cycle, core, mask, encoded op); each core's position,
+/// filler/spiking flags, spike hold and masks; the input tap, unit slot and
+/// unit depth tables. Two mappings with equal words differ at most in the
+/// weight-swap payload (thresholds and CoreWeights) and in provenance the
+/// engine never reads (name, opt level, is_output, stats). The engine's
+/// weight-swap gate compares these words and serve::model_key hashes them.
+std::vector<u64> structure_words(const MappedNetwork& m);
 
 /// Structural validation: every invariant the mapping must satisfy
 /// (see mapper/validate.cpp for the list). Throws InternalError on violation.

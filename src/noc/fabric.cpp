@@ -101,35 +101,11 @@ void NocState::check_topology(const NocTopology& topo) const {
 
 namespace {
 
-inline Router::Words single_plane(u16 plane) {
-  Router::Words m{};
-  m[plane >> 6] = u64{1} << (plane & 63);
-  return m;
-}
-
 inline bool no_planes(const Router::Words& mask) {
   return (mask[0] | mask[1] | mask[2] | mask[3]) == 0;
 }
 
 }  // namespace
-
-void NocState::send_ps(const NocTopology& topo, u32 src, Dir d, u16 plane, i16 value,
-                       TrafficCounters& tc) {
-  const LinkId lid = topo.link_id(src, d);
-  SJ_ASSERT(lid != kInvalidLink, "noc: PS send off grid edge");
-  std::array<i16, Router::kPlanes> values;
-  values[plane] = value;  // only the masked plane is read
-  send_ps_masked(topo, lid, single_plane(plane), values.data(), tc);
-}
-
-void NocState::send_spike(const NocTopology& topo, u32 src, Dir d, u16 plane, bool value,
-                          TrafficCounters& tc) {
-  const LinkId lid = topo.link_id(src, d);
-  SJ_ASSERT(lid != kInvalidLink, "noc: spike send off grid edge");
-  Router::Words bits{};
-  if (value) bits[plane >> 6] = u64{1} << (plane & 63);
-  send_spike_masked(topo, lid, single_plane(plane), bits, tc);
-}
 
 void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
                               const i16* values, TrafficCounters& tc) {
@@ -216,14 +192,6 @@ void NocState::commit_cycle() {
   }
   ps_staged_.clear();
   spk_staged_.clear();
-}
-
-void NocState::reset() {
-  for (Router& r : routers_) r.reset();
-  ps_staged_.clear();
-  spk_staged_.clear();
-  for (auto& v : ps_last_) std::fill(v.begin(), v.end(), i16{0});
-  for (auto& w : spk_last_) w = {};
 }
 
 void NocState::reset_subset(const std::vector<u32>& cores,

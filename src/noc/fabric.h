@@ -24,12 +24,10 @@
 // consumes depend only on the op and its mask, so they are counted once per
 // program at lowering (map::StaticCensus) and added per frame by the engine.
 //
-// Movement has two granularities. The plane-parallel engine stages a whole
-// 256-plane mask per call (`send_ps_masked`/`send_spike_masked`, keyed by a
-// pre-resolved LinkId) and charges spike toggles with whole-word Hamming
-// weights. The scalar per-plane `send_ps`/`send_spike` wrappers stage a
-// single-plane mask through the same path, so staging order — and
-// therefore commit order — is shared between the two granularities.
+// Movement stages a whole 256-plane mask per call (`send_ps_masked`/
+// `send_spike_masked`, keyed by a pre-resolved LinkId) and charges spike
+// toggles with whole-word Hamming weights; a one-plane send is a one-plane
+// mask.
 #pragma once
 
 #include <vector>
@@ -120,40 +118,28 @@ class NocState {
   usize allocated_toggle_links() const { return ps_last_.size(); }
 
   // --- two-phase, toggle-accounted movement --------------------------------
-  /// Stages a 16-bit partial sum onto the outgoing link of `src` in
-  /// direction `d`; it lands in the neighbor's in[opposite(d)] register at
-  /// commit_cycle(). Charges the link's wire toggles in `tc`.
-  void send_ps(const NocTopology& topo, u32 src, Dir d, u16 plane, i16 value,
-               TrafficCounters& tc);
-  /// Same for a 1-bit spike.
-  void send_spike(const NocTopology& topo, u32 src, Dir d, u16 plane, bool value,
-                  TrafficCounters& tc);
-
-  /// Bulk form: stages `values[p]` for every plane `p` in `mask` onto link
-  /// `lid` in one call (the plane-parallel engine pre-resolves the LinkId at
-  /// program lowering). `values` must cover every masked strip; a snapshot
-  /// is taken, so the source register may change before commit_cycle().
-  /// No-op for an empty mask.
+  /// Stages `values[p]` for every plane `p` in `mask` onto link `lid` (the
+  /// engine pre-resolves the LinkId at program lowering); each lands in the
+  /// link's destination in[opposite(dir)] register at commit_cycle().
+  /// Charges the link's wire toggles in `tc`. `values` must cover every
+  /// masked strip; a snapshot is taken, so the source register may change
+  /// before commit_cycle(). No-op for an empty mask.
   void send_ps_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
                       const i16* values, TrafficCounters& tc);
-  /// Bulk spike form: the payload is the bit-packed word group `bits`
-  /// (masked down internally); toggle accounting is whole-word Hamming
-  /// weight against the wire's previous word group.
+  /// Spike form: the payload is the bit-packed word group `bits` (masked
+  /// down internally); toggle accounting is whole-word Hamming weight
+  /// against the wire's previous word group.
   void send_spike_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
                          const Router::Words& bits, TrafficCounters& tc);
 
   /// Applies all staged writes in staging order (end of cycle).
   void commit_cycle();
 
-  /// Zeroes router registers, staged writes, and toggle-tracking state
-  /// (frame boundary). Does not touch any TrafficCounters.
-  void reset();
-
-  /// Selective frame-boundary reset: zeroes only the listed routers and the
-  /// toggle history of the listed links (plus any staged writes).
-  /// Equivalent to reset() when the lists cover every router and link the
-  /// run could have written — e.g. the cores and links referenced by a
-  /// lowered ExecProgram. Duplicate-free lists are the caller's job.
+  /// Frame-boundary reset: zeroes the listed routers and the toggle history
+  /// of the listed links (plus any staged writes) — every router and link a
+  /// run could have written when the lists are the cores and links a
+  /// lowered ExecProgram references. Does not touch any TrafficCounters.
+  /// Duplicate-free lists are the caller's job.
   void reset_subset(const std::vector<u32>& cores, const std::vector<LinkId>& links);
 
  private:
@@ -161,9 +147,9 @@ class NocState {
   // movement call routes over.
   void check_topology(const NocTopology& topo) const;
 
-  // Staged masked writes; scalar sends stage a single-plane mask. The
-  // user-provided empty constructors keep emplace_back from value-zeroing
-  // the 512-byte payload that masked_copy overwrites anyway.
+  // Staged masked writes. The user-provided empty constructors keep
+  // emplace_back from value-zeroing the 512-byte payload that masked_copy
+  // overwrites anyway.
   struct PsWrite {
     PsWrite() {}
     u32 core;

@@ -72,11 +72,13 @@ namespace sj::serve {
 /// the generation underneath, not the key.
 using ModelKey = u64;
 
-/// FNV-1a over everything the engine's behaviour depends on: architecture
-/// parameters, grid/placement/masks, the full op stream and slot tables,
-/// weights/thresholds, and the SNN-side simulation inputs (input encoding
-/// scale, timesteps). Deterministic across processes; two structurally
-/// identical trainings hash differently iff their weights differ.
+/// FNV-1a over everything the engine's behaviour depends on: the mapping's
+/// map::structure_words (which the weight-swap gate compares), then the swap
+/// payload — the input encoding scale and each core's threshold and
+/// allocated synapse rows. Provenance the engine never reads (opt level,
+/// name, SnnNetwork::weight_bits, MappedCore::is_output) is no part of it.
+/// Deterministic across processes; two structurally identical trainings
+/// hash differently when their weights differ.
 ModelKey model_key(const map::MappedNetwork& mapped, const snn::SnnNetwork& net);
 
 /// Thrown (through the request future) when shutdown(DrainMode::kCancel)
@@ -273,6 +275,15 @@ class Server {
     ModelMetrics metrics;           // copied from the entry at submit
     CompletionHook done;            // fired after the future becomes ready
   };
+
+  /// The one admission path behind submit, try_submit and submit_batch:
+  /// binds `reqs` to `key`'s current generation, stamps their submit time
+  /// and queues them in order, all at once. On a bounded queue it waits
+  /// for its FIFO ticket's turn and room for every request (`block`), or
+  /// returns false without queueing anything when another submitter holds
+  /// the ticket line or there is no room (!`block`). Throws after shutdown,
+  /// on an unknown key, and on more requests than the bound.
+  bool admit(ModelKey key, std::span<Request> reqs, bool block);
 
   static std::shared_ptr<const Generation> make_generation(
       const map::MappedNetwork& mapped, const snn::SnnNetwork& net,

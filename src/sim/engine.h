@@ -159,10 +159,10 @@ class CompiledModel {
 
   /// Weight-swap compile: takes the already-lowered topology, op stream and
   /// touch sets from `donor` and only rebuilds the weight-derived artifacts
-  /// (dense rows), skipping the expensive lowering. REQUIREs `mapped` to be
-  /// structurally identical to the donor's network — same grid, core
-  /// placement, masks and schedule shape — so the donor's program executes
-  /// `mapped` verbatim; only CoreWeights (and thresholds) may differ.
+  /// (dense rows), skipping the expensive lowering. REQUIREs `mapped` to
+  /// have the donor network's map::structure_words, compared exactly, so the
+  /// donor's program executes `mapped` verbatim; only CoreWeights and
+  /// thresholds (and provenance such as the opt level) may differ.
   CompiledModel(const MappedNetwork& mapped, const snn::SnnNetwork& net,
                 const CompiledModel& donor);
 

@@ -34,6 +34,20 @@ NocTopology grid_topology(i32 rows, i32 cols, core::ArchParams arch = {}) {
   return NocTopology(arch, rows, cols, pos);
 }
 
+/// One plane sent from `src` toward `d`: a one-plane mask through the
+/// masked send, as the engine would issue it.
+void send_one_ps(NocState& st, const NocTopology& topo, u32 src, Dir d, u16 plane, i16 value,
+                 TrafficCounters& tc) {
+  std::array<i16, Router::kPlanes> values{};
+  values[plane] = value;
+  st.send_ps_masked(topo, topo.link_id(src, d), PlaneMask::single(plane).w, values.data(), tc);
+}
+void send_one_spike(NocState& st, const NocTopology& topo, u32 src, Dir d, u16 plane,
+                    bool value, TrafficCounters& tc) {
+  const Router::Words mask = PlaneMask::single(plane).w;
+  st.send_spike_masked(topo, topo.link_id(src, d), mask, value ? mask : Router::Words{}, tc);
+}
+
 TEST(NocTopologyTest, GridTopology) {
   const NocTopology f = grid_topology(2, 3);
   EXPECT_EQ(f.num_cores(), 6u);
@@ -79,8 +93,8 @@ TEST(NocRouterTest, TwoPhaseSendIsInvisibleUntilCommit) {
   const NocTopology topo = grid_topology(1, 2);
   NocState st(topo);
   TrafficCounters tc = topo.make_counters();
-  st.send_ps(topo, 0, Dir::East, 7, 1234, tc);
-  st.send_spike(topo, 0, Dir::East, 7, true, tc);
+  send_one_ps(st, topo, 0, Dir::East, 7, 1234, tc);
+  send_one_spike(st, topo, 0, Dir::East, 7, true, tc);
   // Read phase of the same cycle still sees the old register values.
   EXPECT_EQ(st.router(1).ps_in(Dir::West, 7), 0);
   EXPECT_FALSE(st.router(1).spike_in(Dir::West, 7));
@@ -100,8 +114,8 @@ TEST(NocRouterTest, CommitAppliesStagedWritesInOrder) {
   const NocTopology topo = grid_topology(1, 2);
   NocState st(topo);
   TrafficCounters tc = topo.make_counters();
-  st.send_ps(topo, 0, Dir::East, 0, 11, tc);
-  st.send_ps(topo, 0, Dir::East, 0, 22, tc);
+  send_one_ps(st, topo, 0, Dir::East, 0, 11, tc);
+  send_one_ps(st, topo, 0, Dir::East, 0, 22, tc);
   st.commit_cycle();
   EXPECT_EQ(st.router(1).ps_in(Dir::West, 0), 22);
 }
@@ -129,10 +143,10 @@ TEST(NocRouterTest, CompactStateMatchesFullStateOnTheTouchSet) {
   TrafficCounters tc_full = topo.make_counters();
   TrafficCounters tc_compact = topo.make_counters();
   const auto drive = [&](NocState& st, TrafficCounters& tc) {
-    st.send_ps(topo, 0, Dir::East, 5, 321, tc);
-    st.send_spike(topo, 1, Dir::East, 9, true, tc);
+    send_one_ps(st, topo, 0, Dir::East, 5, 321, tc);
+    send_one_spike(st, topo, 1, Dir::East, 9, true, tc);
     st.commit_cycle();
-    st.send_ps(topo, 0, Dir::East, 5, 123, tc);  // toggles against 321
+    send_one_ps(st, topo, 0, Dir::East, 5, 123, tc);  // toggles against 321
     st.commit_cycle();
   };
   drive(full, tc_full);
@@ -154,7 +168,7 @@ TEST(NocRouterTest, CompactStateMatchesFullStateOnTheTouchSet) {
   // Off-set access is a programming error, not a silent corruption.
   EXPECT_THROW(compact.router(4), InternalError);
   TrafficCounters tc = topo.make_counters();
-  EXPECT_THROW(compact.send_ps(topo, 1, Dir::South, 0, 1, tc), InternalError);
+  EXPECT_THROW(send_one_ps(compact, topo, 1, Dir::South, 0, 1, tc), InternalError);
 }
 
 TEST(NocRouterTest, StateRejectsATopologyItWasNotSizedFor) {
@@ -192,7 +206,7 @@ TEST(NocRouterTest, PsAdderSaturatesAtNocWidth) {
   const NocTopology topo = grid_topology(1, 2, arch);
   NocState st(topo);
   TrafficCounters tc = topo.make_counters();
-  st.send_ps(topo, 0, Dir::East, 3, 100, tc);
+  send_one_ps(st, topo, 0, Dir::East, 3, 100, tc);
   st.commit_cycle();
   i64 sats = 0;
   Router& r = st.router(1);
@@ -213,17 +227,17 @@ TEST(NocTrafficTest, PerLinkToggleCounters) {
   const LinkId east = topo.link_id(0, Dir::East);
   ASSERT_NE(east, kInvalidLink);
 
-  st.send_ps(topo, 0, Dir::East, 0, 0b1010, tc);  // from 0: 2 wire toggles
+  send_one_ps(st, topo, 0, Dir::East, 0, 0b1010, tc);  // from 0: 2 wire toggles
   st.commit_cycle();
-  st.send_ps(topo, 0, Dir::East, 0, 0b1010, tc);  // same value: 0 toggles
+  send_one_ps(st, topo, 0, Dir::East, 0, 0b1010, tc);  // same value: 0 toggles
   st.commit_cycle();
-  st.send_ps(topo, 0, Dir::East, 0, 0b0101, tc);  // 4 toggles
+  send_one_ps(st, topo, 0, Dir::East, 0, 0b0101, tc);  // 4 toggles
   st.commit_cycle();
   EXPECT_EQ(tc.links[east].ps_toggles, 6);
 
-  st.send_spike(topo, 0, Dir::East, 9, true, tc);
-  st.send_spike(topo, 0, Dir::East, 9, true, tc);   // no transition
-  st.send_spike(topo, 0, Dir::East, 9, false, tc);  // transition
+  send_one_spike(st, topo, 0, Dir::East, 9, true, tc);
+  send_one_spike(st, topo, 0, Dir::East, 9, true, tc);   // no transition
+  send_one_spike(st, topo, 0, Dir::East, 9, false, tc);  // transition
   EXPECT_EQ(tc.links[east].spike_toggles, 2);
   EXPECT_TRUE(tc.links[east].idle());
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Smoke-check a SHENJING_METRICS dump (Server::metrics_json written by
 obs::MetricsDumper): assert it parses, that the server actually completed
-requests, that every model names its compiled schedule (pipeline_ii and
-serial_reason), and that at least one model carries per-link NoC
-utilization.
+requests, that admission counted every request exactly once (submitted ==
+completed + errors + cancelled, nothing pending — the dump is the final one,
+written after the last future), that every model names its compiled
+schedule (pipeline_ii and serial_reason), and that at least one model
+carries per-link NoC utilization.
 
 Usage:
   check_metrics.py build/metrics_soak.json
@@ -46,6 +48,18 @@ def main() -> int:
     if not isinstance(completed, (int, float)) or completed <= 0:
         fail(f"serve.completed is {completed!r}; expected > 0")
 
+    # Every admitted request ends exactly one way. The in_flight gauge is not
+    # checked: a worker decrements it only after the future fires.
+    submitted = counters.get("serve.submitted", 0)
+    settled = sum(counters.get(f"serve.{n}", 0)
+                  for n in ("completed", "errors", "cancelled"))
+    if submitted != settled:
+        fail(f"serve.submitted is {submitted!r} but completed + errors + "
+             f"cancelled is {settled!r}")
+    pending = doc.get("pending")
+    if pending != 0:
+        fail(f"pending is {pending!r}; expected 0 in the final dump")
+
     histograms = metrics.get("histograms", {})
     e2e = [n for n in histograms if n.startswith("serve.e2e_us.")]
     if not e2e:
@@ -75,7 +89,8 @@ def main() -> int:
     if utilized == 0:
         fail("per-link entries present but all report zero utilization")
 
-    print(f"check_metrics: {path} OK — {int(completed)} completed requests, "
+    print(f"check_metrics: {path} OK — {int(submitted)} submitted = "
+          f"{int(settled)} settled, {int(completed)} completed requests, "
           f"{len(e2e)} latency histograms ({int(recorded)} samples), "
           f"{active_links} active links ({utilized} with utilization > 0)")
     return 0
