@@ -19,13 +19,15 @@
 //   - MNIST CNN: the multi-unit pipeline with real slack between waves —
 //     placement search finds layouts with far fewer filler/bypass hops, and
 //     repack compacts the shorter wave chains. Gated: cycles_per_timestep
-//     (lower is better).
+//     (lower is better), and cnn_pipeline_ii, the engine's initiation
+//     interval at opt level 1, held exactly (a return to the serial
+//     II = cycles_per_timestep would fit inside the default 20 %).
 //
 // Toolchain wall time, gated with a loose ceiling (host speed drifts):
 //   - setup_ms_mlp: convert + map_network + sim::Engine on the MNIST MLP at
 //     opt level 1, the median of 25 set-ups — what a model load costs;
 //   - compile_ms_cnn: map_network + sim::Engine on the MNIST CNN at opt
-//     level 1, the median of 3 — dominated by the engine's II search.
+//     level 1, the median of 3 — mostly the engine's II search.
 //
 // The placement budget is pinned (not SHENJING_FAST-scaled) so the JSON is
 // deterministic and comparable against the committed baseline.
@@ -38,6 +40,7 @@
 #include "harness/zoo.h"
 #include "mapper/mapper.h"
 #include "mapper/opt/opt.h"
+#include "mapper/pipeline.h"
 #include "nn/dataset.h"
 #include "sim/engine.h"
 #include "snn/convert.h"
@@ -199,12 +202,16 @@ int main() {
   o1_cfg.opt_level = 1;
   const double setup_ms_mlp = toolchain_ms(mlp_fixture, o1_cfg, /*with_convert=*/true, 25);
   const double compile_ms_cnn = toolchain_ms(cnn_fixture, o1_cfg, /*with_convert=*/false, 3);
+  const map::MappedNetwork cnn_o1 = map::map_network(cnn, o1_cfg);
+  const map::PipelineSchedule cnn_pipe = map::build_pipeline(cnn_o1);
   std::printf("\nToolchain wall time at opt level 1\n");
   bench::print_table({
       {"", "ms"},
       {"MLP convert + map + Engine (median of 25)", bench::num(setup_ms_mlp, 2)},
       {"CNN map + Engine (median of 3)", bench::num(compile_ms_cnn, 1)},
   });
+  std::printf("MNIST CNN at opt level 1: II %d of %u cycles per timestep (%s)\n", cnn_pipe.ii,
+              cnn_o1.cycles_per_timestep, map::serial_reason_name(cnn_pipe.serial_reason));
 
   json::Value doc;
   // Gated metrics (tools/check_bench.py --lower-metrics): the optimizer's
@@ -233,6 +240,7 @@ int main() {
   doc.set("map_ms_cnn_o2", cnn_o2.map_ms);
   doc.set("setup_ms_mlp", setup_ms_mlp);
   doc.set("compile_ms_cnn", compile_ms_cnn);
+  doc.set("cnn_pipeline_ii", static_cast<i64>(cnn_pipe.ii));
   for (const map::OptPassStat& p : cnn_o2.passes) {
     doc.set("pass_" + p.pass + "_ms", p.wall_ms);
   }
@@ -246,5 +254,7 @@ int main() {
              "optimizer lost the >=10% CNN cycle reduction");
   SJ_REQUIRE(sh_o2.metrics.cross_chip_crossings < sh_o0.metrics.cross_chip_crossings,
              "placement search no longer reduces cross-chip crossings");
+  SJ_REQUIRE(cnn_pipe.serial_reason == map::SerialReason::None,
+             "the MNIST CNN no longer overlaps timesteps");
   return 0;
 }

@@ -49,8 +49,8 @@ void ThreadPool::worker_loop() {
     // sub-millisecond frames) would otherwise pay a condvar wake-up per
     // worker per call. A worker that just ran a task polls the queue
     // for a short while before parking; an idle pool still sleeps. The
-    // bound comes from spin_poll_bound(): SHENJING_SPIN override, 0 on
-    // 1-CPU hosts where spinning only delays the producer.
+    // bound comes from spin_poll_bound(): 0 on 1-CPU hosts, where spinning
+    // only delays the producer.
     const int spin_bound = spin_poll_bound();
     for (int spin = 0; spin < spin_bound && !task; ++spin) {
       {
@@ -162,25 +162,8 @@ usize parse_thread_count(const char* text) {
   return static_cast<usize>(v);  // 0 = hardware concurrency
 }
 
-int parse_spin_bound(const char* text, int fallback) {
-  if (text == nullptr || text[0] == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text) return fallback;
-  while (*end == ' ' || *end == '\t' || *end == '\n' || *end == '\r') ++end;
-  // A ceiling keeps a typo'd value from turning every park into a
-  // multi-second busy loop.
-  constexpr long kMaxSpin = 1'000'000;
-  if (*end != '\0' || errno == ERANGE || v < 0 || v > kMaxSpin) return fallback;
-  return static_cast<int>(v);
-}
-
 int spin_poll_bound() {
-  static const int bound = [] {
-    const int fallback = std::thread::hardware_concurrency() == 1 ? 0 : 64;
-    return parse_spin_bound(std::getenv("SHENJING_SPIN"), fallback);
-  }();
+  static const int bound = std::thread::hardware_concurrency() == 1 ? 0 : 64;
   return bound;
 }
 

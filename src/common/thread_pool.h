@@ -76,18 +76,11 @@ class ThreadPool {
 /// thread count. Exposed for tests; ThreadPool::global() applies it.
 usize parse_thread_count(const char* text);
 
-/// Parses a SHENJING_SPIN-style spin-bound override: a plain decimal integer
-/// in [0, 1'000'000] (blanks tolerated) returns that bound; unset/empty or
-/// malformed input returns `fallback`. Exposed for tests; spin_poll_bound()
-/// applies it.
-int parse_spin_bound(const char* text, int fallback);
-
-/// Iterations a pool worker polls the queue before parking on the condvar.
-/// Defaults to 64 — back-to-back fan-outs (run_batch over sub-millisecond
-/// frames) would otherwise pay a condvar wake-up per worker per call — but
+/// Iterations a pool worker polls the queue before parking on the condvar:
+/// 64, because back-to-back fan-outs (run_batch over sub-millisecond
+/// frames) would otherwise pay a condvar wake-up per worker per call, but
 /// on a 1-CPU host spinning only steals the quantum from the thread that
-/// would produce the work, so the default drops to 0 there.
-/// SHENJING_SPIN overrides either default (read once, cached).
+/// would produce the work, so the bound drops to 0 there.
 int spin_poll_bound();
 
 /// The hardware-concurrency fallback every worker-count decision shares

@@ -206,8 +206,15 @@ AppResult run_app(const AppConfig& cfg) {
     serve::Server server;
     // SHENJING_METRICS export loop: declared after the server so it is
     // destroyed first, writing one final metrics_json dump after the last
-    // frame (the soak's smoke check reads that file).
-    obs::MetricsDumper metrics_dump(obs::MetricsDumper::env_target(),
+    // frame. A file target gets the app's name before its extension
+    // ("soak.json" -> "soak.mnist-mlp.json"): each app's server leaves its
+    // own dump for the soak's smoke check.
+    std::filesystem::path target = obs::MetricsDumper::env_target();
+    if (!target.empty() && target != "stderr") {
+      target.replace_filename(target.stem().string() + "." + app_name(cfg.app) +
+                              target.extension().string());
+    }
+    obs::MetricsDumper metrics_dump(target.string(),
                                     [&server] { return server.metrics_json(); });
     const serve::ModelKey key = server.load_model(res.mapped, res.snn);
     auto futures = server.submit_batch(key, batch);

@@ -39,7 +39,7 @@ struct MapperConfig {
   /// the chip width that fits the widest unit).
   i32 grid_width = 0;
   /// Optimizer level (mapper/opt): 0 greedy only, 1 schedule passes
-  /// (dead-ops, coalesce, repack), 2 adds placement search. -1 = read the
+  /// (coalesce, repack), 2 adds placement search. -1 = read the
   /// SHENJING_OPT environment variable (default 1).
   i32 opt_level = -1;
   /// Evaluation budget for the level-2 placement search; 0 = automatic

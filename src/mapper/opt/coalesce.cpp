@@ -1,4 +1,4 @@
-// Send coalescing (opt pass 2).
+// Send coalescing (opt pass 1).
 //
 // The greedy scheduler frequently emits several sends with identical control
 // words from one core at different cycles — split multicast chains, staggered
@@ -59,7 +59,7 @@ i64 coalesce_sends(MappedNetwork& m) {
   std::vector<OpModel> models(n);
   // Register timelines + issue occupancy + per-op event locations.
   std::unordered_map<u64, std::vector<Event>> events;
-  std::unordered_map<u64, PlaneMask> issue_busy;
+  IssueSlots issue;
   // op -> (regkey, index into events[regkey]) for in-place mask updates.
   std::vector<std::vector<std::pair<u64, u32>>> op_events(n);
   std::vector<bool> is_acc(n, false);
@@ -67,7 +67,7 @@ i64 coalesce_sends(MappedNetwork& m) {
     const TimedOp& t = m.schedule[i];
     models[i] = op_model(topo, t);
     is_acc[i] = models[i].acc;
-    issue_busy[cell_key(t.cycle, t.core, static_cast<u8>(models[i].block))] |= t.mask;
+    issue.claim(t.cycle, t.core, models[i].block, t.mask);  // legal input: every claim holds
     const auto log_access = [&](const Access& a, bool write) {
       const u64 key = reg_key(a.core, a.reg);
       auto& v = events[key];
@@ -116,14 +116,13 @@ i64 coalesce_sends(MappedNetwork& m) {
       if (e.write) return false;                   // in [ca, cb]
       if (e.cycle > ca) return false;              // read in (ca, cb]
     }
-    // Issue slot free for the extra planes at the merge cycle. Same-cycle
-    // twins (two identical control words on disjoint planes in one cycle)
-    // already share the cell, so B's own claim is not a conflict.
-    PlaneMask& busy = issue_busy[cell_key(ca, A.core, static_cast<u8>(models[a].block))];
-    if (ca != cb && busy.intersects(B.mask)) return false;
+    // Issue slot free for the extra planes at the merge cycle (claimed
+    // here, as the last check). Same-cycle twins (two identical control
+    // words on disjoint planes in one cycle) already share the slot, so B's
+    // own claim is not a conflict.
+    if (ca != cb && !issue.claim(ca, A.core, models[a].block, B.mask)) return false;
 
     // Commit the merge: A absorbs B's planes everywhere.
-    busy |= B.mask;
     A.mask |= B.mask;
     models[a].reads[0].mask |= B.mask;
     models[a].writes[0].mask |= B.mask;

@@ -1,5 +1,9 @@
 #include "mapper/opt/dataflow.h"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 namespace sj::map::opt {
 
 namespace {
@@ -23,6 +27,17 @@ u32 hop(const noc::NocTopology& topo, u32 core, Dir d) {
 }
 
 }  // namespace
+
+void IssueSlots::grow() {
+  const std::vector<Entry> old =
+      std::exchange(table_, std::vector<Entry>(std::max<usize>(64, 2 * table_.size())));
+  shift_ = 64 - std::countr_zero(table_.size());
+  const u32 was = epoch_++;
+  live_ = 0;
+  for (const Entry& e : old) {
+    if (e.epoch == was) slot(e.key) = e.busy;
+  }
+}
 
 OpModel op_model(const noc::NocTopology& topo, const TimedOp& t) {
   OpModel om;

@@ -1,6 +1,7 @@
 // Internal dataflow model shared by the optimizer passes (mapper/opt), the
-// pipeline analysis (mapper/pipeline.cpp) and check_routes' issue keys: the
-// one place that says which router registers each op writes.
+// pipeline analysis (mapper/pipeline.cpp) and check_routes: the one place
+// that says which router registers each op writes, and the one issue rule
+// (IssueSlots) every schedule obeys.
 //
 // Every pass reasons about the same two facts per scheduled op:
 //
@@ -77,11 +78,77 @@ inline u64 reg_key(u32 core, RegFile reg) {
   return (static_cast<u64>(core) << 8) | static_cast<u64>(reg);
 }
 
-/// Packed (cycle, core, slot) key for per-cycle occupancy tables, e.g. the
-/// issue planes of one (cycle, core, block).
-inline u64 cell_key(u32 cycle, u32 core, u8 slot) {
-  return (static_cast<u64>(cycle) << 40) | (static_cast<u64>(core) << 8) | slot;
-}
+/// The issue rule of routers with no buffers and no arbitration: one
+/// (core, block) issues at most one op per plane per cycle, so ops share a
+/// (cycle, core, block) slot only on disjoint planes. Every schedule obeys
+/// this one table: the greedy Scheduler, check_routes and the coalesce and
+/// repack passes key it by schedule cycle, build_pipeline by pipelined issue
+/// cycle modulo II (where iterations k and k+1 issue together).
+class IssueSlots {
+ public:
+  /// Whether `mask` is free in the (cycle, core, block) slot: none of its
+  /// planes is claimed there.
+  bool free(u32 cycle, u32 core, core::Block block, const PlaneMask& mask) const {
+    if (table_.empty()) return true;
+    const Entry& e = table_[probe(key(cycle, core, block))];
+    return e.epoch != epoch_ || !e.busy.intersects(mask);
+  }
+
+  /// Claims `mask` in the (cycle, core, block) slot and returns true, or
+  /// returns false, claiming nothing, when one of its planes is taken there.
+  bool claim(u32 cycle, u32 core, core::Block block, const PlaneMask& mask) {
+    PlaneMask& busy = slot(key(cycle, core, block));
+    if (busy.intersects(mask)) return false;
+    busy |= mask;
+    return true;
+  }
+
+  /// Frees every slot at once, keeping the table (build_pipeline clears
+  /// it once per op group and collision round).
+  void clear() {
+    ++epoch_;
+    live_ = 0;
+  }
+
+ private:
+  // Open addressing with linear probing; an entry is live while its epoch
+  // is the table's.
+  struct Entry {
+    u64 key = 0;
+    u32 epoch = 0;
+    PlaneMask busy;
+  };
+
+  static u64 key(u32 cycle, u32 core, core::Block block) {
+    return (u64{cycle} << 40) | (u64{core} << 8) | static_cast<u64>(block);
+  }
+
+  /// Index of `key`'s live entry, or of the dead entry it would take.
+  usize probe(u64 key) const {
+    const usize wrap = table_.size() - 1;
+    usize i = (key * 0x9e3779b97f4a7c15ull) >> shift_;
+    while (table_[i].epoch == epoch_ && table_[i].key != key) i = (i + 1) & wrap;
+    return i;
+  }
+
+  PlaneMask& slot(u64 key) {
+    if (2 * (live_ + 1) > table_.size()) grow();
+    Entry& e = table_[probe(key)];
+    if (e.epoch != epoch_) {
+      e = Entry{key, epoch_, PlaneMask::none()};
+      ++live_;
+    }
+    return e.busy;
+  }
+
+  /// Doubles the table, re-inserting the live entries.
+  void grow();
+
+  std::vector<Entry> table_;
+  u32 epoch_ = 1;
+  usize live_ = 0;
+  int shift_ = 0;  // 64 - log2(table size), set by grow()
+};
 
 /// Tracks, per register file, which op last wrote each plane and who has
 /// read it since — the state needed to emit RAW/WAR/WAW edges in one forward

@@ -56,7 +56,6 @@ void optimize_schedule(MappedNetwork& m, i32 level) {
     i64 (*run)(MappedNetwork&);
   };
   const Pass passes[] = {
-      {"dead-ops", &eliminate_dead_ops},
       {"coalesce", &coalesce_sends},
       {"repack", &repack_cycles},
   };

@@ -1,4 +1,4 @@
-// Cycle re-packing (opt pass 3): Kahn's algorithm with priorities over the
+// Cycle re-packing (opt pass 2): Kahn's algorithm with priorities over the
 // register dependence DAG.
 //
 // The greedy scheduler (mapper/schedule.h) commits to issue cycles as it
@@ -202,14 +202,11 @@ i64 repack_cycles(MappedNetwork& m) {
   for (usize c = 0; c < nc; ++c) {
     if (npred[c] == 0) buckets[0].push_back(static_cast<u32>(c));
   }
-  std::unordered_map<u64, PlaneMask> issue_busy;
+  IssueSlots issue;
   const auto by_priority = [&](u32 x, u32 y) {
     if (cp[x] != cp[y]) return cp[x] > cp[y];
     return x < y;
   };
-  // One cluster's issue claims, gathered before checking so that a cluster
-  // is placed all-or-nothing.
-  std::vector<std::pair<u64, PlaneMask>> claims;
 
   usize placed = 0;
   u32 new_max = 0;
@@ -220,30 +217,20 @@ i64 repack_cycles(MappedNetwork& m) {
       std::sort(cand.begin(), cand.end(), by_priority);
       std::vector<u32> same_cycle;
       for (const u32 c : cand) {
-        claims.clear();
-        bool free = true;
-        for (const u32 idx : members[c]) {
+        // A cluster is placed all-or-nothing. Its members shared one cycle
+        // of a legal schedule, so they never refuse each other's claims.
+        const auto fits = [&](u32 idx) {
           const TimedOp& op = m.schedule[idx];
-          const u64 key = cell_key(t, op.core, static_cast<u8>(models[idx].block));
-          PlaneMask* mine = nullptr;
-          for (auto& [k, mask] : claims) {
-            if (k == key) mine = &mask;
-          }
-          if (mine == nullptr) {
-            claims.emplace_back(key, PlaneMask::none());
-            mine = &claims.back().second;
-          }
-          if (issue_busy[key].intersects(op.mask) || mine->intersects(op.mask)) {
-            free = false;
-            break;
-          }
-          *mine |= op.mask;
-        }
-        if (!free) {
+          return issue.free(t, op.core, models[idx].block, op.mask);
+        };
+        if (!std::all_of(members[c].begin(), members[c].end(), fits)) {
           bucket_push(c, t + 1);  // occupancy only grows within a cycle
           continue;
         }
-        for (const auto& [key, mask] : claims) issue_busy[key] |= mask;
+        for (const u32 idx : members[c]) {
+          const TimedOp& op = m.schedule[idx];
+          issue.claim(t, op.core, models[idx].block, op.mask);
+        }
         cycle_of[c] = t;
         new_max = std::max(new_max, t);
         ++placed;

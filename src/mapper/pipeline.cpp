@@ -1,6 +1,7 @@
 #include "mapper/pipeline.h"
 
 #include <algorithm>
+#include <deque>
 #include <unordered_map>
 
 #include "mapper/opt/dataflow.h"
@@ -9,6 +10,7 @@ namespace sj::map {
 
 namespace {
 
+using opt::IssueSlots;
 using opt::RegFile;
 
 // Cell files: the optimizer's thirteen register files plus the neuron core's
@@ -27,33 +29,38 @@ struct Entry {
   bool write = false;
 };
 
-// One hazard edge: d[to] >= d[from] + b[from] + w - b[to] (- II when the
-// edge crosses to the next iteration). Weights are the *minimal* hazard
-// distances, not schedule-gap-preserving ones — within one absolute cycle
-// the engine executes [rotations, injections, ACC commits, ops in schedule
-// order, readout] with the older iteration's slice first, so order-only
-// hazards take w = 0 and the base schedule's slack is free to collapse.
+// One hazard edge: d[to] >= d[from] + k (- II when it crosses to the next
+// iteration), k = b[from] + w - b[to] for the *minimal* hazard distance w,
+// not a schedule-gap-preserving one — within one absolute cycle the engine
+// executes [rotations, injections, ACC commits, ops in schedule order,
+// readout] with the older iteration's slice first, so order-only hazards
+// take w = 0 and the base schedule's slack is free to collapse.
 struct Edge {
   u32 from = 0;
   u32 to = 0;
-  i32 w = 0;
+  i32 k = 0;
   bool cross = false;
 };
 
 struct Analysis {
-  usize n = 0;           // op count; rotate nodes follow, readout node last
   u32 readout_node = 0;
   std::vector<i32> b;    // node -> base cycle
   std::vector<i32> cd;   // node -> commit delay (acc_cycles behind ACC)
-  std::vector<u8> block; // op -> issue-slot domain (core::Block)
-  std::vector<Edge> edges;
+  std::vector<core::Block> block;  // op -> issue-slot block
+  std::vector<Edge> edges;  // by `from`: node v's are [out_off[v], out_off[v+1])
+  std::vector<u32> out_off;
   std::vector<u32> rot_cores;
+  // Ops grouped by (core, block), the ones that can share an issue slot;
+  // only groups of two or more. group_of[node] is its group, -1 for an op
+  // alone and for virtual nodes.
+  std::vector<std::vector<u32>> groups;
+  std::vector<i32> group_of;
 };
 
 void build_cell_edges(Analysis& an, const std::vector<Entry>& list, bool port) {
   const auto add = [&](u32 from, u32 to, i32 w, bool cross) {
     if (from == to && !cross) return;
-    an.edges.push_back({from, to, w, cross});
+    an.edges.push_back({from, to, an.b[from] + w - an.b[to], cross});
   };
   i64 cw = -1, fw = -1;  // current and first writer
   std::vector<u32> readers;       // since the last write
@@ -96,102 +103,95 @@ void build_cell_edges(Analysis& an, const std::vector<Entry>& list, bool port) {
   // Cross-iteration edges (distance 1): the last writer of iteration k
   // against iteration k+1's first accesses. All strict except the port WAR
   // (a staged write commits end-of-cycle, after the older slice's reads).
-  for (const u32 r : head_readers) {
-    an.edges.push_back({lw, r, port ? 1 : std::max<i32>(an.cd[lw], 1), true});
-  }
-  for (const u32 r : readers) {
-    an.edges.push_back({r, f, port ? 0 : 1 - an.cd[f], true});
-  }
-  an.edges.push_back({lw, f, an.cd[lw] - an.cd[f] + 1, true});
+  for (const u32 r : head_readers) add(lw, r, port ? 1 : std::max<i32>(an.cd[lw], 1), true);
+  for (const u32 r : readers) add(r, f, port ? 0 : 1 - an.cd[f], true);
+  add(lw, f, an.cd[lw] - an.cd[f] + 1, true);
 }
 
-// A hazard edge at one probed II, its constant terms folded:
-// d[to] >= d[from] + k with k = b[from] + w - b[to] (- II when it crosses).
-struct Hop {
-  u32 from = 0;
-  u32 to = 0;
-  i32 k = 0;
-};
+// Issue-slot rounds per probed II. A round claims the slots of every op
+// group that moved since its last claim and bumps each refused op a cycle
+// later; a probe still colliding after this many rounds is given up
+// (unbudgeted, failing probes on the conv nets ran thousands of rounds
+// before a delay left the window).
+constexpr int kCollisionRounds = 64;
 
-std::vector<Hop> hops_at(const Analysis& an, i32 ii) {
-  std::vector<Hop> hops;
-  hops.reserve(an.edges.size());
-  for (const Edge& e : an.edges) {
-    hops.push_back({e.from, e.to, an.b[e.from] + e.w - an.b[e.to] - (e.cross ? ii : 0)});
+// None when II is feasible, otherwise the first check that failed. Delays
+// only grow, so an entry — op issue, ACC commit, rotation, readout — that
+// leaves the two-iteration window [0, 2*II) fails the probe at once; that
+// is also how a positive hazard cycle ends, each lap raising its delays.
+SerialReason feasible(const Analysis& an, const MappedNetwork& m, i32 ii,
+                      std::vector<i32>& d) {
+  const usize nodes = an.b.size();
+  const i32 window = 2 * ii;
+  d.assign(nodes, 0);
+  for (usize v = 0; v < nodes; ++v) {
+    if (an.b[v] + an.cd[v] >= window) return SerialReason::WindowOverflow;
   }
-  return hops;
-}
+  std::vector<u8> moved(an.groups.size(), 1);  // groups to claim next round
 
-// Bellman-style relaxation of the delay vector to a fixpoint. Fails with
-// WindowOverflow when a delay exceeds the 2*II window bound and with
-// PositiveCycle when the system never settles (a positive-weight cycle).
-// `d` entries only ever grow, so callers may pre-seed floors.
-SerialReason relax(const std::vector<Hop>& hops, i32 ii, std::vector<i32>& d) {
-  const i32 dmax = 2 * ii;
-  const usize nodes = d.size();
-  for (usize pass = 0; pass < nodes + 2; ++pass) {
-    bool changed = false;
-    for (const Hop& e : hops) {
-      const i32 need = d[e.from] + e.k;
-      if (need > d[e.to]) {
-        if (need > dmax) return SerialReason::WindowOverflow;
+  // Worklist relaxation: raises delays along hazard edges from the queued
+  // nodes (those whose delay grew) to the least fixpoint above the current
+  // floor, the same fixpoint full Bellman passes reach.
+  std::deque<u32> queue;
+  std::vector<u8> queued(nodes, 0);
+  const auto push = [&](u32 v) {
+    if (!queued[v]) queue.push_back(v);
+    queued[v] = 1;
+  };
+  const auto relax = [&] {
+    while (!queue.empty()) {
+      const u32 v = queue.front();
+      queue.pop_front();
+      queued[v] = 0;
+      for (u32 j = an.out_off[v]; j < an.out_off[v + 1]; ++j) {
+        const Edge& e = an.edges[j];
+        const i32 need = d[v] + e.k - (e.cross ? ii : 0);
+        if (need <= d[e.to]) continue;
+        if (an.b[e.to] + need + an.cd[e.to] >= window) return false;
         d[e.to] = need;
-        changed = true;
+        if (const i32 g = an.group_of[e.to]; g >= 0) moved[static_cast<usize>(g)] = 1;
+        push(e.to);
       }
     }
-    if (!changed) return SerialReason::None;
-  }
-  return SerialReason::PositiveCycle;
-}
+    return true;
+  };
+  for (u32 v = 0; v < nodes; ++v) push(v);
+  if (!relax()) return SerialReason::WindowOverflow;
 
-// Issue cycles must stay conflict-free per (core, block), both within an
-// iteration (equal s) and across the II offset (s_i == s_j + II lands two
-// iterations on one absolute cycle). Virtual nodes occupy no issue slot.
-SerialReason fix_collisions(const Analysis& an, const std::vector<Hop>& hops,
-                            const MappedNetwork& m, i32 ii, std::vector<i32>& d) {
-  std::unordered_map<u64, std::vector<u32>> slots;
-  for (u32 i = 0; i < an.n; ++i) {
-    slots[(static_cast<u64>(m.schedule[i].core) << 2) | an.block[i]].push_back(i);
-  }
-  for (int round = 0; round < 64; ++round) {
+  // The issue rule, keyed by pipelined cycle modulo II: s_i and s_i + II
+  // are one absolute cycle of iterations k+1 and k. Within a group, ops
+  // claim in (cycle, schedule index) order; an op refused its planes
+  // moves one cycle later. Virtual nodes occupy no issue slot.
+  IssueSlots slots;
+  std::vector<u64> keyed;  // (cycle, op) of one group, in claim order
+  for (int round = 0; round < kCollisionRounds; ++round) {
     bool bumped = false;
-    for (auto& [key, ops] : slots) {
-      if (ops.size() < 2) continue;
-      std::sort(ops.begin(), ops.end(), [&](u32 a, u32 c) {
-        const i32 sa = an.b[a] + d[a], sc = an.b[c] + d[c];
-        return sa != sc ? sa < sc : a < c;
-      });
-      for (usize i = 0; i + 1 < ops.size(); ++i) {
-        for (usize j = i + 1; j < ops.size(); ++j) {
-          const i32 si = an.b[ops[i]] + d[ops[i]], sj = an.b[ops[j]] + d[ops[j]];
-          if (sj - si > ii) break;
-          if (sj == si || sj == si + ii) {
-            d[ops[j]] += 1;
-            bumped = true;
-          }
-        }
+    for (usize g = 0; g < an.groups.size(); ++g) {
+      if (!moved[g]) continue;
+      moved[g] = 0;
+      slots.clear();
+      keyed.clear();
+      for (const u32 i : an.groups[g]) {
+        keyed.push_back((static_cast<u64>(an.b[i] + d[i]) << 32) | i);
+      }
+      std::sort(keyed.begin(), keyed.end());
+      for (const u64 k : keyed) {
+        const u32 i = static_cast<u32>(k);
+        const i32 s = static_cast<i32>(k >> 32);
+        const TimedOp& t = m.schedule[i];
+        const u32 slot = static_cast<u32>(s < ii ? s : s - ii);  // s mod II: s < 2*II
+        if (slots.claim(slot, t.core, an.block[i], t.mask)) continue;
+        if (s + 1 + an.cd[i] >= window) return SerialReason::WindowOverflow;
+        ++d[i];
+        moved[g] = 1;
+        push(i);
+        bumped = true;
       }
     }
     if (!bumped) return SerialReason::None;
-    if (const SerialReason r = relax(hops, ii, d); r != SerialReason::None) return r;
+    if (!relax()) return SerialReason::WindowOverflow;
   }
   return SerialReason::CollisionRoundsExhausted;
-}
-
-// None when II is feasible, otherwise the first check that failed.
-SerialReason feasible(const Analysis& an, const MappedNetwork& m, i32 ii, std::vector<i32>& d) {
-  d.assign(an.b.size(), 0);
-  const std::vector<Hop> hops = hops_at(an, ii);
-  if (const SerialReason r = relax(hops, ii, d); r != SerialReason::None) return r;
-  if (const SerialReason r = fix_collisions(an, hops, m, ii, d); r != SerialReason::None) {
-    return r;
-  }
-  // Every entry — op issues, ACC commits, rotations, the readout — must fall
-  // inside the two-iteration window [0, 2*II).
-  for (usize i = 0; i < an.b.size(); ++i) {
-    if (an.b[i] + d[i] + an.cd[i] >= 2 * ii) return SerialReason::WindowOverflow;
-  }
-  return SerialReason::None;
 }
 
 // The serial schedule as the degenerate modulo schedule: II = span = C, one
@@ -222,7 +222,6 @@ const char* serial_reason_name(SerialReason r) {
     case SerialReason::None: return "None";
     case SerialReason::FlagOff: return "FlagOff";
     case SerialReason::ShortFrame: return "ShortFrame";
-    case SerialReason::PositiveCycle: return "PositiveCycle";
     case SerialReason::WindowOverflow: return "WindowOverflow";
     case SerialReason::CollisionRoundsExhausted: return "CollisionRoundsExhausted";
     case SerialReason::OverlapLoses: return "OverlapLoses";
@@ -247,7 +246,6 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
 
   const noc::NocTopology topo = make_topology(m);
   Analysis an;
-  an.n = n;
 
   // Node table: ops first, then one rotation node per active core, then the
   // readout node that samples SpikeOut at iteration end.
@@ -261,7 +259,7 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
   const usize nodes = an.readout_node + 1;
   an.b.assign(nodes, 0);
   an.cd.assign(nodes, 0);
-  an.block.assign(n, 0);
+  an.block.assign(n, core::Block::NeuronCore);
   an.b[an.readout_node] = C - 1;
 
   // One walk in execution order fills the per-cell access lists: rotation
@@ -281,7 +279,7 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
     const TimedOp& t = m.schedule[i];
     an.b[i] = static_cast<i32>(t.cycle);
     const opt::OpModel om = opt::op_model(topo, t);
-    an.block[i] = static_cast<u8>(om.block);
+    an.block[i] = om.block;
     if (om.acc) an.cd[i] = m.arch.acc_cycles;
     for (int r = 0; r < om.num_reads; ++r) {
       const opt::Access& a = om.reads[static_cast<usize>(r)];
@@ -325,16 +323,31 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
     }
     build_cell_edges(an, list, port);
   }
+  std::sort(an.edges.begin(), an.edges.end(),
+            [](const Edge& x, const Edge& y) { return x.from < y.from; });
+  an.out_off.assign(nodes + 1, 0);
+  for (const Edge& e : an.edges) ++an.out_off[e.from + 1];
+  for (usize v = 0; v < nodes; ++v) an.out_off[v + 1] += an.out_off[v];
+  std::vector<std::vector<u32>> by_block(m.cores.size() * 3);
+  for (u32 i = 0; i < n; ++i) {
+    by_block[m.schedule[i].core * 3 + static_cast<usize>(an.block[i])].push_back(i);
+  }
+  an.group_of.assign(nodes, -1);
+  for (std::vector<u32>& ops : by_block) {
+    if (ops.size() < 2) continue;
+    for (const u32 i : ops) an.group_of[i] = static_cast<i32>(an.groups.size());
+    an.groups.push_back(std::move(ops));
+  }
 
   // Smallest feasible II. The window bound (every entry < 2*II, and the
   // readout sits at C-1 or later) floors the search at ceil((C+1)/2);
   // II == C is the serial schedule and gains nothing. Feasibility is
   // monotone in II for the relaxation (larger II only loosens cross edges
-  // and the window), so the loosest candidate, II = C-1, is probed first:
-  // when it fails no II in range can pass, and the serial schedule comes
-  // back after one probe. Otherwise a binary search over the whole range
-  // (so its probes are the ones it always made) finds the smallest
-  // feasible II, keeping the delays of the best probe.
+  // and the window) and taken as monotone for the issue rounds, so the
+  // loosest candidate, II = C-1, is probed first: when it fails the serial
+  // schedule comes back after one probe. Otherwise a binary search over the
+  // whole range finds the smallest feasible II, keeping the delays of the
+  // best probe.
   const i32 lo0 = (C + 2) / 2, hi0 = C - 1;
   std::vector<i32> d, best_d;
   const SerialReason loosest =

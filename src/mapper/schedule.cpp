@@ -38,31 +38,26 @@ Scheduler::Scheduler(MappedNetwork& out, const ArchParams& arch)
   spike_ready_.assign(n, 0);
 }
 
-u64 Scheduler::router_key(Net net, u32 c, u32 cycle) const {
-  return (static_cast<u64>(c) << 26) | (static_cast<u64>(net) << 25) | cycle;
-}
-
-u64 Scheduler::link_key(Net net, u32 c, Dir d, u32 cycle) const {
-  return (static_cast<u64>(c) << 28) | (static_cast<u64>(net) << 27) |
-         (static_cast<u64>(d) << 25) | cycle;
+u64 Scheduler::link_key(u32 c, Dir d, u32 cycle) const {
+  return (static_cast<u64>(c) << 27) | (static_cast<u64>(d) << 25) | cycle;
 }
 
 bool Scheduler::router_free(Net net, u32 c, u32 cycle, const PlaneMask& m) const {
-  const auto it = router_busy_.find(router_key(net, c, cycle));
-  return it == router_busy_.end() || !it->second.intersects(m);
+  return router_busy_.free(cycle, c, static_cast<core::Block>(net), m);
 }
 
-bool Scheduler::link_free(Net net, u32 c, Dir d, u32 cycle, const PlaneMask& m) const {
-  const auto it = link_busy_.find(link_key(net, c, d, cycle));
+bool Scheduler::spike_link_free(u32 c, Dir d, u32 cycle, const PlaneMask& m) const {
+  const auto it = link_busy_.find(link_key(c, d, cycle));
   return it == link_busy_.end() || !it->second.intersects(m);
 }
 
 void Scheduler::occupy_router(Net net, u32 c, u32 cycle, const PlaneMask& m) {
-  router_busy_[router_key(net, c, cycle)] |= m;
+  const bool claimed = router_busy_.claim(cycle, c, static_cast<core::Block>(net), m);
+  SJ_ASSERT(claimed, "Scheduler: router occupied without a free check");
 }
 
-void Scheduler::occupy_link(Net net, u32 c, Dir d, u32 cycle, const PlaneMask& m) {
-  link_busy_[link_key(net, c, d, cycle)] |= m;
+void Scheduler::occupy_spike_link(u32 c, Dir d, u32 cycle, const PlaneMask& m) {
+  link_busy_[link_key(c, d, cycle)] |= m;
 }
 
 void Scheduler::emit(u32 cycle, u32 c, const PlaneMask& m, const AtomicOp& op) {
@@ -108,16 +103,11 @@ u32 Scheduler::ps_transfer(u32 src, u32 dst, const PlaneMask& mask) {
   // Wait-on-busy: advance until routers and links are free along the path.
   u32 t = t0;
   for (;; ++t) {
-    bool ok = router_free(Net::Ps, src, t, mask) && link_free(Net::Ps, src, hops[0], t, mask);
+    bool ok = router_free(Net::Ps, src, t, mask);
     u32 c = src;
     for (u32 h = 0; ok && h < len; ++h) {
       const u32 next = neighbor(c, hops[h]);
-      if (h + 1 < len) {
-        ok = router_free(Net::Ps, next, t + h + 1, mask) &&
-             link_free(Net::Ps, next, hops[h + 1], t + h + 1, mask);
-      } else {
-        ok = router_free(Net::Ps, next, t + len, mask);
-      }
+      ok = router_free(Net::Ps, next, t + h + 1, mask);
       c = next;
     }
     if (ok) break;
@@ -132,7 +122,6 @@ u32 Scheduler::ps_transfer(u32 src, u32 dst, const PlaneMask& mask) {
   if (!m_sum.empty()) emit(t, src, m_sum, AtomicOp::ps_send(hops[0], /*fromSumBuf=*/true));
   if (!m_loc.empty()) emit(t, src, m_loc, AtomicOp::ps_send(hops[0], /*fromSumBuf=*/false));
   occupy_router(Net::Ps, src, t, mask);
-  occupy_link(Net::Ps, src, hops[0], t, mask);
 
   // Intermediates bypass.
   u32 c = src;
@@ -140,7 +129,6 @@ u32 Scheduler::ps_transfer(u32 src, u32 dst, const PlaneMask& mask) {
     const u32 next = neighbor(c, hops[h]);
     emit(t + h + 1, next, mask, AtomicOp::ps_bypass(opposite(hops[h]), hops[h + 1]));
     occupy_router(Net::Ps, next, t + h + 1, mask);
-    occupy_link(Net::Ps, next, hops[h + 1], t + h + 1, mask);
     c = next;
   }
   const u32 arrival = t + len;  // in_reg readable at dst in this cycle
@@ -275,8 +263,8 @@ void Scheduler::spike_multicast(u32 root,
       // Movement links are held for two cycles: the delivered value must
       // stay readable in the next router's input register one extra cycle
       // (a parked multicast spike forwards the cycle after its RECV).
-      if (s.movement && (!link_free(Net::Spike, s.core, s.out, t + s.offset, s.mask) ||
-                         !link_free(Net::Spike, s.core, s.out, t + s.offset + 1, s.mask))) {
+      if (s.movement && (!spike_link_free(s.core, s.out, t + s.offset, s.mask) ||
+                         !spike_link_free(s.core, s.out, t + s.offset + 1, s.mask))) {
         ok = false;
         break;
       }
@@ -295,8 +283,8 @@ void Scheduler::spike_multicast(u32 root,
         emit(cyc, s.core, s.mask, AtomicOp::spk_bypass(in_port[si], s.out));
       }
       occupy_router(Net::Spike, s.core, cyc, s.mask);
-      occupy_link(Net::Spike, s.core, s.out, cyc, s.mask);
-      occupy_link(Net::Spike, s.core, s.out, cyc + 1, s.mask);
+      occupy_spike_link(s.core, s.out, cyc, s.mask);
+      occupy_spike_link(s.core, s.out, cyc + 1, s.mask);
     } else {
       const bool hold = out_.cores[s.core].spike_hold > 0;
       emit(cyc, s.core, s.mask, AtomicOp::spk_recv(in_port[si], hold));

@@ -6,15 +6,19 @@
 // and every link carries at most one value per cycle. §III: "a packet
 // (spike or PS) is scheduled to wait if the output port/link is occupied".
 //
-// The Scheduler tracks per-(tile, cycle) router occupancy and
-// per-(tile, port, cycle) link occupancy at plane granularity (the 256
+// The Scheduler tracks router occupancy in check_routes' own issue table
+// (opt::IssueSlots, per (cycle, tile, block)) at plane granularity (the 256
 // planes are physically independent networks) and greedily delays transfers
-// until their whole path is free — exactly the paper's wait-on-busy rule.
+// until their whole path is free — exactly the paper's wait-on-busy rule. A
+// PS link needs no table of its own: only its tile's PS router writes it, in
+// the cycles that router is claimed. A spike link is also held the cycle
+// after each send, so spike links keep a per-(tile, port, cycle) table.
 #pragma once
 
 #include <unordered_map>
 #include <vector>
 
+#include "mapper/opt/dataflow.h"
 #include "mapper/program.h"
 
 namespace sj::map {
@@ -56,14 +60,17 @@ class Scheduler {
   const PlaneMask& summed(u32 c) const { return summed_[c]; }
 
  private:
-  enum class Net : u8 { Ps = 0, Spike = 1 };
+  // The two networks, valued as their routers' issue blocks.
+  enum class Net : u8 {
+    Ps = static_cast<u8>(core::Block::PsRouter),
+    Spike = static_cast<u8>(core::Block::SpikeRouter),
+  };
 
-  u64 router_key(Net net, u32 c, u32 cycle) const;
-  u64 link_key(Net net, u32 c, Dir d, u32 cycle) const;
+  u64 link_key(u32 c, Dir d, u32 cycle) const;
   bool router_free(Net net, u32 c, u32 cycle, const PlaneMask& m) const;
-  bool link_free(Net net, u32 c, Dir d, u32 cycle, const PlaneMask& m) const;
+  bool spike_link_free(u32 c, Dir d, u32 cycle, const PlaneMask& m) const;
   void occupy_router(Net net, u32 c, u32 cycle, const PlaneMask& m);
-  void occupy_link(Net net, u32 c, Dir d, u32 cycle, const PlaneMask& m);
+  void occupy_spike_link(u32 c, Dir d, u32 cycle, const PlaneMask& m);
   void emit(u32 cycle, u32 c, const PlaneMask& m, const AtomicOp& op);
   u32 neighbor(u32 c, Dir d) const;
 
@@ -73,7 +80,7 @@ class Scheduler {
   u32 acc_done_;  // cycle at which local partial sums become valid
   u32 horizon_ = 0;
 
-  std::unordered_map<u64, PlaneMask> router_busy_;
+  opt::IssueSlots router_busy_;
   std::unordered_map<u64, PlaneMask> link_busy_;
   std::vector<std::vector<u32>> ps_ready_;  // [core][plane] cycle PS final-so-far
   std::vector<PlaneMask> summed_;

@@ -21,7 +21,6 @@
 // the simulator tests (tests/test_sim.cpp) — the strongest check of all.
 #include <algorithm>
 #include <array>
-#include <unordered_map>
 
 #include "common/fixed.h"
 #include "common/string_util.h"
@@ -83,15 +82,14 @@ std::vector<u64> structure_words(const MappedNetwork& m) {
 Status check_routes(const MappedNetwork& m) {
   // Topology only: no data moves, so no router state is built.
   const noc::NocTopology topo = make_topology(m);
-  std::unordered_map<u64, PlaneMask> issued;  // (cycle, core, block) -> planes
+  opt::IssueSlots issued;
   for (const TimedOp& t : m.schedule) {
     if (t.core >= topo.num_cores()) {
       return Status::error(strprintf("op addresses core %u outside the fabric (%zu cores)",
                                      t.core, topo.num_cores()));
     }
     const core::Block block = core::block_of(t.op.code);
-    PlaneMask& busy = issued[opt::cell_key(t.cycle, t.core, static_cast<u8>(block))];
-    if (busy.intersects(t.mask)) {
+    if (!issued.claim(t.cycle, t.core, block, t.mask)) {
       return Status::error(strprintf(
           "issue conflict: two ops on one plane of core %u's %s at cycle %u (%s)", t.core,
           block == core::Block::PsRouter      ? "PS router"
@@ -99,7 +97,6 @@ Status check_routes(const MappedNetwork& m) {
                                               : "neuron core",
           t.cycle, core::to_string(t.op).c_str()));
     }
-    busy |= t.mask;
     if (core::needs_link(t.op) && topo.link_id(t.core, t.op.dst) == noc::kInvalidLink) {
       return Status::error(strprintf(
           "off-grid route at cycle %u (%s): no %s neighbor of core %u at %s (grid edge)",

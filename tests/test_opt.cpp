@@ -1,12 +1,12 @@
 // Unit tests for the mapping-time optimizer (src/mapper/opt).
 //
 // Each schedule pass is exercised directly on programs with a hand-planted
-// opportunity (an injected dead op, a hand-split send, known greedy slack),
-// asserting both the structural effect (the pass found exactly the planted
-// opportunity) and the semantic contract (the optimized program simulates
-// bit-identically). The level-2 placement search is pinned against the
-// bench_micro_sim 2x2-chip MLP fixture, and the serving-side identity rules
-// (model_key, weight-swap compatibility) get their own coverage.
+// opportunity (a hand-split send, known greedy slack), asserting both the
+// structural effect (the pass found exactly the planted opportunity) and the
+// semantic contract (the optimized program simulates bit-identically). The
+// level-2 placement search is pinned against the bench_micro_sim 2x2-chip
+// MLP fixture, and the serving-side identity rules (model_key, weight-swap
+// compatibility) get their own coverage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,42 +136,7 @@ void expect_same_traffic(const sim::SimStats& a, const sim::SimStats& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: dead-op elimination.
-// ---------------------------------------------------------------------------
-
-TEST(OptDeadOps, RemovesInjectedEmptyMaskOp) {
-  const Built b = build_dense();
-  const map::MappedNetwork original = map_at(b, 0);
-
-  map::MappedNetwork mutated = original;
-  // Plant a no-op: an existing send with its plane mask cleared moves no
-  // data and charges no statistic. Insert right next to the victim so the
-  // schedule stays cycle-sorted.
-  const auto victim = std::find_if(
-      mutated.schedule.begin(), mutated.schedule.end(),
-      [](const map::TimedOp& t) { return t.op.code == OpCode::PsSend; });
-  ASSERT_NE(victim, mutated.schedule.end());
-  map::TimedOp dead = *victim;
-  dead.mask = PlaneMask::none();
-  mutated.schedule.insert(victim, dead);
-  ASSERT_TRUE(map::check_routes(mutated).is_ok());
-
-  const i64 removed = map::opt::eliminate_dead_ops(mutated);
-  EXPECT_EQ(removed, 1);
-  EXPECT_TRUE(map::check_routes(mutated).is_ok());
-  EXPECT_EQ(canonical(mutated.schedule), canonical(original.schedule));
-}
-
-TEST(OptDeadOps, LeavesCleanScheduleAlone) {
-  const Built b = build_dense();
-  map::MappedNetwork m = map_at(b, 0);
-  const auto before = canonical(m.schedule);
-  EXPECT_EQ(map::opt::eliminate_dead_ops(m), 0);
-  EXPECT_EQ(canonical(m.schedule), before);
-}
-
-// ---------------------------------------------------------------------------
-// Pass 2: send coalescing.
+// Pass 1: send coalescing.
 // ---------------------------------------------------------------------------
 
 TEST(OptCoalesce, RemergesHandSplitSend) {
@@ -207,7 +172,7 @@ TEST(OptCoalesce, RemergesHandSplitSend) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 3: cycle re-packing.
+// Pass 2: cycle re-packing.
 // ---------------------------------------------------------------------------
 
 TEST(OptRepack, CompactsMlpScheduleBitExactly) {
@@ -252,7 +217,7 @@ TEST(OptLevels, EachPassStartsWhereThePreviousEnded) {
   const Built b = build_mlp();
   for (const i32 level : {1, 2}) {
     const map::MappedNetwork m = map_at(b, level);
-    ASSERT_EQ(m.opt_passes.size(), level == 1 ? 3u : 4u) << "opt " << level;
+    ASSERT_EQ(m.opt_passes.size(), level == 1 ? 2u : 3u) << "opt " << level;
     for (usize i = 1; i < m.opt_passes.size(); ++i) {
       const map::OptPassStat& prev = m.opt_passes[i - 1];
       const map::OptPassStat& cur = m.opt_passes[i];
@@ -271,7 +236,7 @@ TEST(OptLevels, EachPassStartsWhereThePreviousEnded) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 4: placement search (level 2).
+// Pass 3: placement search (level 2).
 // ---------------------------------------------------------------------------
 
 TEST(OptPlacement, ShardedMlpCrossesChipsStrictlyLess) {

@@ -1,10 +1,12 @@
 // Cross-timestep pipeline analysis (mapper/pipeline.h) unit tests.
 //
 // The hand-built cases pin build_pipeline()'s arithmetic — II floor, depth,
-// span, per-op slack — on programs small enough to verify on paper; the
-// mapped case checks a compiled model runs the schedule the analysis
-// computes (CompiledModel::pipeline()), and that a mapping compiled
-// with pipelining off gets the serial II = C schedule.
+// span, per-op slack, the issue rule on shared (core, block) slots — on
+// programs small enough to verify on paper; the mapped cases check that
+// both MNIST nets overlap within check_routes' issue rule, that a compiled
+// model runs the schedule the analysis computes
+// (CompiledModel::pipeline()), and that a mapping compiled with pipelining
+// off gets the serial II = C schedule.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,8 +42,25 @@ map::MappedNetwork tiny(u32 cycles_per_timestep, i32 timesteps) {
   return m;
 }
 
-void push(map::MappedNetwork& m, u32 cycle, AtomicOp op) {
-  m.schedule.push_back({cycle, 0, PlaneMask::all(), op});
+void push(map::MappedNetwork& m, u32 cycle, AtomicOp op, PlaneMask mask = PlaneMask::all()) {
+  m.schedule.push_back({cycle, 0, mask, op});
+}
+
+/// Two consecutive iterations of `ps` unrolled into one schedule, each op at
+/// its absolute cycle k*II + op_cycle. At most two iterations are live, so
+/// every issue slot iterations k and k+1 share appears here, and
+/// check_routes judges the overlapped schedule by the serial one's rule.
+map::MappedNetwork unroll_two(const map::MappedNetwork& m, const map::PipelineSchedule& ps) {
+  map::MappedNetwork u = m;
+  u.schedule.clear();
+  for (u32 k = 0; k < 2; ++k) {
+    for (usize i = 0; i < m.schedule.size(); ++i) {
+      map::TimedOp t = m.schedule[i];
+      t.cycle = k * static_cast<u32>(ps.ii) + static_cast<u32>(ps.op_cycle[i]);
+      u.schedule.push_back(t);
+    }
+  }
+  return u;
 }
 
 /// The serial schedule as the degenerate modulo schedule: II = span = C, no
@@ -111,6 +130,26 @@ TEST(PipelineAnalysisTest, AccConsumerDelayedPastSerialSlot) {
   EXPECT_EQ(ps.slack[1], -61);
 }
 
+TEST(PipelineAnalysisTest, DisjointPlanesShareAnIssueSlot) {
+  // Three PS-router ops on one core, C = 140, T = 2, so II = 71 as above.
+  // Ops 0 and 1 eject the two halves of the local PS file in one cycle:
+  // disjoint planes, one (core, block, cycle) slot, which check_routes
+  // allows and the modulo schedule keeps. Op 2 sums into planes [0, 128)
+  // at cycle 71, one II after op 0 on intersecting planes: iterations k and
+  // k+1 would issue both on one plane in one cycle, so it moves to 72.
+  map::MappedNetwork m = tiny(140, 2);
+  const PlaneMask lo = PlaneMask::first_n(128);
+  push(m, 0, AtomicOp::ps_eject(/*fromSumBuf=*/false), lo);
+  push(m, 0, AtomicOp::ps_eject(/*fromSumBuf=*/false), ~lo);
+  push(m, 71, AtomicOp::ps_sum(Dir::North, /*consec=*/false), lo);
+  ASSERT_TRUE(map::check_routes(m).is_ok());
+  const map::PipelineSchedule ps = map::build_pipeline(m);
+  EXPECT_EQ(ps.serial_reason, map::SerialReason::None);
+  EXPECT_EQ(ps.ii, 71);
+  EXPECT_EQ(ps.op_cycle, (std::vector<i32>{0, 0, 72}));
+  EXPECT_TRUE(map::check_routes(unroll_two(m, ps)).is_ok());
+}
+
 TEST(PipelineAnalysisTest, SingleTimestepFrameStaysSerial) {
   // With one timestep and no layer-pipelining drain there is no adjacent
   // iteration to overlap with; the analysis returns the serial schedule.
@@ -160,19 +199,26 @@ map::MappedNetwork mapped_mnist(bool cnn, snn::SnnNetwork& net) {
 }
 
 TEST(PipelineAnalysisTest, SerialReasonNamesTheFailedCheck) {
-  // The MLP overlaps; the CNN's loosest candidate II = C-1 already fails,
-  // so its serial schedule carries the check that ruled it out.
-  snn::SnnNetwork mlp_net, cnn_net;
-  const map::MappedNetwork mlp_mapped = mapped_mnist(false, mlp_net);
-  const map::PipelineSchedule mlp = map::build_pipeline(mlp_mapped);
-  EXPECT_EQ(mlp.serial_reason, map::SerialReason::None);
-  EXPECT_LT(mlp.ii, static_cast<i32>(mlp_mapped.cycles_per_timestep));
-  const map::MappedNetwork cnn_mapped = mapped_mnist(true, cnn_net);
-  const map::PipelineSchedule cnn = map::build_pipeline(cnn_mapped);
-  EXPECT_EQ(cnn.ii, static_cast<i32>(cnn_mapped.cycles_per_timestep));
-  EXPECT_NE(cnn.serial_reason, map::SerialReason::None);
-  EXPECT_NE(cnn.serial_reason, map::SerialReason::FlagOff);
-  EXPECT_NE(cnn.serial_reason, map::SerialReason::ShortFrame);
+  // Both MNIST nets overlap: their schedules carry no serial reason, and
+  // two unrolled iterations keep check_routes' issue rule.
+  for (const bool cnn : {false, true}) {
+    SCOPED_TRACE(cnn ? "MNIST CNN" : "MNIST MLP");
+    snn::SnnNetwork net;
+    const map::MappedNetwork mapped = mapped_mnist(cnn, net);
+    const map::PipelineSchedule ps = map::build_pipeline(mapped);
+    EXPECT_EQ(ps.serial_reason, map::SerialReason::None);
+    EXPECT_LT(ps.ii, static_cast<i32>(mapped.cycles_per_timestep));
+    EXPECT_TRUE(map::check_routes(unroll_two(mapped, ps)).is_ok());
+  }
+  // An ACC in the last cycle of a C = 100 timestep commits at 99 + 131,
+  // past the window [0, 2*II) of the loosest candidate II = 99: the serial
+  // schedule names the window. A positive hazard cycle ends the same way,
+  // each lap raising its delays until one leaves the window.
+  map::MappedNetwork m = tiny(100, 4);
+  push(m, 99, AtomicOp::acc());
+  const map::PipelineSchedule ps = map::build_pipeline(m);
+  expect_serial_schedule(ps, m);
+  EXPECT_EQ(ps.serial_reason, map::SerialReason::WindowOverflow);
 }
 
 TEST(PipelineProgramTest, SlackFlowsToExecProgram) {

@@ -14,7 +14,9 @@
 //     bits are positive and equal the power model's static census per
 //     iteration. Covered on FC stacks over small chips (a fixed set and a
 //     random-geometry fuzz, some of whose seeds send spikes across a chip
-//     seam) and on the MNIST MLP and CNN zoo fixtures.
+//     seam) and on the MNIST MLP and CNN zoo fixtures; the MNIST CNN also on
+//     the paper's chips at opt 0/1/2, where its overlapped schedule
+//     co-issues ops on disjoint planes.
 //  3. Degenerate shapes keep working: a single-chip model collapses to one
 //     shard and charges no inter-chip bits; a wrong-size frame on a
 //     multi-chip model is rejected before the context changes.
@@ -25,6 +27,7 @@
 #include "harness/zoo.h"
 #include "mapper/mapper.h"
 #include "mapper/opt/opt.h"
+#include "mapper/pipeline.h"
 #include "nn/dataset.h"
 #include "power/power.h"
 #include "sim/engine.h"
@@ -290,6 +293,21 @@ TEST(MultiChipFrame, MnistCnnOnMidSizeChipsMatchesTheAbstractSnn) {
   const Built b = build_zoo(harness::make_mnist_cnn(), 4, 2, 14);
   ASSERT_GT(b.mapped.chips_used, 1);
   expect_matches_reference(b);
+}
+
+TEST(MultiChipFrame, MnistCnnOnPaperChipsOverlapsAndMatchesTheAbstractSnn) {
+  // The MNIST CNN on the paper's 28x28-tile chips at every opt level. Its
+  // overlapped schedule shares (core, block) issue slots between ops on
+  // disjoint planes, within an iteration and across the II offset, and
+  // must still match the abstract SNN with the serial schedule's stats.
+  for (const i32 level : {0, 1, 2}) {
+    SCOPED_TRACE("opt level " + std::to_string(level));
+    const Built b = build_zoo(harness::make_mnist_cnn(), 4, 2, 28, level);
+    const map::PipelineSchedule ps = map::build_pipeline(b.mapped);
+    EXPECT_EQ(ps.serial_reason, map::SerialReason::None);
+    EXPECT_LT(ps.ii, static_cast<i32>(b.mapped.cycles_per_timestep));
+    expect_matches_reference(b);
+  }
 }
 
 TEST(MultiChipFrame, WrongSizeFrameThrowsWithoutPartialStats) {

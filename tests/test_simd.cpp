@@ -12,7 +12,6 @@
 
 #include "common/rng.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace sj::simd {
 namespace {
@@ -99,19 +98,6 @@ TEST(SimdDispatchTest, SetBackendSticks) {
     set_backend(b);
     EXPECT_EQ(active_backend(), b);
   }
-}
-
-TEST(SpinBoundTest, ParseSpinBound) {
-  EXPECT_EQ(parse_spin_bound(nullptr, 64), 64);
-  EXPECT_EQ(parse_spin_bound("", 64), 64);
-  EXPECT_EQ(parse_spin_bound("  ", 7), 7);
-  EXPECT_EQ(parse_spin_bound("0", 64), 0);
-  EXPECT_EQ(parse_spin_bound(" 128 ", 0), 128);
-  EXPECT_EQ(parse_spin_bound("1000000", 0), 1000000);
-  EXPECT_EQ(parse_spin_bound("1000001", 64), 64);  // out of range
-  EXPECT_EQ(parse_spin_bound("-1", 64), 64);
-  EXPECT_EQ(parse_spin_bound("12x", 64), 64);
-  EXPECT_EQ(parse_spin_bound("spin", 64), 64);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ schedule (pipeline_ii and serial_reason), and that at least one model
 carries per-link NoC utilization.
 
 Usage:
-  check_metrics.py build/metrics_soak.json
+  check_metrics.py build/metrics_soak.mnist-mlp.json [more dumps...]
 
-Used by CI after the serving soak: a dump that parses but shows zero
+Every named dump is checked the same way. Used by CI after the serving
+soak, which leaves one dump per app: a dump that parses but shows zero
 completed requests (or no active links) means the telemetry wiring broke
 even though the soak itself passed.
 
-Exit codes: 0 pass, 1 dump fails an assertion, 2 bad invocation/unreadable.
+Exit codes: 0 pass, 1 a dump fails an assertion, 2 bad invocation/unreadable.
 """
 
 import json
@@ -27,9 +28,14 @@ def fail(msg: str, code: int = 1) -> None:
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
-        fail(f"usage: {sys.argv[0]} <metrics.json>", 2)
-    path = sys.argv[1]
+    if len(sys.argv) < 2:
+        fail(f"usage: {sys.argv[0]} <metrics.json>...", 2)
+    for path in sys.argv[1:]:
+        check(path)
+    return 0
+
+
+def check(path: str) -> None:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -93,7 +99,6 @@ def main() -> int:
           f"{int(settled)} settled, {int(completed)} completed requests, "
           f"{len(e2e)} latency histograms ({int(recorded)} samples), "
           f"{active_links} active links ({utilized} with utilization > 0)")
-    return 0
 
 
 if __name__ == "__main__":
