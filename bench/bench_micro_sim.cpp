@@ -7,11 +7,12 @@
 // Besides the google-benchmark tables, the harness times the Table-IV MNIST
 // MLP directly — single-context and batched over sim::Engine::run_batch —
 // and writes the headline throughput (frames/s, simulated cycles/s, batched
-// frames/s with the thread/context count) to BENCH_sim.json via
-// bench_util.h, so the perf trajectory of the plane-parallel engine is
-// machine-readable across PRs. SHENJING_FAST=1 shrinks the timed runs;
-// SHENJING_THREADS pins the batch worker count.
+// frames/s with the thread/context count and the CPU share the batch window
+// got) to BENCH_sim.json via bench_util.h, so the perf trajectory of the
+// plane-parallel engine is machine-readable across PRs. SHENJING_FAST=1
+// shrinks the timed runs; SHENJING_THREADS pins the batch worker count.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -32,6 +33,16 @@
 using namespace sj;
 
 namespace {
+
+/// CPU time (user + system) of every thread of this process so far.
+double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto sec = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) / 1e6;
+  };
+  return sec(ru.ru_utime) + sec(ru.ru_stime);
+}
 
 struct Fixture {
   snn::SnnNetwork net;
@@ -131,6 +142,7 @@ void record_throughput() {
 
   sim::Engine engine(f.mapped, f.net);
   sim::SimStats bst;
+  const double bcpu0 = process_cpu_seconds();
   const auto bt0 = std::chrono::steady_clock::now();
   double bseconds = 0.0;
   do {
@@ -138,11 +150,16 @@ void record_throughput() {
     bseconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - bt0).count();
   } while (bst.frames < min_frames || bseconds < min_seconds);
+  // Share of the pool's CPU the host actually gave the batch window: well
+  // under 1 means the threads waited for CPUs (a host-starved run), so a
+  // low batch_speedup beside it is not a code regression.
+  const double bcpu_util = (process_cpu_seconds() - bcpu0) /
+                           (bseconds * static_cast<double>(threads));
 
   const double bfps = static_cast<double>(bst.frames) / bseconds;
   std::printf("batched (%zu threads, %zu contexts): %.1f frames/s — %.2fx the "
-              "single-context rate (%lld frames in %.2f s)\n",
-              threads, engine.num_contexts(), bfps, fps > 0.0 ? bfps / fps : 0.0,
+              "single-context rate, CPU util %.2f (%lld frames in %.2f s)\n",
+              threads, engine.num_contexts(), bfps, fps > 0.0 ? bfps / fps : 0.0, bcpu_util,
               static_cast<long long>(bst.frames), bseconds);
 
   // Per-frame layer split from one profiled pass (obs::PhaseProfile): input
@@ -180,6 +197,7 @@ void record_throughput() {
   doc.set("batch_threads", static_cast<i64>(threads));
   doc.set("batch_contexts", static_cast<i64>(engine.num_contexts()));
   doc.set("batch_speedup", fps > 0.0 ? bfps / fps : 0.0);
+  doc.set("batch_cpu_util", bcpu_util);
   doc.set("encode_ms_per_frame", encode_ms);
   doc.set("exec_ms_per_frame", exec_ms);
   doc.set("acc_rows_per_frame", acc_rows);

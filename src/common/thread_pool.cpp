@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
@@ -141,6 +142,17 @@ void ThreadPool::parallel_for(usize n, const std::function<void(usize)>& fn) {
     sh->done_cv.wait(lock, [&] { return sh->done_chunks.load() == sh->chunks; });
   }
   if (sh->first_error) std::rethrow_exception(sh->first_error);
+}
+
+void ThreadPool::parallel_claim(usize n, usize lanes,
+                                const std::function<void(usize, usize)>& fn) {
+  SJ_REQUIRE(lanes > 0 || n == 0, "parallel_claim: items but no lanes to run them");
+  // parallel_for returns only after every lane has finished, so the cursor
+  // can live on this stack.
+  std::atomic<usize> next{0};
+  parallel_for(std::min(n, lanes), [&](usize lane) {
+    for (usize i = next++; i < n; i = next++) fn(lane, i);
+  });
 }
 
 usize parse_thread_count(const char* text) {

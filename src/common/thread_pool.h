@@ -1,8 +1,10 @@
 // Shared-queue thread pool with a parallel_for convenience wrapper.
 //
 // Used for data-parallel work whose items are independent: minibatch
-// gradient evaluation in the ANN trainer, per-image SNN evaluation, and the
-// batch inference engine's per-context frame shards. Exceptions thrown by
+// gradient evaluation in the ANN trainer and calibration in the converter
+// (parallel_for), and the two batch loops — the inference engine's and the
+// abstract evaluator's — which hand frames out one at a time to runners that
+// each own a slot of private state (parallel_claim). Exceptions thrown by
 // tasks are captured and rethrown on the caller.
 //
 // Reentrancy: parallel_for nests. A call from one of this pool's own
@@ -51,6 +53,18 @@ class ThreadPool {
   /// from this pool's own workers enqueue and help-drain (see header
   /// comment), so idle workers participate in nested loops.
   void parallel_for(usize n, const std::function<void(usize)>& fn);
+
+  /// Runs fn(lane, i) once for every i in [0, n) on at most `lanes`
+  /// concurrent runners. Each runner holds one lane index in [0, lanes) for
+  /// its whole run — no two runners share a lane — and claims items one at a
+  /// time from a shared cursor, so a runner on a slow CPU takes fewer items
+  /// instead of holding up the rest. Lanes key per-runner state (a batch's
+  /// pooled contexts or stats slots); which lane runs which item depends on
+  /// timing, and a lane may claim none. Built on parallel_for(lanes, ...),
+  /// so nesting, help-draining and exception rethrow behave the same.
+  /// REQUIREs lanes > 0 when n > 0.
+  void parallel_claim(usize n, usize lanes,
+                      const std::function<void(usize lane, usize i)>& fn);
 
   /// Process-wide default pool (lazily constructed). Honors the
   /// SHENJING_THREADS environment variable at first use (see

@@ -191,7 +191,7 @@ AppResult run_app(const AppConfig& cfg) {
   // Cycle-accurate verification on a frame subset: the Shenjing row of
   // Table IV equals the abstract row because the hardware is bit-exact.
   // Both sides run as one batch — the hardware frames fan out over the
-  // engine's context pool, the abstract frames over the evaluator's shards —
+  // engine's context pool, the abstract frames over the evaluator's lanes —
   // and are compared frame for frame afterwards. SHENJING_SERVE=1 routes
   // the hardware frames through the async serving front-end instead
   // (submit + await per frame); the server's per-frame reset makes the two

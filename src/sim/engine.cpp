@@ -763,40 +763,29 @@ std::vector<FrameResult> Engine::run_batch(std::span<const Tensor> images,
   if (images.empty()) return results;
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
   const usize n = images.size();
-  // One pooled context per potential worker — also for nested calls from
-  // one of the pool's own workers: nested parallel_for chunks enqueue and
-  // idle workers help-drain them (see common/thread_pool.h), so a nested
-  // batch can genuinely run its shards concurrently.
-  const usize threads = std::max<usize>(1, p.num_threads());
-  const usize shards = std::min<usize>(n, threads);
-  while (contexts_.size() < shards) contexts_.push_back(std::make_unique<SimContext>(model_));
-  // Drains every pooled context's tally, merging into `out` in context
-  // order when asked.
-  const auto drain = [&](SimStats* out) {
-    for (const auto& ctx : contexts_) {
-      SimStats part = ctx->take_stats();
-      if (out != nullptr) out->merge(part);
-    }
-  };
+  // One pooled context per lane, one lane per potential worker — also for
+  // nested calls from one of the pool's own workers: nested lanes enqueue
+  // and idle workers help-drain them (see common/thread_pool.h), so a
+  // nested batch genuinely runs its frames concurrently.
+  const usize lanes = std::min<usize>(n, std::max<usize>(1, p.num_threads()));
+  while (contexts_.size() < lanes) contexts_.push_back(std::make_unique<SimContext>(model_));
   try {
-    // Contiguous shards, one pooled context each. Per-frame results and
-    // stats contributions are context-independent (full reset at every
-    // frame boundary), so the sharding never shows in the outputs.
-    p.parallel_for(shards, [&](usize s) {
-      SimContext& ctx = *contexts_[s];
-      const usize lo = s * n / shards;
-      const usize hi = (s + 1) * n / shards;
-      for (usize i = lo; i < hi; ++i) {
-        results[i] = run_frame(ctx, images[i]);
-      }
+    // Frames go out one at a time to whichever lane is free, so a lane on a
+    // slow CPU runs fewer of them. Per-frame results and stats
+    // contributions are context-independent (full reset at every frame
+    // boundary), so the assignment never shows in the outputs.
+    p.parallel_claim(n, lanes, [&](usize lane, usize i) {
+      results[i] = run_frame(*contexts_[lane], images[i]);
     });
   } catch (...) {
-    drain(nullptr);  // discard partial batch tallies
+    for (const auto& ctx : contexts_) ctx->take_stats();  // discard partial batch tallies
     throw;
   }
   // Deterministic reduction: per-context tallies merge in context order, on
-  // this thread, regardless of how many workers ran the batch.
-  drain(stats);
+  // this thread, regardless of how many workers ran the batch. drain_stats
+  // keeps each context's per-link table for the next batch.
+  SimStats discarded;
+  for (const auto& ctx : contexts_) ctx->drain_stats(stats != nullptr ? *stats : discarded);
   return results;
 }
 

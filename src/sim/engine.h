@@ -23,13 +23,16 @@
 // The rows run the plane-parallel word kernels. It is the engine's one frame
 // loop; a mapping that spans several chips runs through it like any other,
 // its inter-chip links charged by the NoC layer (noc::Link::interchip).
-// Engine::run_batch(images) fans frames out over the global ThreadPool, one
-// pooled context per worker shard, and merges per-context SimStats and
-// per-link traffic counters in fixed context order. Because every frame
-// starts from a full context reset (registers, axons, toggle history), a
-// frame's results *and* its stats contribution are independent of which
-// context ran it — so batch outputs and merged counters are bit-identical
-// under 1 or N threads. tests/test_engine_batch.cpp enforces this.
+// Engine::run_batch(images) hands frames out one at a time over the global
+// ThreadPool (ThreadPool::parallel_claim): one pooled context per lane, each
+// lane claiming the next unrun frame when it finishes one, so a slow CPU
+// runs fewer frames instead of holding up the batch. Per-context SimStats
+// and per-link traffic counters merge in fixed context order. Because every
+// frame starts from a full context reset (registers, axons, toggle
+// history), a frame's results *and* its stats contribution are independent
+// of which context ran it — so batch outputs and merged counters are
+// bit-identical under 1 or N threads. tests/test_engine_batch.cpp enforces
+// this.
 //
 // A single frame stream is one Engine plus one context from
 // make_context(): run_frame(ctx, image) per frame, stats read back with
@@ -319,8 +322,9 @@ class Engine {
   /// directly; see SimContext).
   SimContext make_context() const { return SimContext(model_); }
 
-  /// Size of run_batch's context pool, which grows to the largest shard
-  /// count a batch has used and is reused across batches.
+  /// Size of run_batch's context pool, which grows to the largest lane
+  /// count a batch has used (min(frames, pool threads)) and is reused
+  /// across batches.
   usize num_contexts() const { return contexts_.size(); }
 
   /// Simulates one frame (T + depth iterations) on `ctx`, accruing stats
@@ -341,13 +345,15 @@ class Engine {
                                 HardwareTrace* trace = nullptr,
                                 ThreadPool* pool = nullptr) const;
 
-  /// Simulates every frame of `images`, fanning contiguous shards out over
-  /// `pool` (the global ThreadPool when null), one pooled context per
-  /// shard. Results are indexed like `images`. Per-context stats — SimStats
-  /// and per-link traffic counters — are merged into `stats` in fixed
-  /// context order, so outputs and merged counters are bit-identical
-  /// regardless of thread count. Every pooled context is drained at batch
-  /// end; a batch that throws discards its partial tallies.
+  /// Simulates every frame of `images` over `pool` (the global ThreadPool
+  /// when null): one pooled context per lane, frames claimed one at a time
+  /// by whichever lane is free. Results are indexed like `images`.
+  /// Per-context stats — SimStats and per-link traffic counters — are
+  /// merged into `stats` in fixed context order, so outputs and merged
+  /// counters are bit-identical regardless of thread count or of which
+  /// context ran which frame. Every pooled context is drained at batch end,
+  /// keeping its per-link table; a batch that throws discards its partial
+  /// tallies.
   std::vector<FrameResult> run_batch(std::span<const Tensor> images,
                                      SimStats* stats = nullptr,
                                      ThreadPool* pool = nullptr);

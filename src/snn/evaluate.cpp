@@ -173,19 +173,16 @@ std::vector<EvalResult> AbstractEvaluator::run_batch(std::span<const Tensor> ima
   if (images.empty()) return results;
   ThreadPool& pool = ThreadPool::global();
   const usize n = images.size();
-  const usize shards = std::min(n, std::max<usize>(1, pool.num_threads()));
-  std::vector<EvalStats> shard_stats(shards);
-  pool.parallel_for(shards, [&](usize s) {
-    const usize lo = s * n / shards;
-    const usize hi = (s + 1) * n / shards;
-    for (usize i = lo; i < hi; ++i) {
-      results[i] = run(images[i], stats != nullptr ? &shard_stats[s] : nullptr);
-    }
+  const usize lanes = std::min(n, std::max<usize>(1, pool.num_threads()));
+  std::vector<EvalStats> lane_stats(lanes);
+  pool.parallel_claim(n, lanes, [&](usize lane, usize i) {
+    results[i] = run(images[i], stats != nullptr ? &lane_stats[lane] : nullptr);
   });
-  // Fixed reduction order: per-frame stats are history-independent, so the
-  // merged tally does not depend on the shard split or thread count.
+  // Fixed reduction order: per-frame stats are history-independent integer
+  // sums, so the merged tally does not depend on which lane ran which frame
+  // or on the thread count.
   if (stats != nullptr) {
-    for (const auto& ss : shard_stats) stats->merge(ss);
+    for (const auto& ls : lane_stats) stats->merge(ls);
   }
   return results;
 }

@@ -76,10 +76,12 @@ class AbstractEvaluator {
                  Trace* trace = nullptr) const;
 
   /// Evaluates every frame of `images` in parallel over the global
-  /// ThreadPool; results are indexed like `images`. Per-shard stats merge in
-  /// fixed shard order, so accumulated statistics are independent of thread
-  /// count — the abstract-side counterpart of sim::Engine::run_batch, used
-  /// by the hardware-equivalence checks to produce both sides as batches.
+  /// ThreadPool, one frame at a time to whichever lane is free
+  /// (ThreadPool::parallel_claim); results are indexed like `images`. Each
+  /// lane keeps its own stats slot, and the slots merge in lane order, so
+  /// accumulated statistics are independent of thread count — the
+  /// abstract-side counterpart of sim::Engine::run_batch, used by the
+  /// hardware-equivalence checks to produce both sides as batches.
   std::vector<EvalResult> run_batch(std::span<const Tensor> images,
                                     EvalStats* stats = nullptr) const;
 

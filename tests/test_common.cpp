@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -346,6 +348,104 @@ TEST(ThreadPool, NestedExceptionStillPropagates) {
                                    });
                                  }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelClaimRunsEveryItemOnceOnExclusiveLanes) {
+  // Each runner owns one lane for its whole run: the per-lane in-use flag
+  // must never be found set on entry. Lane counts below, at and above the
+  // pool size (above: parallel_for folds several lanes into one chunk).
+  ThreadPool pool(4);
+  for (const usize lanes : {1u, 2u, 3u, 4u, 7u, 20u}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    constexpr usize kItems = 500;
+    std::vector<std::atomic<int>> hits(kItems);
+    std::vector<std::atomic<bool>> in_use(lanes);
+    std::atomic<int> bad_lane{0}, shared_lane{0};
+    pool.parallel_claim(kItems, lanes, [&](usize lane, usize i) {
+      if (lane >= lanes) {
+        bad_lane.fetch_add(1);
+        return;
+      }
+      if (in_use[lane].exchange(true)) shared_lane.fetch_add(1);
+      hits[i].fetch_add(1);
+      // Uneven items: while one runner sleeps, the others claim past it,
+      // which is when a second runner could land on a held lane.
+      if (i % 5 == 0) std::this_thread::sleep_for(std::chrono::microseconds(100));
+      in_use[lane].store(false);
+    });
+    EXPECT_EQ(bad_lane.load(), 0);
+    EXPECT_EQ(shared_lane.load(), 0);
+    for (usize i = 0; i < kItems; ++i) EXPECT_EQ(hits[i].load(), 1) << "item " << i;
+  }
+}
+
+TEST(ThreadPool, ParallelClaimFewerItemsThanLanesAndEmpty) {
+  ThreadPool pool(4);
+  pool.parallel_claim(0, 4, [](usize, usize) { FAIL(); });
+  pool.parallel_claim(0, 0, [](usize, usize) { FAIL(); });
+  EXPECT_THROW(pool.parallel_claim(3, 0, [](usize, usize) {}), InvalidArgument);
+  for (const usize n : {1u, 2u, 3u}) {
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<int> bad_lane{0};
+    pool.parallel_claim(n, 8, [&](usize lane, usize i) {
+      // Never more runners than items: lanes past n are not started.
+      if (lane >= n) bad_lane.fetch_add(1);
+      hits[i].fetch_add(1);
+    });
+    EXPECT_EQ(bad_lane.load(), 0) << n;
+    for (usize i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << n << " item " << i;
+  }
+}
+
+TEST(ThreadPool, ParallelClaimNestsFromAWorker) {
+  ThreadPool pool(2);
+  std::atomic<bool> worker_ran_nested{false};
+  std::atomic<i64> sum{0};
+  pool.parallel_for(3, [&](usize) {
+    if (!pool.on_worker_thread()) {
+      // As in NestedParallelForFromWorkerCompletesEveryItemOnce: the caller
+      // waits until a worker has run its nested claim loop.
+      while (!worker_ran_nested.load()) std::this_thread::yield();
+    }
+    pool.parallel_claim(32, 2, [&](usize, usize j) { sum.fetch_add(static_cast<i64>(j)); });
+    if (pool.on_worker_thread()) worker_ran_nested.store(true);
+  });
+  EXPECT_TRUE(worker_ran_nested.load());
+  EXPECT_EQ(sum.load(), 3 * 496);
+}
+
+TEST(ThreadPool, ParallelClaimRethrowsTheFirstException) {
+  ThreadPool pool(4);
+  try {
+    pool.parallel_claim(100, 4, [](usize, usize i) {
+      if (i == 57) throw std::runtime_error("boom 57");
+    });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom 57");
+  }
+  // Several throwing items: one of them reaches the caller. On one lane
+  // items run in order, so it is the first, and the lane stops there.
+  EXPECT_THROW(pool.parallel_claim(100, 4,
+                                   [](usize, usize i) {
+                                     if (i % 10 == 3) throw std::runtime_error("boom");
+                                   }),
+               std::runtime_error);
+  std::atomic<usize> ran{0};
+  try {
+    pool.parallel_claim(100, 1, [&](usize, usize i) {
+      ran.fetch_add(1);
+      if (i % 10 == 3) throw std::runtime_error("boom " + std::to_string(i));
+    });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom 3");
+  }
+  EXPECT_EQ(ran.load(), 4u);
+  // The pool is usable afterwards.
+  std::atomic<int> n{0};
+  pool.parallel_claim(10, 4, [&](usize, usize) { n.fetch_add(1); });
+  EXPECT_EQ(n.load(), 10);
 }
 
 TEST(ThreadPool, ParseThreadCountAcceptsPlainPositiveIntegers) {

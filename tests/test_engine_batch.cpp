@@ -8,13 +8,18 @@
 //     N-thread pool yields bit-identical per-frame outputs and merged
 //     counters (every frame starts from a full context reset, so results
 //     and stats contributions cannot depend on which context ran them).
+//     Frames are claimed one at a time by whichever context is free, so
+//     repeated batches of every size exercise different frame-to-context
+//     assignments, including contexts that claim no frame.
 //  3. Context hygiene: contexts from one Engine are interchangeable, stats
 //     accrue per context and take_stats() drains them, and run_batch nests
 //     safely inside an outer parallel_for (ThreadPool reentrancy).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <span>
+#include <string>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -73,6 +78,7 @@ void expect_stats_eq(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.frames, b.frames);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.effective_cycles, b.effective_cycles);
   for (usize i = 0; i < a.op_neurons.size(); ++i) {
     EXPECT_EQ(a.op_neurons[i], b.op_neurons[i]) << "energy op " << i;
   }
@@ -135,7 +141,7 @@ TEST(EngineBatch, ThreadCountDoesNotChangeResultsOrMergedStats) {
   ThreadPool one(1), four(4);
   // Separate engines so the context pools are sized independently — the
   // 1-thread engine runs the whole batch through one context, the 4-thread
-  // engine shards it over four.
+  // engine spreads it over four.
   Engine e1(b.mapped, b.net), e4(b.mapped, b.net);
   SimStats s1, s4;
   const std::vector<FrameResult> r1 = e1.run_batch(batch_of(b), &s1, &one);
@@ -145,6 +151,34 @@ TEST(EngineBatch, ThreadCountDoesNotChangeResultsOrMergedStats) {
 
   expect_frames_eq(r4, r1);
   expect_stats_eq(s4, s1);
+}
+
+TEST(EngineBatch, ClaimedFramesMatchSerialLoopForEveryBatchSize) {
+  // Frames go to whichever pooled context is free, so each repeat of a
+  // batch may assign frames to contexts differently, and with fewer frames
+  // than threads some lanes claim none. Every assignment must give the
+  // serial loop's results and merged stats; repeating on one engine also
+  // checks that the drained contexts (per-link tables kept) start clean.
+  const Built b = build_fc(47, 4, 17);
+  for (const usize threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    for (const usize frames : {1u, 2u, 3u, 5u, 17u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, " + std::to_string(frames) + " frames");
+      const std::vector<Tensor> images(b.data.images.begin(),
+                                       b.data.images.begin() + static_cast<long>(frames));
+      SimStats serial_stats;
+      const std::vector<FrameResult> serial = run_serial(b.mapped, b.net, images, &serial_stats);
+      Engine engine(b.mapped, b.net);
+      for (int repeat = 0; repeat < 8; ++repeat) {
+        SimStats st;
+        const std::vector<FrameResult> got =
+            engine.run_batch(std::span<const Tensor>(images), &st, &pool);
+        expect_frames_eq(got, serial);
+        expect_stats_eq(st, serial_stats);
+      }
+      EXPECT_EQ(engine.num_contexts(), std::min(frames, threads));
+    }
+  }
 }
 
 TEST(EngineBatch, RepeatedBatchesReuseContextsAndStayIdentical) {
@@ -264,8 +298,9 @@ TEST(EngineBatch, ContextOfAnotherModelIsRejected) {
 }
 
 TEST(EngineBatch, NestedBatchShardsAcrossContexts) {
-  // Inside a worker of its own pool, run_batch still shards: the nested
-  // parallel_for enqueues its chunks so idle workers can help-drain them
+  // Inside a worker of its own pool, run_batch still spreads its frames over
+  // contexts: the nested claim loop enqueues its lanes so idle workers can
+  // help-drain them
   // (ROADMAP "smarter nested scheduling") instead of the inner batch
   // serializing on the calling worker. Results stay bit-identical to a
   // top-level batch.
@@ -283,8 +318,8 @@ TEST(EngineBatch, NestedBatchShardsAcrossContexts) {
   pool.parallel_for(3, [&](usize i) {
     if (pool.on_worker_thread()) {
       nested[i] = engines[i].run_batch(batch_of(b), nullptr, &pool);
-      // The nested batch shards over pooled contexts exactly like a
-      // top-level one (3 frames, 4 workers -> 3 shards).
+      // The nested batch uses pooled contexts exactly like a top-level
+      // one (3 frames, 4 workers -> 3 lanes, one context each).
       EXPECT_EQ(engines[i].num_contexts(), batch_of(b).size());
       worker_ran.store(true);
     } else {
@@ -300,8 +335,8 @@ TEST(EngineBatch, NestedBatchShardsAcrossContexts) {
 
 TEST(EngineBatch, NestsInsideOuterParallelForWithoutDeadlock) {
   // An outer parallel_for on the same pool run_batch uses: the nested
-  // parallel_for inside run_batch detects the worker thread and runs the
-  // shards inline, so batch-of-batches compositions complete correctly.
+  // claim loop inside run_batch help-drains its own lanes, so
+  // batch-of-batches compositions complete correctly.
   const Built b = build_fc(43, 4, 3);
   Engine engine(b.mapped, b.net);
   SimStats base;

@@ -106,6 +106,7 @@ void expect_stats_eq(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.frames, b.frames);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.effective_cycles, b.effective_cycles);
   for (usize i = 0; i < a.op_neurons.size(); ++i) {
     EXPECT_EQ(a.op_neurons[i], b.op_neurons[i]) << "energy op " << i;
   }

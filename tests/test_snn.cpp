@@ -1,9 +1,13 @@
 // Unit tests for SNN conversion and abstract evaluation: encoder rate
 // exactness, rate-coding fidelity, quantization bounds, the residual
-// shortcut, and the spike-aggregation baseline.
+// shortcut, the spike-aggregation baseline, and batch evaluation against
+// the serial frame loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/fixed.h"
 #include "nn/dataset.h"
@@ -229,6 +233,40 @@ TEST(Evaluate, StatsAccumulate) {
   EXPECT_GE(st.activity(), 0.0);
   EXPECT_LE(st.activity(), 1.0);
   EXPECT_EQ(st.unit_spikes.size(), net.units.size());
+}
+
+TEST(Evaluate, RunBatchMatchesSerialRunForEveryBatchSize) {
+  // run_batch hands frames to whichever lane of the global pool is free;
+  // results and the lane-ordered stats merge must equal a serial run()
+  // loop whatever the assignment, including lanes that claim no frame.
+  Rng rng(10);
+  nn::Model m = tiny_mlp(rng, 40, 24, 4);
+  const nn::Dataset data = random_dataset(rng, 17, {40});
+  const SnnNetwork net = convert(m, data, {});
+  const AbstractEvaluator eval(net);
+  for (const usize n : {1u, 2u, 3u, 5u, 17u}) {
+    SCOPED_TRACE(std::to_string(n) + " frames");
+    const std::span<const Tensor> images(data.images.data(), n);
+    EvalStats want_stats;
+    std::vector<EvalResult> want;
+    for (const Tensor& img : images) want.push_back(eval.run(img, &want_stats));
+    for (int repeat = 0; repeat < 8; ++repeat) {
+      EvalStats st;
+      const std::vector<EvalResult> got = eval.run_batch(images, &st);
+      ASSERT_EQ(got.size(), n);
+      for (usize i = 0; i < n; ++i) {
+        EXPECT_EQ(got[i].spike_counts, want[i].spike_counts) << "frame " << i;
+        EXPECT_EQ(got[i].final_potentials, want[i].final_potentials) << "frame " << i;
+        EXPECT_EQ(got[i].predicted, want[i].predicted) << "frame " << i;
+      }
+      EXPECT_EQ(st.frames, want_stats.frames);
+      EXPECT_EQ(st.neuron_timesteps, want_stats.neuron_timesteps);
+      EXPECT_EQ(st.spikes, want_stats.spikes);
+      EXPECT_EQ(st.input_timesteps, want_stats.input_timesteps);
+      EXPECT_EQ(st.input_spikes, want_stats.input_spikes);
+      EXPECT_EQ(st.unit_spikes, want_stats.unit_spikes);
+    }
+  }
 }
 
 TEST(Evaluate, AggregationBaselineDegradesSplitLayers) {
