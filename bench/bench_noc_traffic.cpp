@@ -9,7 +9,8 @@
 // static per-timestep census of the compiled schedule.
 //
 // Prints the roll-up, the ten busiest links, and a congestion heatmap of
-// the tile grid. SHENJING_FAST=1 shrinks the workloads.
+// the tile grid. SHENJING_FAST=1 shrinks the workloads. Exits 1 when any
+// app's measured inter-chip traffic disagrees with the census.
 #include <algorithm>
 
 #include "bench_util.h"
@@ -21,7 +22,9 @@ using harness::App;
 
 namespace {
 
-void report_app(const harness::AppResult& r) {
+/// Prints one app's report; returns whether the measured inter-chip traffic
+/// matches the census.
+bool report_app(const harness::AppResult& r) {
   // Topology only: counters come from the sim run, no router state needed.
   const noc::NocTopology topo = map::make_topology(r.mapped);
   const noc::TrafficReport rep = noc::TrafficReport::build(
@@ -69,6 +72,7 @@ void report_app(const harness::AppResult& r) {
 
   std::printf("traffic heatmap (payload bits per tile, ' '=idle '@'=peak):\n%s",
               rep.ascii_heatmap().c_str());
+  return agree;
 }
 
 }  // namespace
@@ -78,10 +82,11 @@ int main() {
                  "per-link accounting, busiest links, congestion heatmap");
 
   const App apps[2] = {App::MnistMlp, App::MnistCnn};
+  bool all_match = true;
   for (const App a : apps) {
     std::printf("[running %s ...]\n", harness::app_name(a));
     std::fflush(stdout);
-    report_app(harness::run_app(harness::AppConfig::paper_default(a)));
+    all_match = report_app(harness::run_app(harness::AppConfig::paper_default(a))) && all_match;
   }
-  return 0;
+  return all_match ? 0 : 1;
 }

@@ -107,12 +107,11 @@ u64 integrate_fire_strip_scalar(i32* pot, const i16* add, i32 lo, i32 hi,
   return fire;
 }
 
-i64 toggle_update_i16_scalar(i16* last, const i16* vals, int n, u16 wire_mask) {
+i64 toggle_count_i16_scalar(const i16* prev, const i16* vals, int n, u16 wire_mask) {
   i64 toggles = 0;
   for (int i = 0; i < n; ++i) {
     toggles += std::popcount(static_cast<u32>(
-        (static_cast<u16>(last[i]) ^ static_cast<u16>(vals[i])) & wire_mask));
-    last[i] = vals[i];
+        (static_cast<u16>(prev[i]) ^ static_cast<u16>(vals[i])) & wire_mask));
   }
   return toggles;
 }
@@ -291,7 +290,8 @@ SJ_TARGET_AVX2 u64 integrate_fire_strip_avx2(i32* pot, const i16* add, i32 lo, i
 // counted per byte by the nibble-table method (vpshufb looks each nibble up
 // in a 16-entry bit-count table) and summed into four u64 lanes by vpsadbw,
 // so the loop issues no scalar popcount at all.
-SJ_TARGET_AVX2 i64 toggle_update_i16_avx2(i16* last, const i16* vals, int n, u16 wire_mask) {
+SJ_TARGET_AVX2 i64 toggle_count_i16_avx2(const i16* prev, const i16* vals, int n,
+                                          u16 wire_mask) {
   const __m256i wm = _mm256_set1_epi16(static_cast<i16>(wire_mask));
   const __m256i nib = _mm256_set1_epi8(0x0F);
   const __m256i bits4 = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
@@ -299,18 +299,17 @@ SJ_TARGET_AVX2 i64 toggle_update_i16_avx2(i16* last, const i16* vals, int n, u16
   __m256i sum = _mm256_setzero_si256();
   int i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(last + i));
+    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(prev + i));
     const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
     const __m256i x = _mm256_and_si256(_mm256_xor_si256(a, b), wm);
     const __m256i cnt = _mm256_add_epi8(
         _mm256_shuffle_epi8(bits4, _mm256_and_si256(x, nib)),
         _mm256_shuffle_epi8(bits4, _mm256_and_si256(_mm256_srli_epi16(x, 4), nib)));
     sum = _mm256_add_epi64(sum, _mm256_sad_epu8(cnt, _mm256_setzero_si256()));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(last + i), b);
   }
   const __m128i s2 = _mm_add_epi64(_mm256_castsi256_si128(sum), _mm256_extracti128_si256(sum, 1));
   const i64 toggles = _mm_cvtsi128_si64(s2) + _mm_extract_epi64(s2, 1);
-  return toggles + toggle_update_i16_scalar(last + i, vals + i, n - i, wire_mask);
+  return toggles + toggle_count_i16_scalar(prev + i, vals + i, n - i, wire_mask);
 }
 
 #endif  // SJ_SIMD_HAVE_AVX2
@@ -397,18 +396,17 @@ u64 integrate_fire_strip_neon(i32* pot, const i16* add, i32 lo, i32 hi,
 // Toggle counting, word-packed: four i16 lanes per u64 XOR + popcount
 // (AArch64 popcounts in hardware). Lane order inside the word is irrelevant
 // to a popcount, so this is exact on any endianness.
-i64 toggle_update_i16_neon(i16* last, const i16* vals, int n, u16 wire_mask) {
+i64 toggle_count_i16_neon(const i16* prev, const i16* vals, int n, u16 wire_mask) {
   const u64 wm = u64{0x0001000100010001} * wire_mask;
   i64 toggles = 0;
   int i = 0;
   for (; i + 4 <= n; i += 4) {
     u64 a, b;
-    std::memcpy(&a, last + i, sizeof(a));
+    std::memcpy(&a, prev + i, sizeof(a));
     std::memcpy(&b, vals + i, sizeof(b));
     toggles += std::popcount((a ^ b) & wm);
-    std::memcpy(last + i, vals + i, sizeof(b));
   }
-  return toggles + toggle_update_i16_scalar(last + i, vals + i, n - i, wire_mask);
+  return toggles + toggle_count_i16_scalar(prev + i, vals + i, n - i, wire_mask);
 }
 
 #endif  // SJ_SIMD_HAVE_NEON
@@ -585,19 +583,19 @@ void encode_step(i32* acc, const i32* q, int n, i32 Q, u64* out_words) {
   }
 }
 
-i64 toggle_update_i16(i16* last, const i16* vals, int n, u16 wire_mask) {
+i64 toggle_count_i16(const i16* prev, const i16* vals, int n, u16 wire_mask) {
   switch (active_backend()) {
     // AVX2 counts bits in vector lanes (a baseline x86-64 build has no
     // popcount instruction, so a u64-packed loop there would call libgcc's
     // software __popcountdi2 once per four lanes); NEON packs four lanes
     // per u64 and popcounts in hardware.
 #if SJ_SIMD_HAVE_AVX2
-    case Backend::AVX2: return toggle_update_i16_avx2(last, vals, n, wire_mask);
+    case Backend::AVX2: return toggle_count_i16_avx2(prev, vals, n, wire_mask);
 #endif
 #if SJ_SIMD_HAVE_NEON
-    case Backend::NEON: return toggle_update_i16_neon(last, vals, n, wire_mask);
+    case Backend::NEON: return toggle_count_i16_neon(prev, vals, n, wire_mask);
 #endif
-    default: return toggle_update_i16_scalar(last, vals, n, wire_mask);
+    default: return toggle_count_i16_scalar(prev, vals, n, wire_mask);
   }
 }
 

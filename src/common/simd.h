@@ -117,10 +117,10 @@ constexpr bool integrate_fire_exact(i32 potential_bits, i64 threshold) {
 }
 
 /// Wire-toggle accounting (PS NoC Hamming traffic): returns
-/// sum over i of popcount((last[i] ^ vals[i]) & wire_mask) and updates
-/// last[i] = vals[i]. The per-link toggle kernel of
-/// noc::NocState::send_ps_masked (full 64-plane mask words).
-i64 toggle_update_i16(i16* last, const i16* vals, int n, u16 wire_mask);
+/// sum over i of popcount((prev[i] ^ vals[i]) & wire_mask). Reads only.
+/// The per-link toggle kernel of noc::NocState::send_ps_masked (full
+/// 64-plane mask words), where `prev` is the destination port register.
+i64 toggle_count_i16(const i16* prev, const i16* vals, int n, u16 wire_mask);
 
 /// One timestep of the input rate encoder over n pixels (any n >= 0):
 ///   acc[i] += q[i]; if acc[i] >= Q: acc[i] -= Q and bit i fires.

@@ -64,18 +64,13 @@ NocTopology::NocTopology(const core::ArchParams& arch, i32 grid_rows, i32 grid_c
 
 NocState::NocState(const NocTopology& topo)
     : num_cores_(topo.num_cores()), num_links_(topo.num_links()) {
-  // Full state: identity slot tables, everything allocated.
+  // Full state: identity slot table, every router allocated.
   router_slot_.resize(num_cores_);
   for (usize c = 0; c < num_cores_; ++c) router_slot_[c] = static_cast<u32>(c);
-  link_slot_.resize(num_links_);
-  for (usize l = 0; l < num_links_; ++l) link_slot_[l] = static_cast<u32>(l);
   routers_.resize(num_cores_);
-  ps_last_.assign(num_links_, std::vector<i16>(Router::kPlanes, 0));
-  spk_last_.assign(num_links_, {});
 }
 
-NocState::NocState(const NocTopology& topo, const std::vector<u32>& cores,
-                   const std::vector<LinkId>& links)
+NocState::NocState(const NocTopology& topo, const std::vector<u32>& cores)
     : num_cores_(topo.num_cores()), num_links_(topo.num_links()) {
   router_slot_.assign(num_cores_, kNoSlot);
   usize n_routers = 0;
@@ -84,14 +79,6 @@ NocState::NocState(const NocTopology& topo, const std::vector<u32>& cores,
     if (router_slot_[c] == kNoSlot) router_slot_[c] = static_cast<u32>(n_routers++);
   }
   routers_.resize(n_routers);
-  link_slot_.assign(num_links_, kNoSlot);
-  usize n_links = 0;
-  for (const LinkId l : links) {
-    SJ_REQUIRE(l < num_links_, "NocState: touched link off the topology");
-    if (link_slot_[l] == kNoSlot) link_slot_[l] = static_cast<u32>(n_links++);
-  }
-  ps_last_.assign(n_links, std::vector<i16>(Router::kPlanes, 0));
-  spk_last_.assign(n_links, {});
 }
 
 void NocState::check_topology(const NocTopology& topo) const {
@@ -113,6 +100,7 @@ void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router:
   SJ_ASSERT(lid != kInvalidLink, "noc: PS send off grid edge");
   if (no_planes(mask)) return;
   const Link& ln = topo.link(lid);
+  const Router& dst = routers_[router_slot(ln.dst)];
 
   PsWrite& w = ps_staged_.emplace_back();
   w.core = ln.dst;
@@ -120,9 +108,15 @@ void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router:
   w.mask = mask;
   Router::masked_copy(mask, values, w.values.data());
 
-  // Wire-toggle Hamming accounting: full mask words take the word-packed
-  // SIMD kernel, partial words walk set bits. Identical counts either way.
-  std::vector<i16>& last = ps_last_[link_slot(lid)];
+  // Wire-toggle Hamming accounting against the destination port register,
+  // which until this cycle's commit_cycle() holds the wire's previous value:
+  // commit_cycle() is the only writer of a port register, each port is fed
+  // by exactly one link, a frame reset zeroes the register along with the
+  // wire, and check_routes' issue rule (opt::IssueSlots, keyed modulo II on
+  // a pipelined schedule) writes a link plane at most once per cycle, so no
+  // other write to these planes is staged. Full mask words take the SIMD
+  // kernel, partial words walk set bits. Identical counts either way.
+  const i16* prev = dst.ps_in_data(w.port);
   const u16 wire_mask = static_cast<u16>((u32{1} << topo.noc_bits()) - 1);
   i64 toggles = 0;
   for (int wi = 0; wi < Router::kWords; ++wi) {
@@ -130,15 +124,13 @@ void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router:
     if (word == 0) continue;
     const int base = wi * 64;
     if (word == ~u64{0}) {
-      toggles += simd::toggle_update_i16(last.data() + base, values + base, 64, wire_mask);
+      toggles += simd::toggle_count_i16(prev + base, values + base, 64, wire_mask);
     } else {
       while (word != 0) {
         const int p = base + std::countr_zero(word);
         word &= word - 1;
         toggles += std::popcount(static_cast<u32>(
-            (static_cast<u16>(last[static_cast<usize>(p)]) ^ static_cast<u16>(values[p])) &
-            wire_mask));
-        last[static_cast<usize>(p)] = values[p];
+            (static_cast<u16>(prev[p]) ^ static_cast<u16>(values[p])) & wire_mask));
       }
     }
   }
@@ -153,25 +145,19 @@ void NocState::send_spike_masked(const NocTopology& topo, LinkId lid,
   SJ_ASSERT(lid != kInvalidLink, "noc: spike send off grid edge");
   if (no_planes(mask)) return;
   const Link& ln = topo.link(lid);
+  const Router& dst = routers_[router_slot(ln.dst)];
 
   SpkWrite& w = spk_staged_.emplace_back();
   w.core = ln.dst;
   w.port = opposite(ln.dir);
   w.mask = mask;
-  for (int wi = 0; wi < Router::kWords; ++wi) {
-    w.bits[static_cast<usize>(wi)] =
-        bits[static_cast<usize>(wi)] & mask[static_cast<usize>(wi)];
-  }
-
-  Router::Words& last = spk_last_[link_slot(lid)];
+  // Toggles count against the destination port register, the wire's
+  // previous value (see send_ps_masked).
+  const Router::Words& prev = dst.spk_in_words(w.port);
   i64 toggles = 0;
-  for (int wi = 0; wi < Router::kWords; ++wi) {
-    const u64 m = mask[static_cast<usize>(wi)];
-    if (m == 0) continue;
-    const u64 diff = (last[static_cast<usize>(wi)] ^ bits[static_cast<usize>(wi)]) & m;
-    toggles += std::popcount(diff);
-    last[static_cast<usize>(wi)] =
-        (last[static_cast<usize>(wi)] & ~m) | (bits[static_cast<usize>(wi)] & m);
+  for (usize wi = 0; wi < Router::kWords; ++wi) {
+    w.bits[wi] = bits[wi] & mask[wi];
+    toggles += std::popcount((prev[wi] ^ bits[wi]) & mask[wi]);
   }
   tc.ensure(topo.num_links());
   tc.links[lid].spike_toggles += toggles;
@@ -194,16 +180,10 @@ void NocState::commit_cycle() {
   spk_staged_.clear();
 }
 
-void NocState::reset_subset(const std::vector<u32>& cores,
-                            const std::vector<LinkId>& links) {
+void NocState::reset_subset(const std::vector<u32>& cores) {
   for (const u32 c : cores) routers_[router_slot(c)].reset();
   ps_staged_.clear();
   spk_staged_.clear();
-  for (const LinkId lid : links) {
-    const usize s = link_slot(lid);
-    std::fill(ps_last_[s].begin(), ps_last_[s].end(), i16{0});
-    spk_last_[s] = {};
-  }
 }
 
 }  // namespace sj::noc

@@ -7,11 +7,13 @@
 //   network and shared read-only by any number of concurrent contexts.
 //
 //   NocState — everything *mutable* about one frame in flight: the per-tile
-//   router register files, the staged two-phase writes, and the per-wire
-//   toggle history that makes LinkTraffic::*_toggles count real bit-flips.
-//   One NocState per simulation context; movement calls take the topology
-//   they route against explicitly, and a state refuses (InternalError) a
-//   topology whose dimensions differ from the one it was sized for.
+//   router register files and the staged two-phase writes. Nothing is kept
+//   per link: a router has no buffers, so the input-port register a link
+//   feeds is that wire's previous value, and LinkTraffic::*_toggles count
+//   real bit-flips against it. One NocState per simulation context;
+//   movement calls take the topology they route against explicitly, and a
+//   state refuses (InternalError) a topology whose dimensions differ from
+//   the one it was sized for.
 //
 // Two-phase cycle semantics are owned by the state: staged writes land in
 // the receiving router's input-port registers in staging order at
@@ -19,7 +21,8 @@
 // writes become visible next cycle" rule.
 //
 // Sends charge TrafficCounters with what depends on the data: wire toggles
-// (Hamming distance against the previous value on the same plane-wire).
+// (Hamming distance against the previous value on the same plane-wire,
+// read from the destination's input-port register).
 // Flits, payload bits and the inter-chip aggregates the power model
 // consumes depend only on the op and its mask, so they are counted once per
 // program at lowering (map::StaticCensus) and added per frame by the engine.
@@ -83,30 +86,29 @@ class NocTopology {
   std::vector<Link> links_;
 };
 
-/// The mutable register/staging/toggle state of one frame stream. Sized by
-/// a topology at construction; every movement call names the topology it
+/// The mutable register/staging state of one frame stream. Sized by a
+/// topology at construction; every movement call names the topology it
 /// routes against, and asserts it is dimension-compatible with the sizing
 /// one (a mismatched pairing would otherwise index out of bounds). Not
 /// thread-safe — one NocState per worker, like TrafficCounters.
 ///
 /// State can be *compacted*: a mapped grid is mostly filler tiles whose
 /// routers a lowered program can never write, so per-context storage only
-/// materializes the touched subset (dense arrays behind a core/link -> slot
-/// table). Core and link ids stay the topology's ids at every public
-/// call; only the backing allocation shrinks.
+/// materializes the touched routers (a dense array behind a core -> slot
+/// table). Core ids stay the topology's ids at every public call; only the
+/// backing allocation shrinks. Routers are the only state there is to
+/// compact: the NoC keeps nothing per link.
 class NocState {
  public:
-  /// Full state: every router and every link's toggle history allocated.
+  /// Full state: every router allocated.
   explicit NocState(const NocTopology& topo);
 
-  /// Compacted state: router registers exist only for `cores` and toggle
-  /// history only for `links` — typically a lowered program's touch sets
-  /// (op cores + send destinations, and the links the program sends on).
-  /// Touching a router or sending on a link outside the sets is an
-  /// InternalError: a correctly lowered program cannot reference them.
-  /// Duplicates in the lists are tolerated.
-  NocState(const NocTopology& topo, const std::vector<u32>& cores,
-           const std::vector<LinkId>& links);
+  /// Compacted state: router registers exist only for `cores` — typically a
+  /// lowered program's touch set (op cores + send destinations). Touching a
+  /// router outside the set, or sending to one, is an InternalError: a
+  /// correctly lowered program cannot reference it. Duplicates in the list
+  /// are tolerated.
+  NocState(const NocTopology& topo, const std::vector<u32>& cores);
 
   Router& router(u32 core) { return routers_[router_slot(core)]; }
   const Router& router(u32 core) const { return routers_[router_slot(core)]; }
@@ -114,33 +116,33 @@ class NocState {
   /// Router register files actually allocated (== num_cores for full state,
   /// the touched-core count for compacted state).
   usize allocated_routers() const { return routers_.size(); }
-  /// Links with toggle history allocated.
-  usize allocated_toggle_links() const { return ps_last_.size(); }
 
   // --- two-phase, toggle-accounted movement --------------------------------
   /// Stages `values[p]` for every plane `p` in `mask` onto link `lid` (the
   /// engine pre-resolves the LinkId at program lowering); each lands in the
   /// link's destination in[opposite(dir)] register at commit_cycle().
-  /// Charges the link's wire toggles in `tc`. `values` must cover every
-  /// masked strip; a snapshot is taken, so the source register may change
-  /// before commit_cycle(). No-op for an empty mask.
+  /// Charges the link's wire toggles in `tc`, counted against that
+  /// register. `values` must cover every masked strip; a snapshot is taken,
+  /// so the source register may change before commit_cycle(). No-op for an
+  /// empty mask.
   void send_ps_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
                       const i16* values, TrafficCounters& tc);
   /// Spike form: the payload is the bit-packed word group `bits` (masked
   /// down internally); toggle accounting is whole-word Hamming weight
-  /// against the wire's previous word group.
+  /// against the destination port's word group.
   void send_spike_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
                          const Router::Words& bits, TrafficCounters& tc);
 
   /// Applies all staged writes in staging order (end of cycle).
   void commit_cycle();
 
-  /// Frame-boundary reset: zeroes the listed routers and the toggle history
-  /// of the listed links (plus any staged writes) — every router and link a
-  /// run could have written when the lists are the cores and links a
-  /// lowered ExecProgram references. Does not touch any TrafficCounters.
-  /// Duplicate-free lists are the caller's job.
-  void reset_subset(const std::vector<u32>& cores, const std::vector<LinkId>& links);
+  /// Frame-boundary reset: zeroes the listed routers (plus any staged
+  /// writes) — every router a run could have written when the list is the
+  /// cores a lowered ExecProgram references. Zeroing a port register also
+  /// zeroes its wire's previous value, so the next send counts its toggles
+  /// against zero. Does not touch any TrafficCounters. A duplicate-free
+  /// list is the caller's job.
+  void reset_subset(const std::vector<u32>& cores);
 
  private:
   // Dimensions of the sizing topology, asserted against the topology each
@@ -165,28 +167,19 @@ class NocState {
     Router::Words bits;  // pre-masked payload
   };
 
-  // Slot of a core's router / a link's toggle history in the dense backing
-  // arrays; kNoSlot marks state the compaction left unallocated.
+  // Slot of a core's router in the dense backing array; kNoSlot marks a
+  // router the compaction left unallocated.
   static constexpr u32 kNoSlot = ~u32{0};
   usize router_slot(u32 core) const {
     const u32 s = router_slot_[core];
     SJ_ASSERT(s != kNoSlot, "NocState: router outside the compacted touch set");
     return s;
   }
-  usize link_slot(LinkId link) const {
-    const u32 s = link_slot_[link];
-    SJ_ASSERT(s != kNoSlot, "NocState: link outside the compacted touch set");
-    return s;
-  }
 
   usize num_cores_;
   usize num_links_;
   std::vector<u32> router_slot_;  // core -> slot in routers_
-  std::vector<u32> link_slot_;    // link -> slot in ps_last_/spk_last_
   std::vector<Router> routers_;
-  // Previous value on each allocated plane-wire, for toggle accounting.
-  std::vector<std::vector<i16>> ps_last_;  // [link slot][plane]
-  std::vector<Router::Words> spk_last_;    // [link slot], bit-packed
   std::vector<PsWrite> ps_staged_;
   std::vector<SpkWrite> spk_staged_;
 };

@@ -16,10 +16,12 @@
 // convenience view, not the other way around.
 //
 // Two-phase cycle semantics (read-then-write) are owned by NocState: port
-// input registers are only written at commit_cycle(), while the same-tile
-// registers (sum_buf / eject / spike_out) update immediately — the schedule
-// guarantees a plane executes at most one op per router per cycle, so an
-// immediate same-tile write can never race a same-cycle read.
+// input registers are only written at commit_cycle() (or zeroed by reset()),
+// so each one holds the last value its link carried — the NoC counts wire
+// toggles against it. The same-tile registers (sum_buf / eject / spike_out)
+// update immediately — the schedule guarantees a plane executes at most one
+// op per router per cycle, so an immediate same-tile write can never race a
+// same-cycle read.
 #pragma once
 
 #include <array>
@@ -42,9 +44,6 @@ class Router {
   // --- partial-sum plane ---------------------------------------------------
   i16 ps_in(Dir port, u16 plane) const {
     return ps_in_[static_cast<usize>(port)][plane];
-  }
-  void set_ps_in(Dir port, u16 plane, i16 v) {
-    ps_in_[static_cast<usize>(port)][plane] = v;
   }
   i16 sum_buf(u16 plane) const { return sum_buf_[plane]; }
   i16 eject(u16 plane) const { return eject_[plane]; }
@@ -98,9 +97,6 @@ class Router {
   // --- spike plane ---------------------------------------------------------
   bool spike_in(Dir port, u16 plane) const {
     return bit_get(spk_in_[static_cast<usize>(port)], plane);
-  }
-  void set_spike_in(Dir port, u16 plane, bool v) {
-    bit_set(spk_in_[static_cast<usize>(port)], plane, v);
   }
   bool spike_out(u16 plane) const { return bit_get(spike_out_, plane); }
   void set_spike_out(u16 plane, bool v) { bit_set(spike_out_, plane, v); }

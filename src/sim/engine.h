@@ -11,7 +11,7 @@
 //     noc::NocTopology (links, wiring)          per-core state (axons, local
 //     map::ExecProgram (lowered op stream)        PS, membrane potentials)
 //     dense weight rows, touch sets             noc::NocState (router regs,
-//                                                 staged writes, toggles)
+//                                                 staged writes)
 //                                               SimStats (incl. per-link
 //                                                 TrafficCounters)
 //
@@ -28,8 +28,9 @@
 // lane claiming the next unrun frame when it finishes one, so a slow CPU
 // runs fewer frames instead of holding up the batch. Per-context SimStats
 // and per-link traffic counters merge in fixed context order. Because every
-// frame starts from a full context reset (registers, axons, toggle
-// history), a frame's results *and* its stats contribution are independent
+// frame starts from a full context reset (registers, axons; a zeroed port
+// register is also its wire's previous value for toggle counting), a
+// frame's results *and* its stats contribution are independent
 // of which context ran it — so batch outputs and merged counters are
 // bit-identical under 1 or N threads. tests/test_engine_batch.cpp enforces
 // this.
@@ -178,12 +179,12 @@ class CompiledModel {
   /// search minimizes num_phases); the frame loop does not consult it.
   const map::ShardPlan& shard_plan() const { return plan_; }
 
-  /// Touch sets (sorted, unique): the routers/links the program can write
-  /// and the cores whose CoreState can change. Per-context state is
-  /// compacted to these — filler tiles allocate nothing.
+  /// Touch sets (sorted, unique): the routers the program can write and
+  /// the cores whose CoreState can change. Per-context state is compacted
+  /// to these — filler tiles allocate nothing, and the NoC keeps no
+  /// per-link state to compact.
   const std::vector<u32>& touched_routers() const { return touched_routers_; }
   const std::vector<u32>& active_cores() const { return active_cores_; }
-  const std::vector<noc::LinkId>& touched_links() const { return touched_links_; }
 
   /// Lane width of `core`'s precompiled dense weight rows: 8 (i8 rows,
   /// the register-resident gather), 16 (i16 rows) or 0 (CSR tap walk).
@@ -231,7 +232,6 @@ class CompiledModel {
   // state the program can actually write.
   std::vector<u32> touched_routers_;   // op cores + send destinations
   std::vector<u32> active_cores_;      // cores whose CoreState can change
-  std::vector<noc::LinkId> touched_links_;
   // Frame-loop artifacts (build_pipeline_exec): the schedule itself, its
   // per-row tables, the frame's step list, and the core -> pending-buffer
   // slot map for ACC gathers.
@@ -243,8 +243,8 @@ class CompiledModel {
 };
 
 /// The mutable state of one frame stream: neuron-core registers, one
-/// NocState compacted to the model's touch sets (filler tiles allocate no
-/// router state), and the stats the stream has accumulated since the last
+/// NocState compacted to the model's touched routers (filler tiles allocate
+/// no router state), and the stats the stream has accumulated since the last
 /// take_stats(). Not thread-safe; one context per worker.
 class SimContext {
  public:

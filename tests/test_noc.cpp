@@ -123,7 +123,7 @@ TEST(NocRouterTest, CommitAppliesStagedWritesInOrder) {
 TEST(NocRouterTest, CompactStateMatchesFullStateOnTheTouchSet) {
   // A state compacted to a touch set behaves bit-identically to a full
   // state for every register and counter the set covers, while allocating
-  // only the touched routers / links.
+  // only the touched routers.
   core::ArchParams arch;
   std::vector<Coord> pos;
   for (i32 r = 0; r < 3; ++r) {
@@ -132,13 +132,10 @@ TEST(NocRouterTest, CompactStateMatchesFullStateOnTheTouchSet) {
   const NocTopology topo(arch, 3, 3, pos);
   // Touch set: the top-row pipeline 0 -E-> 1 -E-> 2 (duplicates tolerated).
   const std::vector<u32> cores = {0, 1, 2, 1};
-  const std::vector<LinkId> links = {topo.link_id(0, Dir::East), topo.link_id(1, Dir::East),
-                                     topo.link_id(0, Dir::East)};
   NocState full(topo);
-  NocState compact(topo, cores, links);
+  NocState compact(topo, cores);
   EXPECT_EQ(full.allocated_routers(), topo.num_cores());
   EXPECT_EQ(compact.allocated_routers(), 3u);
-  EXPECT_EQ(compact.allocated_toggle_links(), 2u);
 
   TrafficCounters tc_full = topo.make_counters();
   TrafficCounters tc_compact = topo.make_counters();
@@ -161,10 +158,18 @@ TEST(NocRouterTest, CompactStateMatchesFullStateOnTheTouchSet) {
     EXPECT_EQ(tc_compact.links[l].spike_toggles, tc_full.links[l].spike_toggles)
         << "link " << l;
   }
-  // Selective reset through the same touch set: registers and toggle
-  // history of the touched subset clear; staged writes drop.
-  compact.reset_subset(cores, links);
+  // Selective reset through the same touch set: registers of the touched
+  // subset clear; staged writes drop.
+  compact.reset_subset(cores);
   EXPECT_EQ(compact.router(1).ps_in(Dir::West, 5), 0);
+  // The router reset is the only thing that clears a wire's last value: a
+  // send after it counts its toggles against zero, where the same values
+  // sent again without the reset would toggle nothing.
+  TrafficCounters tc_after = topo.make_counters();
+  send_one_ps(compact, topo, 0, Dir::East, 5, 123, tc_after);
+  send_one_spike(compact, topo, 1, Dir::East, 9, true, tc_after);
+  EXPECT_EQ(tc_after.links[topo.link_id(0, Dir::East)].ps_toggles, 6);  // 123 = 0b1111011
+  EXPECT_EQ(tc_after.links[topo.link_id(1, Dir::East)].spike_toggles, 1);
   // Off-set access is a programming error, not a silent corruption.
   EXPECT_THROW(compact.router(4), InternalError);
   TrafficCounters tc = topo.make_counters();
@@ -174,7 +179,7 @@ TEST(NocRouterTest, CompactStateMatchesFullStateOnTheTouchSet) {
 TEST(NocRouterTest, StateRejectsATopologyItWasNotSizedFor) {
   // Callers pair a topology with a state by hand; a state sized for one
   // grid must refuse to route over another rather than index past its
-  // router and toggle tables.
+  // router tables.
   const NocTopology sized = grid_topology(1, 2);
   const NocTopology wider = grid_topology(1, 3);
   NocState st(sized);
