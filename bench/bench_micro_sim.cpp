@@ -9,13 +9,16 @@
 // and writes the headline throughput (frames/s, simulated cycles/s, batched
 // frames/s with the thread/context count and the CPU share the batch window
 // got) to BENCH_sim.json via bench_util.h, so the perf trajectory of the
-// plane-parallel engine is machine-readable across PRs. SHENJING_FAST=1
-// shrinks the timed runs; SHENJING_THREADS pins the batch worker count.
+// plane-parallel engine is machine-readable across PRs. It also records the
+// MNIST CNN's single-context frame time (cnn_frame_ms, thread CPU, ungated).
+// SHENJING_FAST=1 shrinks the timed runs; SHENJING_THREADS pins the batch
+// worker count.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,6 +47,13 @@ double process_cpu_seconds() {
   return sec(ru.ru_utime) + sec(ru.ru_stime);
 }
 
+/// CPU time of the calling thread so far, in ms.
+double thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
 struct Fixture {
   snn::SnnNetwork net;
   map::MappedNetwork mapped;
@@ -68,9 +78,13 @@ const Fixture& mlp_fixture() {
   return f;
 }
 
+const Fixture& cnn_fixture() {
+  static const Fixture f = make_fixture(true);
+  return f;
+}
+
 void BM_SimulateFrame(benchmark::State& state) {
-  static const Fixture cnn = make_fixture(true);
-  const Fixture& f = state.range(0) == 0 ? mlp_fixture() : cnn;
+  const Fixture& f = state.range(0) == 0 ? mlp_fixture() : cnn_fixture();
   const sim::Engine engine(f.mapped, f.net);
   sim::SimContext ctx = engine.make_context();
   usize i = 0;
@@ -83,6 +97,23 @@ void BM_SimulateFrame(benchmark::State& state) {
       static_cast<double>(st.cycles), benchmark::Counter::kIsRate);
   state.counters["frames/s"] = benchmark::Counter(
       static_cast<double>(st.frames), benchmark::Counter::kIsRate);
+}
+
+/// The MNIST CNN frame, where nearly every op's mask words are partial:
+/// the median thread-CPU time of a few single-context frames, in ms.
+double cnn_frame_ms() {
+  const Fixture& f = cnn_fixture();
+  const sim::Engine engine(f.mapped, f.net);
+  sim::SimContext ctx = engine.make_context();
+  const usize frames = harness::fast_mode() ? 3 : 5;
+  std::vector<double> ms;
+  for (usize k = 0; k < frames; ++k) {
+    const double t0 = thread_cpu_ms();
+    engine.run_frame(ctx, f.data.images[k % f.data.size()]);
+    ms.push_back(thread_cpu_ms() - t0);
+  }
+  std::nth_element(ms.begin(), ms.begin() + frames / 2, ms.end());
+  return ms[frames / 2];
 }
 
 /// Timed throughput runs on the Table-IV MLP, recorded to BENCH_sim.json:
@@ -179,6 +210,9 @@ void record_throughput() {
   std::printf("profiled frame split: encode %.4f ms, exec %.4f ms; %.1f ACC rows/frame\n",
               encode_ms, exec_ms, acc_rows);
 
+  const double cnn_ms = cnn_frame_ms();
+  std::printf("MNIST CNN frame: %.2f ms thread CPU (median)\n", cnn_ms);
+
   json::Value doc;
   doc.set("network", "mnist-mlp-table4");
   doc.set("timesteps", static_cast<i64>(f.mapped.timesteps));
@@ -201,6 +235,7 @@ void record_throughput() {
   doc.set("encode_ms_per_frame", encode_ms);
   doc.set("exec_ms_per_frame", exec_ms);
   doc.set("acc_rows_per_frame", acc_rows);
+  doc.set("cnn_frame_ms", cnn_ms);
   // Host shape and kernel dispatch, so check_bench.py can tell which
   // numbers are comparable: the parallel-speedup metric (batch_speedup)
   // only gates when both baseline and current ran with host_cores > 1, and

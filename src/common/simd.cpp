@@ -6,7 +6,6 @@
 #include <bit>
 #include <cctype>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/log.h"
@@ -25,13 +24,6 @@
 #define SJ_TARGET_AVX2 __attribute__((target("avx2,popcnt")))
 #else
 #define SJ_SIMD_HAVE_AVX2 0
-#endif
-
-#if defined(__aarch64__) || defined(__ARM_NEON)
-#define SJ_SIMD_HAVE_NEON 1
-#include <arm_neon.h>
-#else
-#define SJ_SIMD_HAVE_NEON 0
 #endif
 
 namespace sj::simd {
@@ -68,52 +60,81 @@ void encode_step_scalar(i32* acc, const i32* q, int n, i32 Q, u64* out_words) {
   }
 }
 
-i64 clamp_store_i16_scalar(const i32* src, i16* dst, int n, i32 lo, i32 hi) {
-  i64 sat = 0;
-  for (int i = 0; i < n; ++i) {
-    const i32 v = src[i];
-    const i32 c = v < lo ? lo : (v > hi ? hi : v);
-    sat += (c != v);
-    dst[i] = static_cast<i16>(c);
+constexpr int kPlanes = 256;
+
+inline i32 clamp_i32(i32 v, i32 lo, i32 hi) { return v < lo ? lo : (v > hi ? hi : v); }
+
+// Calls fn(p) for every plane p set in `mask`, in increasing order: the
+// masked kernels' reference walk.
+template <class Fn>
+inline void for_each_plane(const MaskWords& mask, Fn&& fn) {
+  for (int wi = 0; wi < 4; ++wi) {
+    for (u64 w = mask[static_cast<usize>(wi)]; w != 0; w &= w - 1) {
+      fn(wi * 64 + std::countr_zero(w));
+    }
   }
+}
+
+i64 clamp_store_i16_scalar(const MaskWords& mask, const i32* src, i16* dst, i32 lo,
+                           i32 hi) {
+  i64 sat = 0;
+  for_each_plane(mask, [&](int p) {
+    const i32 c = clamp_i32(src[p], lo, hi);
+    sat += (c != src[p]);
+    dst[p] = static_cast<i16>(c);
+  });
   return sat;
 }
 
-i64 add_clamp_i16_scalar(const i16* a, const i16* b, i16* dst, int n, i32 lo, i32 hi) {
+i64 add_clamp_i16_scalar(const MaskWords& mask, const i16* a, const i16* b, i16* dst,
+                         i32 lo, i32 hi) {
   i64 sat = 0;
-  for (int i = 0; i < n; ++i) {
-    const i32 v = static_cast<i32>(a[i]) + static_cast<i32>(b[i]);
-    const i32 c = v < lo ? lo : (v > hi ? hi : v);
+  for_each_plane(mask, [&](int p) {
+    const i32 v = static_cast<i32>(a[p]) + static_cast<i32>(b[p]);
+    const i32 c = clamp_i32(v, lo, hi);
     sat += (c != v);
-    dst[i] = static_cast<i16>(c);
-  }
+    dst[p] = static_cast<i16>(c);
+  });
   return sat;
 }
 
-u64 integrate_fire_strip_scalar(i32* pot, const i16* add, i32 lo, i32 hi,
-                                i32 threshold, i64* saturations) {
-  u64 fire = 0;
-  i64 sat = 0;
-  for (int l = 0; l < 64; ++l) {
-    const i32 v = pot[l] + add[l];  // exact under integrate_fire_exact
-    i32 c = v < lo ? lo : (v > hi ? hi : v);
+MaskWords integrate_fire_scalar(const MaskWords& mask, i32* pot, const i16* add, i32 lo,
+                                i32 hi, i32 threshold, i64* saturations, i64* fired) {
+  MaskWords fire{};
+  i64 sat = 0, n = 0;
+  for_each_plane(mask, [&](int p) {
+    const i32 v = pot[p] + add[p];  // exact under integrate_fire_exact
+    const i32 c = clamp_i32(v, lo, hi);
     sat += (c != v);
     const bool f = c >= threshold;
-    c -= f ? threshold : 0;
-    pot[l] = c;
-    fire |= static_cast<u64>(f) << l;
-  }
+    n += f;
+    pot[p] = f ? c - threshold : c;
+    fire[static_cast<usize>(p >> 6)] |= static_cast<u64>(f) << (p & 63);
+  });
   *saturations += sat;
+  *fired += n;
   return fire;
 }
 
-i64 toggle_count_i16_scalar(const i16* prev, const i16* vals, int n, u16 wire_mask) {
+i64 toggle_count_i16_scalar(const MaskWords& mask, const i16* prev, const i16* vals,
+                            u16 wire_mask) {
   i64 toggles = 0;
-  for (int i = 0; i < n; ++i) {
+  for_each_plane(mask, [&](int p) {
     toggles += std::popcount(static_cast<u32>(
-        (static_cast<u16>(prev[i]) ^ static_cast<u16>(vals[i])) & wire_mask));
-  }
+        (static_cast<u16>(prev[p]) ^ static_cast<u16>(vals[p])) & wire_mask));
+  });
   return toggles;
+}
+
+i64 toggle_count_bits_scalar(const MaskWords& mask, const MaskWords& prev,
+                             const MaskWords& vals) {
+  i64 toggles = 0;
+  for (usize wi = 0; wi < 4; ++wi) toggles += std::popcount((prev[wi] ^ vals[wi]) & mask[wi]);
+  return toggles;
+}
+
+void copy_i16_scalar(const MaskWords& mask, const i16* src, i16* dst) {
+  for_each_plane(mask, [&](int p) { dst[p] = src[p]; });
 }
 
 #if SJ_SIMD_HAVE_AVX2
@@ -121,13 +142,6 @@ i64 toggle_count_i16_scalar(const i16* prev, const i16* vals, int n, u16 wire_ma
 // ---------------------------------------------------------------------------
 // AVX2: 16 i16 / 8 i32 lanes per 256-bit register.
 // ---------------------------------------------------------------------------
-
-SJ_TARGET_AVX2 inline i64 count_unequal_epi32(__m256i a, __m256i b) {
-  // Each unequal i32 lane contributes four zero bytes to the movemask.
-  const __m256i eq = _mm256_cmpeq_epi32(a, b);
-  const u32 m = static_cast<u32>(_mm256_movemask_epi8(eq));
-  return (32 - std::popcount(m)) / 4;
-}
 
 SJ_TARGET_AVX2 void accumulate_i16_avx2(i32* acc, const i16* row, int n) {
   for (int i = 0; i < n; i += 16) {
@@ -216,6 +230,46 @@ SJ_TARGET_AVX2 void encode_step_avx2(i32* acc, const i32* q, int n, i32 Q, u64* 
   if (done < n) encode_step_scalar(acc + done, q + done, n - done, Q, out_words + full);
 }
 
+// --- masked kernels: 16-lane blocks -----------------------------------------
+
+constexpr u32 kFullBlock = 0xFFFF;
+
+// The mask bits of planes [i, i + 16) (i a multiple of 16), bit l for plane
+// i + l.
+inline u32 block_bits(const MaskWords& mask, int i) {
+  return static_cast<u32>(mask[static_cast<usize>(i >> 6)] >> (i & 63)) & kFullBlock;
+}
+
+// Expands 16 mask bits to 16 i16 lanes: all-ones where the bit is set.
+SJ_TARGET_AVX2 inline __m256i lanes_i16(u32 bits) {
+  const __m256i sel = _mm256_setr_epi16(
+      0x0001, 0x0002, 0x0004, 0x0008, 0x0010, 0x0020, 0x0040, 0x0080, 0x0100, 0x0200,
+      0x0400, 0x0800, 0x1000, 0x2000, 0x4000, static_cast<i16>(0x8000));
+  const __m256i b = _mm256_set1_epi16(static_cast<i16>(bits));
+  return _mm256_cmpeq_epi16(_mm256_and_si256(b, sel), sel);
+}
+
+// Expands 8 mask bits to 8 i32 lanes.
+SJ_TARGET_AVX2 inline __m256i lanes_i32(u32 bits) {
+  const __m256i sel = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  const __m256i b = _mm256_set1_epi32(static_cast<i32>(bits));
+  return _mm256_cmpeq_epi32(_mm256_and_si256(b, sel), sel);
+}
+
+// Bit l set when i32 lane l of a and b differ.
+SJ_TARGET_AVX2 inline u32 unequal_bits_epi32(__m256i a, __m256i b) {
+  const __m256i eq = _mm256_cmpeq_epi32(a, b);
+  return ~static_cast<u32>(_mm256_movemask_ps(_mm256_castsi256_ps(eq))) & 0xFF;
+}
+
+// Stores the lanes of `v` whose mask bit is set; a full block is a plain
+// store, a partial one blends into what dst holds.
+SJ_TARGET_AVX2 inline void store_i16_masked(i16* dst, __m256i v, u32 bits) {
+  __m256i* d = reinterpret_cast<__m256i*>(dst);
+  if (bits != kFullBlock) v = _mm256_blendv_epi8(_mm256_loadu_si256(d), v, lanes_i16(bits));
+  _mm256_storeu_si256(d, v);
+}
+
 // Packs two clamped 8 x i32 vectors into one 16 x i16 vector. packs_epi32
 // saturates to i16, which is exact here because [lo, hi] lies within i16;
 // the permute undoes its 128-bit-lane interleave.
@@ -223,27 +277,33 @@ SJ_TARGET_AVX2 inline __m256i pack_clamped_i32(__m256i c0, __m256i c1) {
   return _mm256_permute4x64_epi64(_mm256_packs_epi32(c0, c1), 0xD8);
 }
 
-SJ_TARGET_AVX2 i64 clamp_store_i16_avx2(const i32* src, i16* dst, int n, i32 lo, i32 hi) {
+SJ_TARGET_AVX2 i64 clamp_store_i16_avx2(const MaskWords& mask, const i32* src, i16* dst,
+                                        i32 lo, i32 hi) {
   const __m256i vlo = _mm256_set1_epi32(lo);
   const __m256i vhi = _mm256_set1_epi32(hi);
   i64 sat = 0;
-  for (int i = 0; i < n; i += 16) {
+  for (int i = 0; i < kPlanes; i += 16) {
+    const u32 bits = block_bits(mask, i);
+    if (bits == 0) continue;
     const __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
     const __m256i v1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 8));
     const __m256i c0 = _mm256_min_epi32(_mm256_max_epi32(v0, vlo), vhi);
     const __m256i c1 = _mm256_min_epi32(_mm256_max_epi32(v1, vlo), vhi);
-    sat += count_unequal_epi32(v0, c0) + count_unequal_epi32(v1, c1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), pack_clamped_i32(c0, c1));
+    sat += std::popcount((unequal_bits_epi32(v0, c0) | unequal_bits_epi32(v1, c1) << 8) &
+                         bits);
+    store_i16_masked(dst + i, pack_clamped_i32(c0, c1), bits);
   }
   return sat;
 }
 
-SJ_TARGET_AVX2 i64 add_clamp_i16_avx2(const i16* a, const i16* b, i16* dst, int n,
-                                      i32 lo, i32 hi) {
+SJ_TARGET_AVX2 i64 add_clamp_i16_avx2(const MaskWords& mask, const i16* a, const i16* b,
+                                      i16* dst, i32 lo, i32 hi) {
   const __m256i vlo = _mm256_set1_epi32(lo);
   const __m256i vhi = _mm256_set1_epi32(hi);
   i64 sat = 0;
-  for (int i = 0; i < n; i += 16) {
+  for (int i = 0; i < kPlanes; i += 16) {
+    const u32 bits = block_bits(mask, i);
+    if (bits == 0) continue;
     const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
     const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
     const __m256i s0 = _mm256_add_epi32(
@@ -254,162 +314,93 @@ SJ_TARGET_AVX2 i64 add_clamp_i16_avx2(const i16* a, const i16* b, i16* dst, int 
         _mm256_cvtepi16_epi32(_mm256_extracti128_si256(vb, 1)));
     const __m256i c0 = _mm256_min_epi32(_mm256_max_epi32(s0, vlo), vhi);
     const __m256i c1 = _mm256_min_epi32(_mm256_max_epi32(s1, vlo), vhi);
-    sat += count_unequal_epi32(s0, c0) + count_unequal_epi32(s1, c1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), pack_clamped_i32(c0, c1));
+    sat += std::popcount((unequal_bits_epi32(s0, c0) | unequal_bits_epi32(s1, c1) << 8) &
+                         bits);
+    store_i16_masked(dst + i, pack_clamped_i32(c0, c1), bits);
   }
   return sat;
 }
 
-SJ_TARGET_AVX2 u64 integrate_fire_strip_avx2(i32* pot, const i16* add, i32 lo, i32 hi,
-                                             i32 threshold, i64* saturations) {
+// Eight i32 lanes per block: the potentials are i32.
+SJ_TARGET_AVX2 MaskWords integrate_fire_avx2(const MaskWords& mask, i32* pot,
+                                             const i16* add, i32 lo, i32 hi, i32 threshold,
+                                             i64* saturations, i64* fired) {
   const __m256i vlo = _mm256_set1_epi32(lo);
   const __m256i vhi = _mm256_set1_epi32(hi);
   const __m256i vthr = _mm256_set1_epi32(threshold);
   // v >= thr  <=>  v > thr - 1 (thr - 1 cannot wrap: |thr| <= 2^30).
   const __m256i vthr1 = _mm256_set1_epi32(threshold - 1);
-  u64 fire_word = 0;
+  MaskWords fire{};
   i64 sat = 0;
-  for (int g = 0; g < 8; ++g) {
-    const __m256i p = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pot + g * 8));
-    const __m256i a = _mm256_cvtepi16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(add + g * 8)));
-    const __m256i s = _mm256_add_epi32(p, a);
+  for (int i = 0; i < kPlanes; i += 8) {
+    const u64 word = mask[static_cast<usize>(i >> 6)];
+    const u32 bits = static_cast<u32>(word >> (i & 63)) & 0xFF;
+    if (bits == 0) continue;
+    __m256i* p = reinterpret_cast<__m256i*>(pot + i);
+    const __m256i v = _mm256_loadu_si256(p);
+    const __m256i s = _mm256_add_epi32(
+        v, _mm256_cvtepi16_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(add + i))));
     const __m256i c = _mm256_min_epi32(_mm256_max_epi32(s, vlo), vhi);
-    sat += count_unequal_epi32(s, c);
-    const __m256i fire = _mm256_cmpgt_epi32(c, vthr1);
-    const __m256i out = _mm256_sub_epi32(c, _mm256_and_si256(fire, vthr));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(pot + g * 8), out);
-    const u32 bits = static_cast<u32>(_mm256_movemask_ps(_mm256_castsi256_ps(fire)));
-    fire_word |= static_cast<u64>(bits) << (g * 8);
+    sat += std::popcount(unequal_bits_epi32(s, c) & bits);
+    const __m256i f = _mm256_cmpgt_epi32(c, vthr1);
+    __m256i out = _mm256_sub_epi32(c, _mm256_and_si256(f, vthr));
+    if (bits != 0xFF) out = _mm256_blendv_epi8(v, out, lanes_i32(bits));
+    _mm256_storeu_si256(p, out);
+    const u32 f_bits = static_cast<u32>(_mm256_movemask_ps(_mm256_castsi256_ps(f))) & bits;
+    fire[static_cast<usize>(i >> 6)] |= static_cast<u64>(f_bits) << (i & 63);
   }
   *saturations += sat;
-  return fire_word;
+  *fired += std::popcount(fire[0]) + std::popcount(fire[1]) + std::popcount(fire[2]) +
+            std::popcount(fire[3]);
+  return fire;
 }
 
 // Toggle counting, 16 i16 lanes per register: the masked XOR's bits are
 // counted per byte by the nibble-table method (vpshufb looks each nibble up
 // in a 16-entry bit-count table) and summed into four u64 lanes by vpsadbw,
 // so the loop issues no scalar popcount at all.
-SJ_TARGET_AVX2 i64 toggle_count_i16_avx2(const i16* prev, const i16* vals, int n,
-                                          u16 wire_mask) {
+SJ_TARGET_AVX2 i64 toggle_count_i16_avx2(const MaskWords& mask, const i16* prev,
+                                          const i16* vals, u16 wire_mask) {
   const __m256i wm = _mm256_set1_epi16(static_cast<i16>(wire_mask));
   const __m256i nib = _mm256_set1_epi8(0x0F);
   const __m256i bits4 = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
                                          0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
   __m256i sum = _mm256_setzero_si256();
-  int i = 0;
-  for (; i + 16 <= n; i += 16) {
+  for (int i = 0; i < kPlanes; i += 16) {
+    const u32 bits = block_bits(mask, i);
+    if (bits == 0) continue;
+    const __m256i m = bits == kFullBlock ? wm : _mm256_and_si256(wm, lanes_i16(bits));
     const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(prev + i));
     const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
-    const __m256i x = _mm256_and_si256(_mm256_xor_si256(a, b), wm);
+    const __m256i x = _mm256_and_si256(_mm256_xor_si256(a, b), m);
     const __m256i cnt = _mm256_add_epi8(
         _mm256_shuffle_epi8(bits4, _mm256_and_si256(x, nib)),
         _mm256_shuffle_epi8(bits4, _mm256_and_si256(_mm256_srli_epi16(x, 4), nib)));
     sum = _mm256_add_epi64(sum, _mm256_sad_epu8(cnt, _mm256_setzero_si256()));
   }
   const __m128i s2 = _mm_add_epi64(_mm256_castsi256_si128(sum), _mm256_extracti128_si256(sum, 1));
-  const i64 toggles = _mm_cvtsi128_si64(s2) + _mm_extract_epi64(s2, 1);
-  return toggles + toggle_count_i16_scalar(prev + i, vals + i, n - i, wire_mask);
+  return _mm_cvtsi128_si64(s2) + _mm_extract_epi64(s2, 1);
+}
+
+// The spike-word count needs only the popcnt half of the target: four
+// hardware popcounts instead of libgcc's software routine.
+SJ_TARGET_AVX2 i64 toggle_count_bits_avx2(const MaskWords& mask, const MaskWords& prev,
+                                          const MaskWords& vals) {
+  i64 toggles = 0;
+  for (usize wi = 0; wi < 4; ++wi) toggles += std::popcount((prev[wi] ^ vals[wi]) & mask[wi]);
+  return toggles;
+}
+
+SJ_TARGET_AVX2 void copy_i16_avx2(const MaskWords& mask, const i16* src, i16* dst) {
+  for (int i = 0; i < kPlanes; i += 16) {
+    const u32 bits = block_bits(mask, i);
+    if (bits == 0) continue;
+    store_i16_masked(dst + i,
+                     _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)), bits);
+  }
 }
 
 #endif  // SJ_SIMD_HAVE_AVX2
-
-#if SJ_SIMD_HAVE_NEON
-
-// ---------------------------------------------------------------------------
-// NEON: 8 i16 / 4 i32 lanes per 128-bit register (baseline on AArch64).
-// ---------------------------------------------------------------------------
-
-inline i64 count_equal_s32(uint32x4_t eq) {
-  // Equal lanes are all-ones; shift down to one bit per lane and sum.
-  return vaddvq_u32(vshrq_n_u32(eq, 31));
-}
-
-void accumulate_i16_neon(i32* acc, const i16* row, int n) {
-  for (int i = 0; i < n; i += 8) {
-    const int16x8_t r = vld1q_s16(row + i);
-    int32x4_t a0 = vld1q_s32(acc + i);
-    int32x4_t a1 = vld1q_s32(acc + i + 4);
-    a0 = vaddw_s16(a0, vget_low_s16(r));
-    a1 = vaddw_s16(a1, vget_high_s16(r));
-    vst1q_s32(acc + i, a0);
-    vst1q_s32(acc + i + 4, a1);
-  }
-}
-
-i64 clamp_store_i16_neon(const i32* src, i16* dst, int n, i32 lo, i32 hi) {
-  const int32x4_t vlo = vdupq_n_s32(lo);
-  const int32x4_t vhi = vdupq_n_s32(hi);
-  i64 sat = 0;
-  for (int i = 0; i < n; i += 8) {
-    const int32x4_t v0 = vld1q_s32(src + i);
-    const int32x4_t v1 = vld1q_s32(src + i + 4);
-    const int32x4_t c0 = vminq_s32(vmaxq_s32(v0, vlo), vhi);
-    const int32x4_t c1 = vminq_s32(vmaxq_s32(v1, vlo), vhi);
-    sat += 8 - count_equal_s32(vceqq_s32(v0, c0)) - count_equal_s32(vceqq_s32(v1, c1));
-    // Plain narrow is exact: values already clamped into i16.
-    vst1q_s16(dst + i, vcombine_s16(vmovn_s32(c0), vmovn_s32(c1)));
-  }
-  return sat;
-}
-
-i64 add_clamp_i16_neon(const i16* a, const i16* b, i16* dst, int n, i32 lo, i32 hi) {
-  const int32x4_t vlo = vdupq_n_s32(lo);
-  const int32x4_t vhi = vdupq_n_s32(hi);
-  i64 sat = 0;
-  for (int i = 0; i < n; i += 8) {
-    const int16x8_t va = vld1q_s16(a + i);
-    const int16x8_t vb = vld1q_s16(b + i);
-    const int32x4_t s0 = vaddl_s16(vget_low_s16(va), vget_low_s16(vb));
-    const int32x4_t s1 = vaddl_s16(vget_high_s16(va), vget_high_s16(vb));
-    const int32x4_t c0 = vminq_s32(vmaxq_s32(s0, vlo), vhi);
-    const int32x4_t c1 = vminq_s32(vmaxq_s32(s1, vlo), vhi);
-    sat += 8 - count_equal_s32(vceqq_s32(s0, c0)) - count_equal_s32(vceqq_s32(s1, c1));
-    vst1q_s16(dst + i, vcombine_s16(vmovn_s32(c0), vmovn_s32(c1)));
-  }
-  return sat;
-}
-
-u64 integrate_fire_strip_neon(i32* pot, const i16* add, i32 lo, i32 hi,
-                              i32 threshold, i64* saturations) {
-  const int32x4_t vlo = vdupq_n_s32(lo);
-  const int32x4_t vhi = vdupq_n_s32(hi);
-  const int32x4_t vthr = vdupq_n_s32(threshold);
-  const uint32x4_t lane_bits = {1u, 2u, 4u, 8u};
-  u64 fire_word = 0;
-  i64 sat = 0;
-  for (int g = 0; g < 16; ++g) {
-    const int32x4_t p = vld1q_s32(pot + g * 4);
-    const int32x4_t s = vaddw_s16(p, vld1_s16(add + g * 4));
-    const int32x4_t c = vminq_s32(vmaxq_s32(s, vlo), vhi);
-    sat += 4 - count_equal_s32(vceqq_s32(s, c));
-    const uint32x4_t fire = vcgeq_s32(c, vthr);
-    const int32x4_t out =
-        vsubq_s32(c, vandq_s32(vreinterpretq_s32_u32(fire), vthr));
-    vst1q_s32(pot + g * 4, out);
-    fire_word |= static_cast<u64>(vaddvq_u32(vandq_u32(fire, lane_bits))) << (g * 4);
-  }
-  *saturations += sat;
-  return fire_word;
-}
-
-// Toggle counting, word-packed: four i16 lanes per u64 XOR + popcount
-// (AArch64 popcounts in hardware). Lane order inside the word is irrelevant
-// to a popcount, so this is exact on any endianness.
-i64 toggle_count_i16_neon(const i16* prev, const i16* vals, int n, u16 wire_mask) {
-  const u64 wm = u64{0x0001000100010001} * wire_mask;
-  i64 toggles = 0;
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    u64 a, b;
-    std::memcpy(&a, prev + i, sizeof(a));
-    std::memcpy(&b, vals + i, sizeof(b));
-    toggles += std::popcount((a ^ b) & wm);
-  }
-  return toggles + toggle_count_i16_scalar(prev + i, vals + i, n - i, wire_mask);
-}
-
-#endif  // SJ_SIMD_HAVE_NEON
 
 // ---------------------------------------------------------------------------
 // Backend selection.
@@ -442,7 +433,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::Scalar: return "scalar";
     case Backend::AVX2: return "avx2";
-    case Backend::NEON: return "neon";
   }
   return "scalar";
 }
@@ -451,7 +441,6 @@ bool backend_compiled(Backend b) {
   switch (b) {
     case Backend::Scalar: return true;
     case Backend::AVX2: return SJ_SIMD_HAVE_AVX2 != 0;
-    case Backend::NEON: return SJ_SIMD_HAVE_NEON != 0;
   }
   return false;
 }
@@ -464,12 +453,11 @@ bool backend_usable(Backend b) {
     return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("popcnt") != 0;
   }
 #endif
-  return true;  // Scalar always; NEON is baseline where compiled
+  return b == Backend::Scalar;
 }
 
 Backend best_backend() {
   if (backend_usable(Backend::AVX2)) return Backend::AVX2;
-  if (backend_usable(Backend::NEON)) return Backend::NEON;
   return Backend::Scalar;
 }
 
@@ -498,7 +486,7 @@ bool parse_backend(const char* text, Backend* out) {
   if (first == std::string::npos) return false;
   s = s.substr(first, s.find_last_not_of(" \t") - first + 1);
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  for (const Backend b : {Backend::Scalar, Backend::AVX2, Backend::NEON}) {
+  for (const Backend b : {Backend::Scalar, Backend::AVX2}) {
     if (s == backend_name(b)) {
       *out = b;
       return true;
@@ -511,92 +499,56 @@ bool parse_backend(const char* text, Backend* out) {
 // Dispatch.
 // ---------------------------------------------------------------------------
 
+// Each entry point runs its kernel's body for the active backend.
+#if SJ_SIMD_HAVE_AVX2
+#define SJ_DISPATCH(kernel, ...)                                               \
+  do {                                                                         \
+    if (active_backend() == Backend::AVX2) return kernel##_avx2(__VA_ARGS__); \
+    return kernel##_scalar(__VA_ARGS__);                                       \
+  } while (false)
+#else
+#define SJ_DISPATCH(kernel, ...) return kernel##_scalar(__VA_ARGS__)
+#endif
+
 void accumulate_i16(i32* acc, const i16* row, int n) {
-  switch (active_backend()) {
-#if SJ_SIMD_HAVE_AVX2
-    case Backend::AVX2: accumulate_i16_avx2(acc, row, n); return;
-#endif
-#if SJ_SIMD_HAVE_NEON
-    case Backend::NEON: accumulate_i16_neon(acc, row, n); return;
-#endif
-    default: accumulate_i16_scalar(acc, row, n); return;
-  }
-}
-
-i64 clamp_store_i16(const i32* src, i16* dst, int n, i32 lo, i32 hi) {
-  switch (active_backend()) {
-#if SJ_SIMD_HAVE_AVX2
-    case Backend::AVX2: return clamp_store_i16_avx2(src, dst, n, lo, hi);
-#endif
-#if SJ_SIMD_HAVE_NEON
-    case Backend::NEON: return clamp_store_i16_neon(src, dst, n, lo, hi);
-#endif
-    default: return clamp_store_i16_scalar(src, dst, n, lo, hi);
-  }
-}
-
-i64 add_clamp_i16(const i16* a, const i16* b, i16* dst, int n, i32 lo, i32 hi) {
-  switch (active_backend()) {
-#if SJ_SIMD_HAVE_AVX2
-    case Backend::AVX2: return add_clamp_i16_avx2(a, b, dst, n, lo, hi);
-#endif
-#if SJ_SIMD_HAVE_NEON
-    case Backend::NEON: return add_clamp_i16_neon(a, b, dst, n, lo, hi);
-#endif
-    default: return add_clamp_i16_scalar(a, b, dst, n, lo, hi);
-  }
-}
-
-u64 integrate_fire_strip(i32* pot, const i16* add, i32 lo, i32 hi, i32 threshold,
-                         i64* saturations) {
-  switch (active_backend()) {
-#if SJ_SIMD_HAVE_AVX2
-    case Backend::AVX2:
-      return integrate_fire_strip_avx2(pot, add, lo, hi, threshold, saturations);
-#endif
-#if SJ_SIMD_HAVE_NEON
-    case Backend::NEON:
-      return integrate_fire_strip_neon(pot, add, lo, hi, threshold, saturations);
-#endif
-    default:
-      return integrate_fire_strip_scalar(pot, add, lo, hi, threshold, saturations);
-  }
+  SJ_DISPATCH(accumulate_i16, acc, row, n);
 }
 
 void gather_rows_i8(i32* acc, const i8* w, const u16* rows, int n) {
-  switch (active_backend()) {
-#if SJ_SIMD_HAVE_AVX2
-    case Backend::AVX2: gather_rows_i8_avx2(acc, w, rows, n); return;
-#endif
-    // NEON has no body of its own yet (none can be compile-checked on the
-    // x86 CI hosts), so it runs the scalar reference.
-    default: gather_rows_i8_scalar(acc, w, rows, n); return;
-  }
+  SJ_DISPATCH(gather_rows_i8, acc, w, rows, n);
 }
 
 void encode_step(i32* acc, const i32* q, int n, i32 Q, u64* out_words) {
-  switch (active_backend()) {
-#if SJ_SIMD_HAVE_AVX2
-    case Backend::AVX2: encode_step_avx2(acc, q, n, Q, out_words); return;
-#endif
-    default: encode_step_scalar(acc, q, n, Q, out_words); return;  // NEON too
-  }
+  SJ_DISPATCH(encode_step, acc, q, n, Q, out_words);
 }
 
-i64 toggle_count_i16(const i16* prev, const i16* vals, int n, u16 wire_mask) {
-  switch (active_backend()) {
-    // AVX2 counts bits in vector lanes (a baseline x86-64 build has no
-    // popcount instruction, so a u64-packed loop there would call libgcc's
-    // software __popcountdi2 once per four lanes); NEON packs four lanes
-    // per u64 and popcounts in hardware.
-#if SJ_SIMD_HAVE_AVX2
-    case Backend::AVX2: return toggle_count_i16_avx2(prev, vals, n, wire_mask);
-#endif
-#if SJ_SIMD_HAVE_NEON
-    case Backend::NEON: return toggle_count_i16_neon(prev, vals, n, wire_mask);
-#endif
-    default: return toggle_count_i16_scalar(prev, vals, n, wire_mask);
-  }
+i64 clamp_store_i16(const MaskWords& mask, const i32* src, i16* dst, i32 lo, i32 hi) {
+  SJ_DISPATCH(clamp_store_i16, mask, src, dst, lo, hi);
 }
+
+i64 add_clamp_i16(const MaskWords& mask, const i16* a, const i16* b, i16* dst, i32 lo,
+                  i32 hi) {
+  SJ_DISPATCH(add_clamp_i16, mask, a, b, dst, lo, hi);
+}
+
+MaskWords integrate_fire(const MaskWords& mask, i32* pot, const i16* add, i32 lo, i32 hi,
+                         i32 threshold, i64* saturations, i64* fired) {
+  SJ_DISPATCH(integrate_fire, mask, pot, add, lo, hi, threshold, saturations, fired);
+}
+
+i64 toggle_count_i16(const MaskWords& mask, const i16* prev, const i16* vals,
+                     u16 wire_mask) {
+  SJ_DISPATCH(toggle_count_i16, mask, prev, vals, wire_mask);
+}
+
+i64 toggle_count_bits(const MaskWords& mask, const MaskWords& prev, const MaskWords& vals) {
+  SJ_DISPATCH(toggle_count_bits, mask, prev, vals);
+}
+
+void copy_i16(const MaskWords& mask, const i16* src, i16* dst) {
+  SJ_DISPATCH(copy_i16, mask, src, dst);
+}
+
+#undef SJ_DISPATCH
 
 }  // namespace sj::simd

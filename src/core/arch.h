@@ -50,11 +50,12 @@ struct ArchParams {
     SJ_REQUIRE(core_neurons >= 1 && core_neurons <= 256, "arch: core_neurons in [1,256]");
     SJ_REQUIRE(weight_bits >= 2 && weight_bits <= 15, "arch: weight_bits in [2,15]");
     SJ_REQUIRE(noc_bits > local_ps_bits, "arch: NoC must be wider than local PS");
-    // Router PS registers are i16 and potentials i32: a wider field would
-    // wrap when narrowed into them.
+    // Router PS registers are i16: a wider field would wrap when narrowed
+    // into them. Potentials sit in i32 lanes, where integrate-and-fire needs
+    // headroom for pot + add and v - threshold (simd::integrate_fire_exact).
     SJ_REQUIRE(noc_bits <= 16, "arch: noc_bits above 16");
     SJ_REQUIRE(potential_bits >= noc_bits, "arch: potential narrower than NoC");
-    SJ_REQUIRE(potential_bits <= 32, "arch: potential_bits above 32");
+    SJ_REQUIRE(potential_bits <= 30, "arch: potential_bits above 30");
     SJ_REQUIRE(chip_rows >= 1 && chip_cols >= 1, "arch: bad chip geometry");
     SJ_REQUIRE(acc_cycles >= 1, "arch: bad acc_cycles");
   }

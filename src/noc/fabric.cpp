@@ -1,6 +1,6 @@
 #include "noc/fabric.h"
 
-#include <bit>
+#include <cstring>
 
 #include "common/simd.h"
 
@@ -106,7 +106,8 @@ void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router:
   w.core = ln.dst;
   w.port = opposite(ln.dir);
   w.mask = mask;
-  Router::masked_copy(mask, values, w.values.data());
+  // A whole-file snapshot: commit_cycle() lands only the masked planes.
+  std::memcpy(w.values.data(), values, sizeof(w.values));
 
   // Wire-toggle Hamming accounting against the destination port register,
   // which until this cycle's commit_cycle() holds the wire's previous value:
@@ -114,26 +115,9 @@ void NocState::send_ps_masked(const NocTopology& topo, LinkId lid, const Router:
   // by exactly one link, a frame reset zeroes the register along with the
   // wire, and check_routes' issue rule (opt::IssueSlots, keyed modulo II on
   // a pipelined schedule) writes a link plane at most once per cycle, so no
-  // other write to these planes is staged. Full mask words take the SIMD
-  // kernel, partial words walk set bits. Identical counts either way.
-  const i16* prev = dst.ps_in_data(w.port);
+  // other write to these planes is staged.
   const u16 wire_mask = static_cast<u16>((u32{1} << topo.noc_bits()) - 1);
-  i64 toggles = 0;
-  for (int wi = 0; wi < Router::kWords; ++wi) {
-    u64 word = mask[static_cast<usize>(wi)];
-    if (word == 0) continue;
-    const int base = wi * 64;
-    if (word == ~u64{0}) {
-      toggles += simd::toggle_count_i16(prev + base, values + base, 64, wire_mask);
-    } else {
-      while (word != 0) {
-        const int p = base + std::countr_zero(word);
-        word &= word - 1;
-        toggles += std::popcount(static_cast<u32>(
-            (static_cast<u16>(prev[p]) ^ static_cast<u16>(values[p])) & wire_mask));
-      }
-    }
-  }
+  const i64 toggles = simd::toggle_count_i16(mask, dst.ps_in_data(w.port), values, wire_mask);
   tc.ensure(topo.num_links());
   tc.links[lid].ps_toggles += toggles;
 }
@@ -151,22 +135,17 @@ void NocState::send_spike_masked(const NocTopology& topo, LinkId lid,
   w.core = ln.dst;
   w.port = opposite(ln.dir);
   w.mask = mask;
+  for (usize wi = 0; wi < Router::kWords; ++wi) w.bits[wi] = bits[wi] & mask[wi];
   // Toggles count against the destination port register, the wire's
   // previous value (see send_ps_masked).
-  const Router::Words& prev = dst.spk_in_words(w.port);
-  i64 toggles = 0;
-  for (usize wi = 0; wi < Router::kWords; ++wi) {
-    w.bits[wi] = bits[wi] & mask[wi];
-    toggles += std::popcount((prev[wi] ^ bits[wi]) & mask[wi]);
-  }
+  const i64 toggles = simd::toggle_count_bits(mask, dst.spk_in_words(w.port), bits);
   tc.ensure(topo.num_links());
   tc.links[lid].spike_toggles += toggles;
 }
 
 void NocState::commit_cycle() {
   for (const PsWrite& w : ps_staged_) {
-    Router::masked_copy(w.mask, w.values.data(),
-                        routers_[router_slot(w.core)].ps_in_data(w.port));
+    simd::copy_i16(w.mask, w.values.data(), routers_[router_slot(w.core)].ps_in_data(w.port));
   }
   for (const SpkWrite& w : spk_staged_) {
     Router::Words& reg = routers_[router_slot(w.core)].spk_in_words(w.port);

@@ -28,9 +28,11 @@
 // program at lowering (map::StaticCensus) and added per frame by the engine.
 //
 // Movement stages a whole 256-plane mask per call (`send_ps_masked`/
-// `send_spike_masked`, keyed by a pre-resolved LinkId) and charges spike
-// toggles with whole-word Hamming weights; a one-plane send is a one-plane
-// mask.
+// `send_spike_masked`, keyed by a pre-resolved LinkId); a one-plane send is
+// a one-plane mask. Each send stages a snapshot and makes one masked toggle
+// count (simd::toggle_count_i16 for PS values, toggle_count_bits for spike
+// words); commit_cycle() lands each staged PS write with one masked
+// simd::copy_i16.
 #pragma once
 
 #include <vector>
@@ -122,9 +124,9 @@ class NocState {
   /// engine pre-resolves the LinkId at program lowering); each lands in the
   /// link's destination in[opposite(dir)] register at commit_cycle().
   /// Charges the link's wire toggles in `tc`, counted against that
-  /// register. `values` must cover every masked strip; a snapshot is taken,
-  /// so the source register may change before commit_cycle(). No-op for an
-  /// empty mask.
+  /// register. `values` must address a whole 256-plane file; a snapshot is
+  /// taken, so the source register may change before commit_cycle(). No-op
+  /// for an empty mask.
   void send_ps_masked(const NocTopology& topo, LinkId lid, const Router::Words& mask,
                       const i16* values, TrafficCounters& tc);
   /// Spike form: the payload is the bit-packed word group `bits` (masked
@@ -150,14 +152,14 @@ class NocState {
   void check_topology(const NocTopology& topo) const;
 
   // Staged masked writes. The user-provided empty constructors keep
-  // emplace_back from value-zeroing the 512-byte payload that masked_copy
-  // overwrites anyway.
+  // emplace_back from value-zeroing the 512-byte payload, which each send
+  // overwrites whole.
   struct PsWrite {
     PsWrite() {}
     u32 core;
     Dir port;
     Router::Words mask;
-    std::array<i16, Router::kPlanes> values;  // masked planes valid
+    std::array<i16, Router::kPlanes> values;  // the source file; masked planes land
   };
   struct SpkWrite {
     SpkWrite() {}

@@ -8,9 +8,9 @@
 //   Spike router: in[N/S/E/W] (1-bit), spike_out (local injection register
 //                 written by SPIKE)
 // Storage is struct-of-arrays and word-addressable: every 16-bit register
-// file is one contiguous `i16[256]` array (vectorizable 64-plane strips),
-// every 1-bit register file is one `u64[4]` word group operated on with
-// whole-word AND/OR/shift kernels. The hardware executes the same compiled
+// file is one contiguous `i16[256]` array that the masked simd:: kernels
+// (copy, add-clamp) address whole, every 1-bit register file is one `u64[4]`
+// word group operated on with whole-word AND/OR/shift kernels. The hardware executes the same compiled
 // op across all 256 planes of a tile in lockstep, so the word-level layout
 // is the faithful one — the scalar per-plane accessors below it are the
 // convenience view, not the other way around.
@@ -25,10 +25,9 @@
 #pragma once
 
 #include <array>
-#include <bit>
-#include <cstring>
 
 #include "common/fixed.h"
+#include "common/simd.h"
 #include "common/types.h"
 
 namespace sj::noc {
@@ -38,7 +37,7 @@ class Router {
   static constexpr int kPlanes = 256;
   static constexpr int kWords = 4;  // kPlanes / 64 bit-packed words
 
-  using Words = std::array<u64, kWords>;       // one 1-bit register file
+  using Words = simd::MaskWords;               // one 1-bit register file
   using PsRegs = std::array<i16, kPlanes>;     // one 16-bit register file
 
   // --- partial-sum plane ---------------------------------------------------
@@ -58,28 +57,10 @@ class Router {
   const i16* eject_data() const { return eject_.data(); }
   i16* eject_data() { return eject_.data(); }
 
-  /// dst[p] = src[p] for every plane in `mask`, 64-plane strips at a time
-  /// (full words are straight memcpy). Unmasked planes are untouched.
-  static void masked_copy(const Words& mask, const i16* src, i16* dst) {
-    for (int wi = 0; wi < kWords; ++wi) {
-      u64 word = mask[static_cast<usize>(wi)];
-      if (word == 0) continue;
-      const int base = wi * 64;
-      if (word == ~u64{0}) {
-        std::memcpy(dst + base, src + base, 64 * sizeof(i16));
-      } else {
-        while (word != 0) {
-          const int p = base + std::countr_zero(word);
-          word &= word - 1;
-          dst[p] = src[p];
-        }
-      }
-    }
-  }
-
-  /// Masked copy into the eject registers (PS_SEND with out_sel = eject).
+  /// Masked copy into the eject registers (PS_SEND with out_sel = eject);
+  /// unmasked planes are untouched.
   void set_eject_masked(const Words& mask, const i16* src) {
-    masked_copy(mask, src, eject_.data());
+    simd::copy_i16(mask, src, eject_.data());
   }
 
   /// The in-router adder (SUM $SRC, $CONSEC): sum_buf = op1 + in[src],

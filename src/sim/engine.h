@@ -20,9 +20,10 @@
 // T + depth times as a modulo schedule (map::build_pipeline, whose serial
 // form is the degenerate II = C case) and flattened, once, into the frame's
 // input stagings, row executions, NoC commits and readouts in cycle order.
-// The rows run the plane-parallel word kernels. It is the engine's one frame
-// loop; a mapping that spans several chips runs through it like any other,
-// its inter-chip links charged by the NoC layer (noc::Link::interchip).
+// The rows run the plane-parallel word kernels, one masked simd:: kernel
+// call per op. It is the engine's one frame loop; a mapping that spans
+// several chips runs through it like any other, its inter-chip links
+// charged by the NoC layer (noc::Link::interchip).
 // Engine::run_batch(images) hands frames out one at a time over the global
 // ThreadPool (ThreadPool::parallel_claim): one pooled context per lane, each
 // lane claiming the next unrun frame when it finishes one, so a slow CPU
@@ -159,6 +160,8 @@ struct FrameResult {
 /// must outlive it.
 class CompiledModel {
  public:
+  /// REQUIREs (InvalidArgument) a valid ArchParams and every core threshold
+  /// within simd::integrate_fire_exact's 31 signed bits.
   CompiledModel(const MappedNetwork& mapped, const snn::SnnNetwork& net);
 
   /// Weight-swap compile: takes the already-lowered topology, op stream and
@@ -166,7 +169,8 @@ class CompiledModel {
   /// (dense rows), skipping the expensive lowering. REQUIREs `mapped` to
   /// have the donor network's map::structure_words, compared exactly, so the
   /// donor's program executes `mapped` verbatim; only CoreWeights and
-  /// thresholds (and provenance such as the opt level) may differ.
+  /// thresholds (and provenance such as the opt level) may differ, and the
+  /// thresholds are checked like a fresh compile's.
   CompiledModel(const MappedNetwork& mapped, const snn::SnnNetwork& net,
                 const CompiledModel& donor);
 
@@ -279,7 +283,7 @@ class SimContext {
   friend class Engine;
 
   /// Neuron-core state. Router registers live in noc_. Fixed-size
-  /// contiguous arrays: the kernels address them in 64-plane strips.
+  /// contiguous 256-plane arrays: the masked kernels address them whole.
   struct CoreState {
     std::array<i16, 256> local_ps{};
     std::array<i32, 256> potential{};
@@ -372,9 +376,9 @@ class Engine {
   // split): acc_latency cycles after exec_ops gathered it, or right after
   // the gather on the serial schedule.
   void acc_commit(SimContext& ctx, const map::ExecOp& op, i32 parity) const;
-  // The per-opcode word kernels over the tables' ops [begin, end); sends
-  // stage onto the context's NoC queue. ACC gathers into the (core,
-  // parity) pending buffer.
+  // The tables' ops [begin, end), each one masked simd:: kernel call (or
+  // whole-word ANDs/ORs on the 1-bit spike registers); sends stage onto the
+  // context's NoC queue. ACC gathers into the (core, parity) pending buffer.
   void exec_ops(SimContext& ctx, u32 begin, u32 end, i32 parity) const;
 
   CompiledModel model_;

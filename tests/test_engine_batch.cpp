@@ -405,5 +405,21 @@ TEST(EngineBatch, DonorCompileRejectsStructuralChanges) {
   EXPECT_THROW(Engine(b3.mapped, b3.net, donor), Error);
 }
 
+TEST(EngineBatch, BothCompilesRefuseThresholdsOutsideTheFireKernel) {
+  // SPK.SPIKE runs in i32 lanes, exact for thresholds within 31 signed bits
+  // (simd::integrate_fire_exact). Thresholds are weight-swap payload, so a
+  // donor compile checks them as well as a fresh one.
+  const Built b = build_fc(17, 6, 1);
+  const Engine donor(b.mapped, b.net);
+  map::MappedNetwork edited = b.mapped;
+  i32& thr = edited.cores[edited.unit_slots[0][0].core].threshold;
+  thr = i32{1} << 30;
+  EXPECT_THROW(Engine(edited, b.net), InvalidArgument);
+  EXPECT_THROW(Engine(edited, b.net, donor), InvalidArgument);
+  thr = (i32{1} << 30) - 1;
+  EXPECT_NO_THROW(Engine(edited, b.net));
+  EXPECT_NO_THROW(Engine(edited, b.net, donor));
+}
+
 }  // namespace
 }  // namespace sj::sim

@@ -2,7 +2,7 @@
 //
 // Two layers of defense:
 //  1. Word-level NoC/router primitives (send_ps_masked, send_spike_masked,
-//     masked_copy/set_eject_masked) pitted against the scalar per-plane path
+//     simd::copy_i16/set_eject_masked) pitted against the scalar per-plane path
 //     on randomized masks — including empty, full, single-plane and
 //     word-boundary-straddling masks — checking registers AND wire-toggle
 //     counters for exact equality.
@@ -207,7 +207,7 @@ TEST(MaskedCopyGolden, MatchesPerPlaneCopyOnStraddlingMasks) {
           static_cast<i16>(rng.uniform_int(-5, 5));
     }
     mask.for_each([&](u16 p) { scalar_dst[p] = src[p]; });
-    Router::masked_copy(mask.w, src.data(), masked_dst.data());
+    simd::copy_i16(mask.w, src.data(), masked_dst.data());
     EXPECT_EQ(scalar_dst, masked_dst);
   }
 }
@@ -488,9 +488,7 @@ Built build(nn::Model& m, const Shape& in_shape, u64 seed, i32 T, i32 opt_level 
 /// per-link traffic table.
 std::vector<simd::Backend> usable_simd_backends() {
   std::vector<simd::Backend> bs{simd::Backend::Scalar};
-  for (const simd::Backend b : {simd::Backend::AVX2, simd::Backend::NEON}) {
-    if (simd::backend_usable(b)) bs.push_back(b);
-  }
+  if (simd::backend_usable(simd::Backend::AVX2)) bs.push_back(simd::Backend::AVX2);
   return bs;
 }
 

@@ -237,17 +237,18 @@ TEST(Arch, ValidateRejectsBadConfigs) {
   a = ArchParams::paper();
   a.weight_bits = 1;
   EXPECT_THROW(a.validate(), InvalidArgument);
-  // Router PS registers are i16 and potentials i32.
+  // Router PS registers are i16, and potentials sit in i32 lanes with room
+  // for a threshold subtraction (30 bits).
   a = ArchParams::paper();
   a.noc_bits = 17;
   EXPECT_THROW(a.validate(), InvalidArgument);
   a = ArchParams::paper();
-  a.potential_bits = 33;
+  a.potential_bits = 31;
   EXPECT_THROW(a.validate(), InvalidArgument);
   a = ArchParams::paper();
   a.local_ps_bits = 15;
   a.noc_bits = 16;
-  a.potential_bits = 32;
+  a.potential_bits = 30;
   EXPECT_NO_THROW(a.validate());
 }
 

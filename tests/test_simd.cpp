@@ -5,9 +5,15 @@
 // values, saturation counts, fire bits and toggle tallies alike. The tests
 // below pin each usable backend in turn with set_backend() and compare
 // against scalar results on adversarial inputs: saturation-heavy ranges,
-// aliased destinations, ragged tails and degenerate [lo, hi] windows.
+// aliased destinations, ragged tails and degenerate [lo, hi] windows. The
+// masked kernels are also held to a per-plane model written here: masked
+// lanes get the op, unmasked lanes keep their bytes, and every count covers
+// masked lanes only.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -19,9 +25,7 @@ namespace {
 /// Every backend this binary can actually run, scalar first.
 std::vector<Backend> usable_backends() {
   std::vector<Backend> bs{Backend::Scalar};
-  for (const Backend b : {Backend::AVX2, Backend::NEON}) {
-    if (backend_usable(b)) bs.push_back(b);
-  }
+  if (backend_usable(Backend::AVX2)) bs.push_back(Backend::AVX2);
   return bs;
 }
 
@@ -48,7 +52,7 @@ std::vector<i32> random_i32(Rng& rng, int n, i32 lo, i32 hi) {
 }
 
 TEST(SimdDispatchTest, BackendNamesRoundTrip) {
-  for (const Backend b : {Backend::Scalar, Backend::AVX2, Backend::NEON}) {
+  for (const Backend b : {Backend::Scalar, Backend::AVX2}) {
     Backend parsed = Backend::Scalar;
     ASSERT_TRUE(parse_backend(backend_name(b), &parsed)) << backend_name(b);
     EXPECT_EQ(parsed, b);
@@ -61,6 +65,7 @@ TEST(SimdDispatchTest, ParseRejectsGarbage) {
   EXPECT_FALSE(parse_backend("", &out));
   EXPECT_FALSE(parse_backend("sse9", &out));
   EXPECT_FALSE(parse_backend("  ", &out));
+  EXPECT_FALSE(parse_backend("neon", &out));  // no NEON backend
   EXPECT_EQ(out, Backend::AVX2);  // untouched on failure
   EXPECT_TRUE(parse_backend(" avx2 ", &out));
   EXPECT_EQ(out, Backend::AVX2);
@@ -72,10 +77,8 @@ TEST(SimdDispatchTest, ScalarAlwaysUsableAndBestIsUsable) {
   EXPECT_TRUE(backend_compiled(Backend::Scalar));
   EXPECT_TRUE(backend_usable(Backend::Scalar));
   EXPECT_TRUE(backend_usable(best_backend()));
-  for (const Backend b : {Backend::AVX2, Backend::NEON}) {
-    if (backend_usable(b)) {
-      EXPECT_TRUE(backend_compiled(b));
-    }
+  if (backend_usable(Backend::AVX2)) {
+    EXPECT_TRUE(backend_compiled(Backend::AVX2));
   }
 }
 
@@ -124,7 +127,50 @@ TEST(SimdKernelTest, AccumulateMatchesScalar) {
   }
 }
 
-TEST(SimdKernelTest, ClampStoreMatchesScalarIncludingSaturationCount) {
+// ---------------------------------------------------------------------------
+// Masked kernels: each usable backend vs. a per-plane model.
+// ---------------------------------------------------------------------------
+
+/// Masks for the masked kernels. Each interesting word sits alone in each
+/// of the four word positions and fills all four: empty, the lowest and
+/// highest plane, 0x3FF (the MLP's 10-plane output word), alternate planes,
+/// all-ones and seeded random words. Fully random masks follow.
+std::vector<MaskWords> kernel_masks(Rng& rng) {
+  std::vector<u64> words{0, 1, u64{1} << 63, 0x3FF, 0x5555555555555555, ~u64{0}};
+  for (int i = 0; i < 3; ++i) words.push_back(rng.next_u64());
+  std::vector<MaskWords> masks;
+  for (const u64 w : words) {
+    for (usize pos = 0; pos < 4; ++pos) {
+      MaskWords m{};
+      m[pos] = w;
+      masks.push_back(m);
+    }
+    masks.push_back({w, w, w, w});
+  }
+  for (int i = 0; i < 4; ++i) {
+    masks.push_back({rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()});
+  }
+  return masks;
+}
+
+bool masked(const MaskWords& m, int p) {
+  return ((m[static_cast<usize>(p) >> 6] >> (p & 63)) & 1) != 0;
+}
+
+i32 clamp_ref(i32 v, i32 lo, i32 hi) { return v < lo ? lo : (v > hi ? hi : v); }
+
+/// Hex dump of a mask for failure messages.
+std::string mask_str(const MaskWords& m) {
+  char buf[80];
+  std::snprintf(buf, sizeof(buf), "%016llx:%016llx:%016llx:%016llx",
+                static_cast<unsigned long long>(m[3]), static_cast<unsigned long long>(m[2]),
+                static_cast<unsigned long long>(m[1]), static_cast<unsigned long long>(m[0]));
+  return buf;
+}
+
+constexpr int kLanes = 256;
+
+TEST(SimdMaskedKernelTest, ClampStoreTouchesAndCountsMaskedLanesOnly) {
   const BackendGuard guard;
   Rng rng(102);
   struct Window {
@@ -133,90 +179,111 @@ TEST(SimdKernelTest, ClampStoreMatchesScalarIncludingSaturationCount) {
   // Wide (rarely clamps), narrow (clamps constantly), degenerate (lo == hi).
   const Window windows[] = {{-32768, 32767}, {-127, 127}, {5, 5}};
   for (const Window w : windows) {
-    for (const int n : {16, 64, 256}) {
-      const auto src = random_i32(rng, n, -70000, 70000);
-
-      set_backend(Backend::Scalar);
-      std::vector<i16> want(n, 0);
-      const i64 want_sat = clamp_store_i16(src.data(), want.data(), n, w.lo, w.hi);
-
+    for (const MaskWords& mask : kernel_masks(rng)) {
+      const auto src = random_i32(rng, kLanes, -70000, 70000);
+      const auto dst0 = random_i16(rng, kLanes, -32768, 32767);
+      // The model: masked lanes clamped and counted, the rest untouched.
+      auto want = dst0;
+      i64 want_sat = 0;
+      for (int p = 0; p < kLanes; ++p) {
+        if (!masked(mask, p)) continue;
+        const i32 c = clamp_ref(src[p], w.lo, w.hi);
+        want_sat += c != src[p];
+        want[p] = static_cast<i16>(c);
+      }
       for (const Backend b : usable_backends()) {
         set_backend(b);
-        std::vector<i16> got(n, 0);
-        const i64 got_sat = clamp_store_i16(src.data(), got.data(), n, w.lo, w.hi);
-        EXPECT_EQ(got, want) << backend_name(b) << " n=" << n << " lo=" << w.lo;
-        EXPECT_EQ(got_sat, want_sat) << backend_name(b) << " n=" << n;
+        auto got = dst0;
+        const i64 sat = clamp_store_i16(mask, src.data(), got.data(), w.lo, w.hi);
+        EXPECT_EQ(got, want) << backend_name(b) << " mask=" << mask_str(mask) << " lo=" << w.lo;
+        EXPECT_EQ(sat, want_sat) << backend_name(b) << " mask=" << mask_str(mask);
       }
     }
   }
 }
 
-TEST(SimdKernelTest, AddClampMatchesScalarAndToleratesAliasing) {
+TEST(SimdMaskedKernelTest, AddClampTouchesAndCountsMaskedLanesOnlyAndToleratesAliasing) {
   const BackendGuard guard;
   Rng rng(103);
-  for (const int n : {16, 64, 256}) {
-    // Full-range inputs so a + b exercises both clamp edges through the
-    // widening add (sums reach +-65534, outside i16).
-    const auto a = random_i16(rng, n, -32768, 32767);
-    const auto b = random_i16(rng, n, -32768, 32767);
-    const i32 lo = -255, hi = 255;
+  for (const i32 bound : {255, 32767}) {
+    for (const MaskWords& mask : kernel_masks(rng)) {
+      // Full-range inputs so a + b exercises both clamp edges through the
+      // widening add (sums reach +-65534, outside i16).
+      const auto a = random_i16(rng, kLanes, -32768, 32767);
+      const auto b = random_i16(rng, kLanes, -32768, 32767);
+      const auto dst0 = random_i16(rng, kLanes, -32768, 32767);
+      auto want = dst0, want_aliased = a;
+      i64 want_sat = 0;
+      for (int p = 0; p < kLanes; ++p) {
+        if (!masked(mask, p)) continue;
+        const i32 v = i32{a[p]} + b[p];
+        const i32 c = clamp_ref(v, -bound, bound);
+        want_sat += c != v;
+        want[p] = want_aliased[p] = static_cast<i16>(c);
+      }
+      for (const Backend bk : usable_backends()) {
+        set_backend(bk);
+        auto got = dst0;
+        const i64 sat = add_clamp_i16(mask, a.data(), b.data(), got.data(), -bound, bound);
+        EXPECT_EQ(got, want) << backend_name(bk) << " mask=" << mask_str(mask);
+        EXPECT_EQ(sat, want_sat) << backend_name(bk) << " mask=" << mask_str(mask);
 
-    set_backend(Backend::Scalar);
-    std::vector<i16> want(n, 0);
-    const i64 want_sat = add_clamp_i16(a.data(), b.data(), want.data(), n, lo, hi);
-
-    for (const Backend bk : usable_backends()) {
-      set_backend(bk);
-      std::vector<i16> got(n, 0);
-      const i64 got_sat = add_clamp_i16(a.data(), b.data(), got.data(), n, lo, hi);
-      EXPECT_EQ(got, want) << backend_name(bk) << " n=" << n;
-      EXPECT_EQ(got_sat, want_sat) << backend_name(bk) << " n=" << n;
-
-      // dst aliasing a (the engine's in-place in-router sum).
-      auto aliased = a;
-      const i64 alias_sat =
-          add_clamp_i16(aliased.data(), b.data(), aliased.data(), n, lo, hi);
-      EXPECT_EQ(aliased, want) << backend_name(bk) << " aliased n=" << n;
-      EXPECT_EQ(alias_sat, want_sat) << backend_name(bk) << " aliased n=" << n;
+        // dst aliasing a (the engine's consecutive in-router sum).
+        auto aliased = a;
+        const i64 alias_sat =
+            add_clamp_i16(mask, aliased.data(), b.data(), aliased.data(), -bound, bound);
+        EXPECT_EQ(aliased, want_aliased) << backend_name(bk) << " aliased " << mask_str(mask);
+        EXPECT_EQ(alias_sat, want_sat) << backend_name(bk) << " aliased " << mask_str(mask);
+      }
     }
   }
 }
 
-TEST(SimdKernelTest, IntegrateFireMatchesScalar) {
+TEST(SimdMaskedKernelTest, IntegrateFireTouchesAndCountsMaskedLanesOnly) {
   const BackendGuard guard;
   Rng rng(104);
-  // Thresholds on both sides of zero; lo/hi windows that force saturation.
+  // Thresholds on both sides of zero; lo/hi windows that force saturation,
+  // up to the 30-bit potential cap and the 31-bit threshold limits.
   struct Cfg {
     i32 lo, hi, threshold;
   };
   const Cfg cfgs[] = {
-      {-(1 << 23), (1 << 23) - 1, 1000},  // paper-like datapath
-      {-128, 127, 16},                    // narrow, saturation-heavy
-      {-128, 127, -5},                    // negative threshold: fires a lot
-      {-(1 << 23), (1 << 23) - 1, 0},     // v >= 0 boundary
+      {-(1 << 23), (1 << 23) - 1, 1000},        // paper-like datapath
+      {-128, 127, 16},                          // narrow, saturation-heavy
+      {-128, 127, -5},                          // negative threshold: fires a lot
+      {-(1 << 23), (1 << 23) - 1, 0},           // v >= 0 boundary
+      {-(1 << 29), (1 << 29) - 1, (1 << 30) - 1},  // widest exact configuration
+      {-(1 << 29), (1 << 29) - 1, -(1 << 30)},
   };
   for (const Cfg c : cfgs) {
-    for (int trial = 0; trial < 8; ++trial) {
-      const auto pot0 = random_i32(rng, 64, c.lo * 2, c.hi * 2);
-      const auto add = random_i16(rng, 64, -300, 300);
-
-      set_backend(Backend::Scalar);
+    for (const MaskWords& mask : kernel_masks(rng)) {
+      const auto pot0 = random_i32(rng, kLanes, c.lo * 2, c.hi * 2);
+      const auto add = random_i16(rng, kLanes, -300, 300);
       auto want_pot = pot0;
-      i64 want_sat = 0;
-      const u64 want_fire = integrate_fire_strip(want_pot.data(), add.data(),
-                                                 c.lo, c.hi, c.threshold,
-                                                 &want_sat);
-
+      MaskWords want_fire{};
+      i64 want_sat = 0, want_fired = 0;
+      for (int p = 0; p < kLanes; ++p) {
+        if (!masked(mask, p)) continue;
+        const i32 v = pot0[p] + add[p];
+        const i32 cl = clamp_ref(v, c.lo, c.hi);
+        want_sat += cl != v;
+        const bool f = cl >= c.threshold;
+        want_fired += f;
+        want_pot[p] = f ? cl - c.threshold : cl;
+        if (f) want_fire[static_cast<usize>(p) >> 6] |= u64{1} << (p & 63);
+      }
       for (const Backend b : usable_backends()) {
         set_backend(b);
-        auto got_pot = pot0;
-        i64 got_sat = 0;
-        const u64 got_fire = integrate_fire_strip(got_pot.data(), add.data(),
-                                                  c.lo, c.hi, c.threshold,
-                                                  &got_sat);
-        EXPECT_EQ(got_pot, want_pot) << backend_name(b) << " thr=" << c.threshold;
-        EXPECT_EQ(got_fire, want_fire) << backend_name(b) << " thr=" << c.threshold;
-        EXPECT_EQ(got_sat, want_sat) << backend_name(b) << " thr=" << c.threshold;
+        auto pot = pot0;
+        i64 sat = 3, fired = 5;  // the kernel adds to both tallies
+        const MaskWords fire = integrate_fire(mask, pot.data(), add.data(), c.lo, c.hi,
+                                              c.threshold, &sat, &fired);
+        const std::string what = std::string(backend_name(b)) + " thr=" +
+                                 std::to_string(c.threshold) + " mask=" + mask_str(mask);
+        EXPECT_EQ(pot, want_pot) << what;
+        EXPECT_EQ(fire, want_fire) << what;
+        EXPECT_EQ(sat, 3 + want_sat) << what;
+        EXPECT_EQ(fired, 5 + want_fired) << what;
       }
     }
   }
@@ -231,25 +298,61 @@ TEST(SimdKernelTest, IntegrateFireExactGate) {
   EXPECT_FALSE(integrate_fire_exact(24, -(i64{1} << 30) - 1));
 }
 
-TEST(SimdKernelTest, ToggleCountMatchesScalar) {
+TEST(SimdMaskedKernelTest, ToggleCountCountsMaskedLanesOnly) {
   const BackendGuard guard;
   Rng rng(105);
   // Full, low, high, split and single-bit wire masks: the AVX2 kernel counts
   // the masked XOR nibble by nibble, so every nibble position must matter.
   for (const u16 wire_mask : {u16{0xFFFF}, u16{0x01FF}, u16{0x00F0}, u16{0xFF00},
                               u16{0x8001}, u16{0x5A5A}, u16{0x0001}, u16{0}}) {
-    for (const int n : {16, 64, 256, 48 /* partial-word tail shapes */}) {
-      const auto prev = random_i16(rng, n, -32768, 32767);
-      const auto vals = random_i16(rng, n, -32768, 32767);
-
-      set_backend(Backend::Scalar);
-      const i64 want = toggle_count_i16(prev.data(), vals.data(), n, wire_mask);
-
+    for (const MaskWords& mask : kernel_masks(rng)) {
+      const auto prev = random_i16(rng, kLanes, -32768, 32767);
+      const auto vals = random_i16(rng, kLanes, -32768, 32767);
+      i64 want = 0;
+      for (int p = 0; p < kLanes; ++p) {
+        if (!masked(mask, p)) continue;
+        want += std::popcount(static_cast<u16>((prev[p] ^ vals[p]) & wire_mask));
+      }
       for (const Backend b : usable_backends()) {
         set_backend(b);
-        EXPECT_EQ(toggle_count_i16(prev.data(), vals.data(), n, wire_mask), want)
-            << backend_name(b) << " mask=" << wire_mask;
+        EXPECT_EQ(toggle_count_i16(mask, prev.data(), vals.data(), wire_mask), want)
+            << backend_name(b) << " wire=" << wire_mask << " mask=" << mask_str(mask);
       }
+    }
+  }
+}
+
+TEST(SimdMaskedKernelTest, SpikeToggleCountCountsMaskedBitsOnly) {
+  const BackendGuard guard;
+  Rng rng(108);
+  for (const MaskWords& mask : kernel_masks(rng)) {
+    const MaskWords prev{rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()};
+    const MaskWords vals{rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()};
+    i64 want = 0;
+    for (int p = 0; p < kLanes; ++p) want += masked(mask, p) && masked(prev, p) != masked(vals, p);
+    for (const Backend b : usable_backends()) {
+      set_backend(b);
+      EXPECT_EQ(toggle_count_bits(mask, prev, vals), want)
+          << backend_name(b) << " mask=" << mask_str(mask);
+    }
+  }
+}
+
+TEST(SimdMaskedKernelTest, CopyTouchesMaskedLanesOnly) {
+  const BackendGuard guard;
+  Rng rng(109);
+  for (const MaskWords& mask : kernel_masks(rng)) {
+    const auto src = random_i16(rng, kLanes, -32768, 32767);
+    const auto dst0 = random_i16(rng, kLanes, -32768, 32767);
+    auto want = dst0;
+    for (int p = 0; p < kLanes; ++p) {
+      if (masked(mask, p)) want[p] = src[p];
+    }
+    for (const Backend b : usable_backends()) {
+      set_backend(b);
+      auto got = dst0;
+      copy_i16(mask, src.data(), got.data());
+      EXPECT_EQ(got, want) << backend_name(b) << " mask=" << mask_str(mask);
     }
   }
 }
