@@ -15,7 +15,12 @@
 //   * pipeline: the engine's modulo schedule (ii, span, op_cycle, slack,
 //     rotate_cycle, readout_cycle) on the same mappings;
 //   * the CIFAR ResNet's conversion and opt-1 mapping, the one fixture with
-//     shortcut normalization cores.
+//     shortcut normalization cores;
+//   * opt-2 placement: unit anchors, cycles_per_timestep, II, span and
+//     inter-chip crossings of the MLP on 2x2-tile chips and the CNN on the
+//     paper's chips, recorded while the placement search still ranked
+//     candidates by (crossings, shard phases, cycles); with the phase term
+//     gone they must hold unchanged.
 //
 // CompileGolden.RuntimeCounters carries the pins forward into the engine:
 // three frames of dyadic pixels through the MLP at opt 0/1/2 and the CNN at
@@ -33,10 +38,14 @@
 // the default codegen.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/zoo.h"
 #include "mapper/mapper.h"
+#include "mapper/opt/opt.h"
 #include "mapper/pipeline.h"
 #include "nn/dataset.h"
 #include "sim/engine.h"
@@ -211,6 +220,61 @@ TEST(CompileGolden, CnnMappingsAndSchedules) {
       {"cnn O2", 1, 2, 0, 237, 0xdf2ee36d10d67536ull, 203, 238, 236, 0x6b8eddd7d198cff7ull},
   };
   for (const MapPin& p : pins) check_mapping(p, net);
+}
+
+/// Opt-2 placements: each unit's anchor (the top-left tile of its cores)
+/// hashed with the schedule length, the engine's II and span and the
+/// census' inter-chip crossings, which the placement search minimizes.
+TEST(CompileGolden, Opt2Placements) {
+  struct Pin {
+    const char* name;
+    int which;
+    i32 chip_edge;  // 0 = the paper's 28x28-tile chips
+    u32 cycles_per_timestep;
+    i32 ii;
+    i32 span;
+    i64 crossings;
+    u64 hash;
+  };
+  const Pin pins[] = {
+      {"mlp 2x2 O2", 0, 2, 140, 92, 182, 1024, 0xa6600bc9e1d0edadull},
+      {"cnn O2", 1, 0, 237, 203, 238, 29645, 0x3ff59ef5369cbd23ull},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(p.name);
+    const snn::SnnNetwork net = fixture_net(p.which, 5);
+    map::MapperConfig cfg;
+    cfg.opt_level = 2;
+    cfg.placement_evals = 48;
+    if (p.chip_edge > 0) {
+      cfg.arch.chip_rows = p.chip_edge;
+      cfg.arch.chip_cols = p.chip_edge;
+    }
+    const map::MappedNetwork m = map::map_network(net, cfg);
+    const map::PipelineSchedule ps = map::build_pipeline(m);
+    const i64 crossings = map::opt::measure(m).cross_chip_crossings;
+    std::vector<std::pair<i32, i32>> anchors(net.units.size(), {1 << 30, 1 << 30});
+    for (const map::MappedCore& c : m.cores) {
+      if (c.unit < 0) continue;
+      auto& [row, col] = anchors[static_cast<usize>(c.unit)];
+      row = std::min(row, c.pos.row);
+      col = std::min(col, c.pos.col);
+    }
+    Fnv h;
+    for (const auto& [row, col] : anchors) {
+      h.add(row);
+      h.add(col);
+    }
+    h.add(m.cycles_per_timestep);
+    h.add(ps.ii);
+    h.add(ps.span);
+    h.add(crossings);
+    EXPECT_EQ(m.cycles_per_timestep, p.cycles_per_timestep);
+    EXPECT_EQ(ps.ii, p.ii);
+    EXPECT_EQ(ps.span, p.span);
+    EXPECT_EQ(crossings, p.crossings);
+    EXPECT_EQ(h.value(), p.hash);
+  }
 }
 
 TEST(CompileGolden, ResnetShortcutCores) {
