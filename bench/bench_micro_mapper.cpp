@@ -4,9 +4,8 @@
 // 12022 ms (ResNet) on an i7-8550U. This bench times our map_network() on
 // the same recipes AND measures what the mapping-time optimizer
 // (src/mapper/opt) buys over the greedy schedule: cycles per timestep,
-// cross-chip plane-crossings and shard phases at SHENJING_OPT=0
-// (greedy) versus 2 (schedule passes + placement search), plus per-pass
-// wall time.
+// cross-chip plane-crossings and on-chip flits at SHENJING_OPT=0 (greedy)
+// versus 2 (schedule passes + placement search), plus per-pass wall time.
 //
 // Fixtures and gated metrics:
 //   - MNIST MLP on the paper arch: the single-chip workload. Its cycle
@@ -19,9 +18,11 @@
 //   - MNIST CNN: the multi-unit pipeline with real slack between waves —
 //     placement search finds layouts with far fewer filler/bypass hops, and
 //     repack compacts the shorter wave chains. Gated: cycles_per_timestep
-//     (lower is better), and cnn_pipeline_ii, the engine's initiation
-//     interval at opt level 1, held exactly (a return to the serial
-//     II = cycles_per_timestep would fit inside the default 20 %).
+//     (lower is better); cnn_onchip_flits, the PS and spike flits per
+//     timestep on links inside a chip at opt level 2 (the hops placement
+//     does not rank but the NoC pays); and cnn_pipeline_ii, the engine's
+//     initiation interval at opt level 1, held exactly (a return to the
+//     serial II = cycles_per_timestep would fit inside the default 20 %).
 //
 // Toolchain wall time, gated with a loose ceiling (host speed drifts):
 //   - setup_ms_mlp: convert + map_network + sim::Engine on the MNIST MLP at
@@ -29,8 +30,8 @@
 //   - compile_ms_cnn: map_network + sim::Engine on the MNIST CNN at opt
 //     level 1, the median of 3 — mostly the engine's II search.
 //
-// The placement budget is pinned (not SHENJING_FAST-scaled) so the JSON is
-// deterministic and comparable against the committed baseline.
+// The placement budget is pinned so the JSON does not depend on the
+// schedule-size scaling of the automatic budget.
 #include <algorithm>
 #include <chrono>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "bench_util.h"
 #include "common/status.h"
 #include "harness/zoo.h"
+#include "mapper/exec_program.h"
 #include "mapper/mapper.h"
 #include "mapper/opt/opt.h"
 #include "mapper/pipeline.h"
@@ -108,6 +110,7 @@ double toolchain_ms(const Fixture& f, const map::MapperConfig& cfg, bool with_co
 
 struct MapRun {
   map::opt::ProgramMetrics metrics;
+  i64 onchip_flits = 0;  // census PS + spike flits on links inside a chip
   double map_ms = 0.0;
   std::vector<map::OptPassStat> passes;
 };
@@ -121,6 +124,10 @@ MapRun run_map(const snn::SnnNetwork& net, map::MapperConfig cfg, i32 level) {
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
           .count();
   r.metrics = map::opt::measure(mapped);
+  const noc::NocTopology topo = map::make_topology(mapped);
+  for (const map::LinkCensus& l : map::lower_program(mapped, topo).census.links) {
+    if (!topo.link(l.link).interchip) r.onchip_flits += l.ps_flits + l.spike_flits;
+  }
   r.passes = mapped.opt_passes;
   return r;
 }
@@ -132,33 +139,34 @@ double reduction_pct(double before, double after) {
 void print_fixture(const std::string& name, const MapRun& greedy, const MapRun& opt) {
   std::printf("\n%s\n", name.c_str());
   bench::print_table({
-      {"", "cycles/ts", "ops", "sends", "crossings", "phases", "map ms"},
+      {"", "cycles/ts", "ops", "sends", "crossings", "on-chip flits", "map ms"},
       {"greedy (O0)", bench::num(greedy.metrics.cycles_per_timestep, 0),
        bench::num(static_cast<double>(greedy.metrics.ops), 0),
        bench::num(static_cast<double>(greedy.metrics.sends), 0),
        bench::num(static_cast<double>(greedy.metrics.cross_chip_crossings), 0),
-       bench::num(greedy.metrics.shard_phases, 0), bench::num(greedy.map_ms, 1)},
+       bench::num(static_cast<double>(greedy.onchip_flits), 0),
+       bench::num(greedy.map_ms, 1)},
       {"optimized (O2)", bench::num(opt.metrics.cycles_per_timestep, 0),
        bench::num(static_cast<double>(opt.metrics.ops), 0),
        bench::num(static_cast<double>(opt.metrics.sends), 0),
        bench::num(static_cast<double>(opt.metrics.cross_chip_crossings), 0),
-       bench::num(opt.metrics.shard_phases, 0), bench::num(opt.map_ms, 1)},
+       bench::num(static_cast<double>(opt.onchip_flits), 0), bench::num(opt.map_ms, 1)},
   });
-  std::printf("  cycles -%.1f%%, crossings -%.1f%%, phases -%.1f%%\n",
+  std::printf("  cycles -%.1f%%, crossings -%.1f%%, on-chip flits -%.1f%%\n",
               reduction_pct(greedy.metrics.cycles_per_timestep,
                             opt.metrics.cycles_per_timestep),
               reduction_pct(static_cast<double>(greedy.metrics.cross_chip_crossings),
                             static_cast<double>(opt.metrics.cross_chip_crossings)),
-              reduction_pct(greedy.metrics.shard_phases, opt.metrics.shard_phases));
+              reduction_pct(static_cast<double>(greedy.onchip_flits),
+                            static_cast<double>(opt.onchip_flits)));
   for (const map::OptPassStat& p : opt.passes) {
     std::printf("  pass %-10s %7.1f ms  cycles %u -> %u  ops %lld -> %lld  "
-                "crossings %lld -> %lld  phases %u -> %u\n",
+                "crossings %lld -> %lld\n",
                 p.pass.c_str(), p.wall_ms, p.cycles_before, p.cycles_after,
                 static_cast<long long>(p.ops_before),
                 static_cast<long long>(p.ops_after),
                 static_cast<long long>(p.crossings_before),
-                static_cast<long long>(p.crossings_after), p.phases_before,
-                p.phases_after);
+                static_cast<long long>(p.crossings_after));
   }
 }
 
@@ -168,8 +176,9 @@ int main() {
   bench::heading("EXP-M1: mapper throughput + mapping-time optimizer",
                  "map_network at SHENJING_OPT=0 (greedy) vs 2 (passes + placement)");
 
-  // Pinned placement budgets: results must not depend on SHENJING_FAST or
-  // host speed, or the committed baseline would be meaningless.
+  // Pinned placement budgets: results must not depend on the schedule-size
+  // scaling of the automatic budget, or the committed baseline would move
+  // with every schedule change.
   map::MapperConfig mlp_cfg;
   mlp_cfg.placement_evals = 48;
 
@@ -228,8 +237,7 @@ int main() {
   doc.set("crossings_reduction_pct",
           reduction_pct(static_cast<double>(sh_o0.metrics.cross_chip_crossings),
                         static_cast<double>(sh_o2.metrics.cross_chip_crossings)));
-  doc.set("shard_phases", static_cast<i64>(sh_o2.metrics.shard_phases));
-  doc.set("greedy_shard_phases", static_cast<i64>(sh_o0.metrics.shard_phases));
+  doc.set("cnn_onchip_flits", cnn_o2.onchip_flits);
   doc.set("mlp_cycles_per_timestep",
           static_cast<i64>(mlp_o2.metrics.cycles_per_timestep));
   doc.set("greedy_mlp_cycles_per_timestep",

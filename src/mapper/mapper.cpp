@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <set>
 #include <unordered_map>
 
@@ -792,9 +791,6 @@ MappedNetwork map_network(const SnnNetwork& net, const MapperConfig& cfg) {
       // scale the budget inversely with schedule size.
       budget = static_cast<i32>(
           std::clamp<i64>(2'000'000 / std::max<i64>(seed_metrics.ops, 1), 6, 48));
-      if (const char* fast = std::getenv("SHENJING_FAST"); fast != nullptr && fast[0] == '1') {
-        budget = std::max(3, budget / 2);
-      }
     }
     opt::PlacementProblem prob;
     prob.width = width;
@@ -816,7 +812,6 @@ MappedNetwork map_network(const SnnNetwork& net, const MapperConfig& cfg) {
             opt::measure(materialize_placement(net, cfg, depth, layouts, width, cand));
         cost.valid = true;
         cost.crossings = pm.cross_chip_crossings;
-        cost.phases = pm.shard_phases;
         cost.cycles = pm.cycles_per_timestep;
       } catch (const std::exception&) {
         cost.valid = false;  // overlap / off-grid / unroutable candidate
@@ -847,14 +842,10 @@ MappedNetwork map_network(const SnnNetwork& net, const MapperConfig& cfg) {
     stat.ops_after = placed_metrics.ops;
     stat.crossings_before = seed_metrics.cross_chip_crossings;
     stat.crossings_after = placed_metrics.cross_chip_crossings;
-    stat.phases_before = seed_metrics.shard_phases;
-    stat.phases_after = placed_metrics.shard_phases;
     out.opt_passes.push_back(std::move(stat));
     SJ_INFO("placement search: " << evals << " evals, crossings "
                                  << seed_metrics.cross_chip_crossings << " -> "
-                                 << placed_metrics.cross_chip_crossings << ", phases "
-                                 << seed_metrics.shard_phases << " -> "
-                                 << placed_metrics.shard_phases);
+                                 << placed_metrics.cross_chip_crossings);
   }
 
   // The placement is final: move each logical core's synapse matrix into its

@@ -8,7 +8,6 @@
 
 #include "common/log.h"
 #include "mapper/exec_program.h"
-#include "mapper/shard_plan.h"
 
 namespace sj::map::opt {
 
@@ -22,7 +21,6 @@ ProgramMetrics measure(const MappedNetwork& m) {
   for (const LinkCensus& l : prog.census.links) {
     if (topo.link(l.link).interchip) pm.cross_chip_crossings += l.ps_flits + l.spike_flits;
   }
-  pm.shard_phases = build_shard_plan(m, topo, prog).num_phases;
   return pm;
 }
 
@@ -43,7 +41,6 @@ bool PlacementCost::better_than(const PlacementCost& o) const {
   if (!valid) return false;
   if (!o.valid) return true;
   if (crossings != o.crossings) return crossings < o.crossings;
-  if (phases != o.phases) return phases < o.phases;
   return cycles < o.cycles;
 }
 
@@ -77,8 +74,6 @@ void optimize_schedule(MappedNetwork& m, i32 level) {
     stat.ops_after = after.ops;
     stat.crossings_before = before.cross_chip_crossings;
     stat.crossings_after = after.cross_chip_crossings;
-    stat.phases_before = before.shard_phases;
-    stat.phases_after = after.shard_phases;
     m.opt_passes.push_back(std::move(stat));
     // Independent provability: every pass leaves a schedule check_routes
     // accepts, or the toolchain fails loudly right here.

@@ -27,9 +27,8 @@
 //   1 — schedule passes: coalesce, repack.
 //   2 — level 1 plus placement search in map_network(): a deterministic
 //       hill-climb over unit anchor positions (opt/placement.cpp) that
-//       minimizes cross-chip crossings, shard phases, and cycles —
-//       this one changes routes (and therefore per-link counters), never
-//       results.
+//       minimizes cross-chip crossings, then cycles — this one changes
+//       routes (and therefore per-link counters), never results.
 #pragma once
 
 #include <functional>
@@ -42,22 +41,17 @@ namespace sj::map::opt {
 
 /// Schedule-wide cost summary, the currency every pass reports in.
 /// `crossings` is mask-popcount-weighted traffic over inter-chip links
-/// (the TrafficReport/SerDes cost driver), `shard_phases` ShardPlan's
-/// num_phases: how often per timestep a cross-chip write is read, the
-/// synchronization points a chip-parallel replay of the schedule would
-/// need.
+/// (the TrafficReport/SerDes cost driver).
 struct ProgramMetrics {
   u32 cycles_per_timestep = 0;
   i64 ops = 0;
   i64 sends = 0;                // link-writing ops (send/bypass/forward)
   i64 cross_chip_crossings = 0; // popcount-weighted ops over interchip links
-  u32 shard_phases = 1;
 };
 
 /// Measures `m` by lowering it (make_topology + lower_program, whose
-/// static census gives `sends` and the crossings, + build_shard_plan, the
-/// same plan the engine compiles). Deterministic; costs a few passes over
-/// the schedule.
+/// static census gives `sends` and the crossings). Deterministic; costs a
+/// few passes over the schedule.
 ProgramMetrics measure(const MappedNetwork& m);
 
 /// Resolves the effective opt level: `configured` >= 0 wins, otherwise the
@@ -97,15 +91,14 @@ struct PlaceAnchor {
 };
 
 /// Candidate cost as the search compares it: lexicographic
-/// (crossings, phases, cycles). `valid` is false when the candidate could
-/// not be evaluated (overlap, mapping failure) — such candidates never win.
+/// (crossings, cycles). `valid` is false when the candidate could not be
+/// evaluated (overlap, mapping failure) — such candidates never win.
 struct PlacementCost {
   bool valid = false;
   i64 crossings = 0;
-  u32 phases = 0;
   u32 cycles = 0;
 
-  /// Strictly-better-than comparison (lexicographic on the cost triple).
+  /// Strictly-better-than comparison (lexicographic on the cost pair).
   bool better_than(const PlacementCost& o) const;
 };
 

@@ -3,16 +3,17 @@
 // The greedy shelf placement packs units left-to-right in declaration order,
 // which is fine for one chip but oblivious to chip boundaries on multi-chip
 // grids: a unit straddling a seam, or two chatty units on different chips,
-// pays popcount-weighted SerDes crossings on every timestep and can add
-// shard phases (ShardPlan::num_phases). This is a deterministic greedy-refinement hill
-// climb seeded by the shelf result:
+// pays popcount-weighted SerDes crossings on every timestep — the one link
+// cost the hardware charges beyond its on-chip hops (4.4 pJ/bit, paper
+// §III). This is a deterministic greedy-refinement hill climb seeded by the
+// shelf result:
 //
 //   1. shelf re-packs under alternative unit orders (all permutations for
 //      tiny unit counts, adjacent transpositions otherwise),
 //   2. per-unit anchor moves (chip-aligned positions plus one-tile nudges),
 //   3. pairwise anchor swaps,
 //
-// each candidate mapped to a (crossings, phases, cycles) cost by the
+// each candidate mapped to a (crossings, cycles) cost by the
 // caller-provided evaluator and accepted only on strict lexicographic
 // improvement. Geometric rejects (overlap, out of bounds) are free; only
 // real evaluations draw from the budget, so the search degrades gracefully

@@ -75,7 +75,6 @@ struct OptPassStat {
   u32 cycles_before = 0, cycles_after = 0;
   i64 ops_before = 0, ops_after = 0;
   i64 crossings_before = 0, crossings_after = 0;
-  u32 phases_before = 0, phases_after = 0;
 };
 
 /// The complete compiled system.

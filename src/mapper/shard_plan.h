@@ -2,12 +2,15 @@
 //
 // Shenjing scales by tiling 28x28-core chips and paying explicit wire energy
 // on the links that cross a chip boundary (paper §III). This plan cuts a
-// program's op stream along those boundaries and counts how often the
-// cross-chip exchange would force a synchronization point: `num_phases`,
-// the placement metric placement search minimizes (opt::measure's
-// shard_phases). The frame loop itself runs every chip's ops in one
-// sequence; the inter-chip energy comes from the topology's `interchip`
-// links, charged at send time.
+// program's op stream along those boundaries and counts how often a
+// chip-by-chip replay of the frame would have to exchange cross-chip
+// writes: `num_phases`. Nothing replays a frame that way any more — the
+// frame loop runs every chip's ops in one sequence, the inter-chip energy
+// comes from the topology's `interchip` links, and placement search ranks
+// candidates by crossings and cycles. The plan is still built at engine
+// compile (sim::CompiledModel::shard_plan()) only because the repository
+// benchmark (perfbench/) reports `num_phases` and `num_shards()`; it goes
+// when the benchmark stops reading them.
 //
 // The cut follows the locality the two-phase NoC already enforces:
 //

@@ -178,9 +178,10 @@ class CompiledModel {
   const snn::SnnNetwork& net() const { return *net_; }
   const noc::NocTopology& topology() const { return topo_; }
   const map::ExecProgram& program() const { return prog_; }
-  /// The chip-level partition of the program (see mapper/shard_plan.h):
-  /// its shard count and num_phases describe the placement (placement
-  /// search minimizes num_phases); the frame loop does not consult it.
+  /// The chip-level partition of the program (see mapper/shard_plan.h).
+  /// Neither the frame loop nor the mapper consults it; it is kept because
+  /// the repository benchmark (perfbench/) reports its shard count and
+  /// num_phases.
   const map::ShardPlan& shard_plan() const { return plan_; }
 
   /// Touch sets (sorted, unique): the routers the program can write and
