@@ -195,7 +195,7 @@ SerialReason feasible(const Analysis& an, const MappedNetwork& m, i32 ii,
 }
 
 // The serial schedule as the degenerate modulo schedule: II = span = C, one
-// live iteration, every op at its schedule cycle with zero slack, rotations
+// live iteration, every op at its schedule cycle (zero delay), rotations
 // of the `active` cores at 0, the readout at the timestep's last cycle and
 // ACC committed in place (acc_latency 0). `why` records what ruled overlap out.
 PipelineSchedule serial_schedule(const MappedNetwork& m, const std::vector<bool>& active,
@@ -206,7 +206,6 @@ PipelineSchedule serial_schedule(const MappedNetwork& m, const std::vector<bool>
   s.ii = s.span = C;
   s.op_cycle.reserve(m.schedule.size());
   for (const TimedOp& t : m.schedule) s.op_cycle.push_back(static_cast<i32>(t.cycle));
-  s.slack.assign(m.schedule.size(), 0);
   s.rotate_cycle.assign(m.cores.size(), -1);
   for (u32 c = 0; c < m.cores.size(); ++c) {
     if (active[c]) s.rotate_cycle[c] = 0;
@@ -383,12 +382,8 @@ PipelineSchedule build_pipeline(const MappedNetwork& m) {
   out.depth = C - best;
   out.acc_latency = m.arch.acc_cycles;
   out.op_cycle.resize(n);
-  out.slack.resize(n);
   out.span = span;
-  for (usize i = 0; i < n; ++i) {
-    out.op_cycle[i] = an.b[i] + d[i];
-    out.slack[i] = out.depth - d[i];
-  }
+  for (usize i = 0; i < n; ++i) out.op_cycle[i] = an.b[i] + d[i];
   out.rotate_cycle.assign(m.cores.size(), -1);
   for (const u32 c : an.rot_cores) out.rotate_cycle[c] = d[rot_node[c]];
   out.readout_cycle = an.b[an.readout_node] + d[an.readout_node];

@@ -138,14 +138,19 @@ u64 cores_hash(const map::MappedNetwork& m) {
   return h.value();
 }
 
-u64 schedule_hash(const map::PipelineSchedule& ps) {
+/// Hashes `ps`, the modulo schedule of `m`. Each op's slack, depth minus
+/// its delay past its serial cycle, is folded in after the op cycles.
+u64 schedule_hash(const map::PipelineSchedule& ps, const map::MappedNetwork& m) {
   Fnv h;
   h.add(ps.ii);
   h.add(ps.span);
   h.add(ps.depth);
   h.add(ps.acc_latency);
   h.add_all(ps.op_cycle);
-  h.add_all(ps.slack);
+  h.add(static_cast<i64>(ps.op_cycle.size()));
+  for (usize i = 0; i < ps.op_cycle.size(); ++i) {
+    h.add(ps.depth - (ps.op_cycle[i] - static_cast<i64>(m.schedule[i].cycle)));
+  }
   h.add_all(ps.rotate_cycle);
   h.add(ps.readout_cycle);
   return h.value();
@@ -198,7 +203,7 @@ void check_mapping(const MapPin& p, const snn::SnnNetwork& net) {
   EXPECT_EQ(ps.ii, p.ii);
   EXPECT_EQ(ps.span, p.span);
   EXPECT_EQ(ps.readout_cycle, p.readout_cycle);
-  EXPECT_EQ(schedule_hash(ps), p.schedule);
+  EXPECT_EQ(schedule_hash(ps, m), p.schedule);
 }
 
 TEST(CompileGolden, MlpMappingsAndSchedules) {
