@@ -1,10 +1,9 @@
-// Opt-in engine phase profiling (see sim::SimContext::set_profiling).
+// Engine phase profiling (see sim::SimContext::profile).
 //
-// PhaseProfile is the accrual target for the engine's opt-in timers: the
+// PhaseProfile is the accrual target for the engine's frame timers: the
 // per-frame context reset, the input encoder and the timestep execution,
 // so a frame's wall time splits into layers that are measured, not
-// inferred from throughput deltas. Off by default: the engine pays one
-// predictable branch per timer and zero clock reads.
+// inferred from throughput deltas. Every frame pays five clock reads.
 #pragma once
 
 #include <chrono>
@@ -27,8 +26,8 @@ inline u64 now_ns() {
 struct PhaseProfile {
   i64 frames = 0;      // frames profiled
   u64 reset_ns = 0;    // per-frame context reset
-  u64 encode_ns = 0;   // input rate encoder (set-up and every step)
-  u64 exec_ns = 0;     // the frame's range loop, encoder excluded
+  u64 encode_ns = 0;   // input rate encoder (set-up and all T steps)
+  u64 exec_ns = 0;     // the frame's step-list replay
   u64 frame_ns = 0;    // whole frames, end to end
 
   bool empty() const { return frames == 0; }

@@ -87,8 +87,7 @@ std::shared_ptr<const Server::Generation> Server::make_generation(
 }
 
 Server::Server(ServerOptions options)
-    : max_pending_(options.max_pending),
-      profile_engine_(options.profile_engine) {
+    : max_pending_(options.max_pending) {
   submitted_ = &registry_.counter("serve.submitted");
   completed_ = &registry_.counter("serve.completed");
   errors_ = &registry_.counter("serve.errors");
@@ -344,7 +343,6 @@ void Server::worker_loop() {
                .first;
     }
     sim::SimContext& ctx = *it->second;
-    ctx.set_profiling(profile_engine_);
     try {
       const u64 t_exec0 = obs::now_ns();
       sim::FrameResult res = req.gen->engine->run_frame(ctx, req.frame);
@@ -361,7 +359,7 @@ void Server::worker_loop() {
         // without re-adding a flush handshake at least this expensive).
         if (mit != models_.end()) {
           ctx.drain_stats(mit->second.stats);
-          if (profile_engine_) ctx.drain_profile(mit->second.profile);
+          ctx.drain_profile(mit->second.profile);
         } else {
           ctx.take_stats();
         }
@@ -391,10 +389,6 @@ void Server::worker_loop() {
       // frames stay out of the latency histograms too — they would skew
       // percentiles with times that measured nothing.
       ctx.take_stats();
-      if (profile_engine_) {
-        obs::PhaseProfile scrap;
-        ctx.drain_profile(scrap);
-      }
       errors_->inc();
       if (req.trace != nullptr) {
         req.trace->claim_ns = t_claim;

@@ -110,11 +110,6 @@ struct ServerOptions {
   /// transactionally (and rejects batches larger than the bound outright).
   /// 0 = unbounded.
   usize max_pending = 0;
-  /// Enables engine phase profiling on every worker context
-  /// (sim::SimContext::set_profiling): per-model obs::PhaseProfile tallies
-  /// surface in metrics_json() under "engine_profile". Off by default —
-  /// profiled frames pay a few clock reads per range.
-  bool profile_engine = false;
 };
 
 /// How shutdown() treats requests still sitting in the queue.
@@ -213,8 +208,9 @@ class Server {
   /// lifetime SimStats roll-up (monotone across take_stats), the compiled
   /// schedule's `pipeline_ii` and `serial_reason` (map::serial_reason_name;
   /// "None" when timesteps overlap) and a live
-  /// noc::TrafficReport::utilization_json() per-link utilization snapshot;
-  /// engine phase profiles appear when ServerOptions::profile_engine is on.
+  /// noc::TrafficReport::utilization_json() per-link utilization snapshot
+  /// and, once the model has served a frame, its "engine_profile"
+  /// (obs::PhaseProfile of the workers' contexts).
   json::Value metrics_json() const;
 
   usize num_workers() const { return workers_.size(); }
@@ -258,7 +254,7 @@ class Server {
     /// so metrics_json (lifetime + stats) never goes backwards even while
     /// benches drain the additive tally.
     sim::SimStats lifetime;
-    /// Accrued engine phase profiles (ServerOptions::profile_engine).
+    /// Accrued engine phase profiles (sim::SimContext::profile).
     obs::PhaseProfile profile;
     ModelMetrics metrics;
     u64 generation = 0;      // bumped by swap_weights
@@ -295,7 +291,6 @@ class Server {
   void worker_loop();
 
   const usize max_pending_;
-  const bool profile_engine_;
   // The metric store and the hot-path handles into it. Declared before
   // workers_ so it outlives the worker threads on destruction. Lock order:
   // the registry's own mutex is taken either alone (snapshots, record paths

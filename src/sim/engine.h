@@ -15,11 +15,12 @@
 //                                               SimStats (incl. per-link
 //                                                 TrafficCounters)
 //
-// Engine::run_frame(ctx, image) executes one frame against one context by
-// replaying the model's step list: the compiled timestep schedule laid out
-// T + depth times as a modulo schedule (map::build_pipeline, whose serial
-// form is the degenerate II = C case) and flattened, once, into the frame's
-// input stagings, row executions, NoC commits and readouts in cycle order.
+// Engine::run_frame(ctx, image) executes one frame against one context: it
+// encodes the frame's T input steps, then replays the model's step list —
+// the compiled timestep schedule laid out T + depth times as a modulo
+// schedule (map::build_pipeline, whose serial form is the degenerate II = C
+// case) and flattened, once, into row executions, NoC commits and readouts
+// in cycle order.
 // The rows run the plane-parallel word kernels, one masked simd:: kernel
 // call per op. It is the engine's one frame loop; a mapping that spans
 // several chips runs through it like any other, its inter-chip links
@@ -129,15 +130,14 @@ struct PipeTables {
 
 /// One step of a frame's compiled step list (CompiledModel::steps_), which
 /// run_frame replays in order. Within an absolute cycle a the steps are:
-/// Stage k when a = k*II (k < T), then Exec for every live iteration whose
-/// row a - k*II does any work (older iteration first), then Commit when any
-/// row ran, then Readout k when a = k*II + readout_cycle. Idle cycles
-/// leave no steps.
+/// Exec for every live iteration whose row a - k*II does any work (older
+/// iteration first), then Commit when any row ran, then Readout k when
+/// a = k*II + readout_cycle. Idle cycles leave no steps.
 struct FrameStep {
-  enum class Kind : u8 { Stage, Exec, Commit, Readout };
+  enum class Kind : u8 { Exec, Commit, Readout };
   Kind kind = Kind::Commit;
   u32 row = 0;  // Exec: the PipeTables row
-  i32 k = 0;    // Stage, Exec, Readout: the iteration
+  i32 k = 0;    // Exec, Readout: the iteration
 };
 
 /// Spike trains observed at unit roots, re-aligned to logical timesteps
@@ -268,13 +268,9 @@ class SimContext {
   /// The context's router state (compaction introspection / tests).
   const noc::NocState& noc() const { return noc_; }
 
-  /// Opt-in engine phase profiling (obs::PhaseProfile). When on, frames
-  /// accrue reset/encode/exec/frame wall time (exec excludes the input
-  /// encoder). When off (the default), frames pay one predictable branch
-  /// per timer and zero clock reads, keeping the bench-regression gate
-  /// honest.
-  void set_profiling(bool on) { profile_on_ = on; }
-  bool profiling() const { return profile_on_; }
+  /// The engine phase profile (obs::PhaseProfile) accrued by run_frame
+  /// calls on this context: every completed frame adds its reset, encode,
+  /// exec and whole-frame wall time (five clock reads a frame).
   const obs::PhaseProfile& profile() const { return profile_; }
   /// Merges the accrued profile into `into` and zeroes it (the serving
   /// workers' drain, like drain_stats).
@@ -294,15 +290,12 @@ class SimContext {
   noc::NocState noc_;
   std::vector<CoreState> cores_;
   SimStats stats_;
-  // Opt-in phase profiling (set_profiling): the accrual target.
   obs::PhaseProfile profile_;
-  bool profile_on_ = false;
-  // Frame-loop scratch: double-buffered encoder output (iteration k's input
-  // lives in pipe_input_[k & 1]; with at most two live iterations the older
-  // one never reads a buffer being restaged) and the per-(ACC core,
-  // iteration parity) partial-sum gathers awaiting their commit
-  // (2 * CompiledModel::pend_count_ entries, sized at construction).
-  std::array<BitVec, 2> pipe_input_;
+  // Frame-loop scratch, sized at construction: the frame's encoded input
+  // (input_[k] is iteration k's spikes, k < T, one bit per model input) and
+  // the per-(ACC core, iteration parity) partial-sum gathers awaiting their
+  // commit (2 * CompiledModel::pend_count_ entries).
+  std::vector<BitVec> input_;
   std::vector<std::array<i32, 256>> acc_pend_;
 };
 

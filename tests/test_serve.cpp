@@ -545,7 +545,7 @@ TEST(Serve, MultiChipServingMatchesTheSerialPath) {
     const auto [want, want_stats] = serial_reference(*b);
     EXPECT_GT(want_stats.interchip_ps_bits() + want_stats.interchip_spike_bits(), 0);
 
-    Server server({.workers = 2, .profile_engine = true});
+    Server server({.workers = 2});
     const ModelKey key = server.load_model(b->mapped, b->net);
     std::vector<std::future<FrameResult>> futs = server.submit_batch(key, batch_of(*b));
     std::vector<FrameResult> got;
@@ -722,20 +722,20 @@ TEST(ServeTelemetry, MetricsReportTheCompiledSchedule) {
 }
 
 TEST(ServeTelemetry, EngineProfileSplitsFramesIntoLayers) {
-  // profile_engine=true on a multi-chip model (the MNIST CNN on 14x14-tile
-  // chips, compiled serial): the per-model engine_profile counts every
-  // frame, splits it into reset, encoder and timestep layers that fit
-  // inside the frame — and profiling stays bit-identical to serial.
+  // A multi-chip model (the MNIST CNN on 14x14-tile chips, compiled
+  // serial): the per-model engine_profile counts every frame, splits it
+  // into reset, encoder and timestep layers that fit inside the frame — and
+  // the served frames stay bit-identical to serial.
   const Built b = build_zoo(harness::make_mnist_cnn(), 4, 2, /*chip=*/14, /*pipeline=*/0);
   ASSERT_GT(b.mapped.chips_used, 1);
   const auto [want, want_stats] = serial_reference(b);
 
-  Server server({.workers = 2, .profile_engine = true});
+  Server server({.workers = 2});
   const ModelKey key = server.load_model(b.mapped, b.net);
   auto futs = server.submit_batch(key, batch_of(b));
   std::vector<FrameResult> got;
   for (auto& f : futs) got.push_back(f.get());
-  expect_frames_eq(got, want);  // profiling must not perturb the numbers
+  expect_frames_eq(got, want);
   expect_stats_eq(server.take_stats(key), want_stats);
 
   const json::Value doc = server.metrics_json();
@@ -751,7 +751,7 @@ TEST(ServeTelemetry, EngineProfileSplitsFramesIntoLayers) {
 
   // A single-chip model: the same layers.
   const Built p = build_fc(239, 5, 3);
-  Server plain({.workers = 1, .profile_engine = true});
+  Server plain({.workers = 1});
   const ModelKey pk = plain.load_model(p.mapped, p.net);
   auto pf = plain.submit_batch(pk, batch_of(p));
   for (auto& f : pf) f.get();
