@@ -43,9 +43,8 @@ struct MapperConfig {
   /// SHENJING_OPT environment variable (default 1).
   i32 opt_level = -1;
   /// Evaluation budget for the level-2 placement search; 0 = automatic
-  /// (6 to 48 evaluations, scaled down with schedule size). The budget
-  /// depends on this config and the schedule alone, so a compiled model
-  /// does not depend on the environment it was mapped in.
+  /// (6 to 48 evaluations, scaled down with schedule size). No environment
+  /// variable changes the budget.
   i32 placement_evals = 0;
   /// Cross-timestep engine pipelining (mapper/pipeline.h): 0 the serial
   /// II = C schedule, 1 overlap adjacent timesteps where feasible. Other

@@ -123,7 +123,7 @@ struct PipeTables {
   std::vector<map::Slot> taps;   // injection targets by (row, input bit)
   // Per row with taps: one CSR block of (inputs + 1) offsets into taps, so
   // input bit g of that row injects taps[block[g], block[g + 1]) and the
-  // injection walks only the staged input's set bits.
+  // injection walks only the encoded input's set bits.
   std::vector<u32> tap_off;
   std::vector<Row> rows;  // size = PipelineSchedule::span
 };
